@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+# Row width from which averaged_path builds prefix sums row by row instead
+# of with np.cumsum; on 501-row paths the two cross between 448 and 512.
+_ROW_LOOP_MIN_WIDTH = 512
+
+
 class DegenerateSchemeError(ValueError):
     """The requested scheme has (numerically) no weight to distribute."""
 
@@ -288,10 +293,19 @@ def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> 
         with np.errstate(invalid="ignore", divide="ignore"):
             avg = np.where(p_cum > 0, weighted / np.where(p_cum > 0, p_cum, 1.0), 0.0)
         return avg @ scheme.basis.T
-    weighted = np.cumsum(p_inc[:, None] * iterates, axis=0)
+    # One fresh buffer, updated in place; the caller's path is never written.
+    avg = p_inc[:, None] * iterates
+    if avg.shape[1] >= _ROW_LOOP_MIN_WIDTH:
+        # np.cumsum along axis 0 walks each column with a row-length stride;
+        # adding whole rows does the same additions in the same order.
+        for k in range(1, avg.shape[0]):
+            np.add(avg[k - 1], avg[k], out=avg[k])
+    else:
+        np.cumsum(avg, axis=0, out=avg)
+    live = p_cum > 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        denom = np.where(p_cum > 0, p_cum, 1.0)[:, None]
-        avg = np.where(p_cum[:, None] > 0, weighted / denom, 0.0)
+        avg /= np.where(live, p_cum, 1.0)[:, None]
+    avg[~live] = 0.0
     return avg
 
 

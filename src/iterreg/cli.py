@@ -153,25 +153,22 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
     bounds = convexity_bounds(prob)
     sched = make_schedule(eta, lam, bounds)
     gamma = sched.gamma(0)
-    t0 = time.perf_counter()
-
-    runs = {}
-    plain = sgd_run(prob, Regularizer.none(), sched, steps)
-    reg = sgd_run(prob, Regularizer.l2(lam), sched, steps)
-    runs["gd"] = (plain, reg, weights_sgd_adaptive(sched, lam, steps))
     q = prob.sigma
-    runs["pgd"] = (
-        psgd_run(prob, Regularizer.none(), sched, steps, Q=q),
-        psgd_run(prob, Regularizer.generalized_l2(lam, q), sched, steps),
-        weights_sgd_adaptive(sched, lam, steps),
-    )
-    runs["ngd"] = (
-        nsgd_run(prob, Regularizer.none(), sched, steps, alpha=alpha),
-        nsgd_run(prob, Regularizer.l2(lam), sched, steps, alpha=alpha),
-        weights_nsgd(eta, lam, alpha, steps),
-    )
-
-    for name, (p, r, scheme) in runs.items():
+    # Built inside the loop, so each report's wall clock covers its own runs.
+    runs = {
+        "gd": lambda: (sgd_run(prob, Regularizer.none(), sched, steps),
+                       sgd_run(prob, Regularizer.l2(lam), sched, steps),
+                       weights_sgd_adaptive(sched, lam, steps)),
+        "pgd": lambda: (psgd_run(prob, Regularizer.none(), sched, steps, Q=q),
+                        psgd_run(prob, Regularizer.generalized_l2(lam, q), sched, steps),
+                        weights_sgd_adaptive(sched, lam, steps)),
+        "ngd": lambda: (nsgd_run(prob, Regularizer.none(), sched, steps, alpha=alpha),
+                        nsgd_run(prob, Regularizer.l2(lam), sched, steps, alpha=alpha),
+                        weights_nsgd(eta, lam, alpha, steps)),
+    }
+    for name, build in runs.items():
+        t0 = time.perf_counter()
+        p, r, scheme = build()
         residual = oracles.identity_check(p, r, scheme)
         checks.add(f"demo2d/identity/{name}", residual, 1e-10,
                    {"eta": eta, "lam": lam, "steps": steps})
@@ -238,8 +235,8 @@ def cmd_kernel_demo(args, checks: Checks, out_dir: str):
         raise ConfigError(f"eta {eta} exceeds the kernel stability bound {stability:.4g}")
     sched = make_schedule(eta)
     plain = kernel_gd_run(kernel, sched, args.steps, lam=0.0)
-    t0 = time.perf_counter()
     for lam_hat in args.lam_hats:
+        t0 = time.perf_counter()
         reg = kernel_gd_run(kernel, sched, args.steps, lam=0.0, lam_hat=lam_hat)
         scheme = weights_kernel(kernel, sched, 0.0, lam_hat, args.steps)
         residual = oracles.identity_check(plain, reg, scheme)
@@ -327,6 +324,7 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
                  args.format)
 
     if not args.deterministic:
+        t0 = time.perf_counter()
         st_plain, st_reg, scheme = _linear_runs(
             prob, sched, lam, steps, args.optimizer, args.alpha, args.batch,
             args.seed, False)
@@ -352,8 +350,8 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     gamma = 1.0 / (lam + 1.0 / eta)
     sched_eta = make_schedule(eta)
     sched_gamma = make_schedule(gamma)
-    t0 = time.perf_counter()
     for deterministic in (True, False) if not args.deterministic else (True,):
+        t0 = time.perf_counter()
         kwargs = dict(batch_size=None if deterministic else args.batch,
                       seed=args.seed, deterministic=deterministic)
         if args.optimizer == "gd":
@@ -446,7 +444,7 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
             return float(np.linalg.norm(p_last * final - p_last * target))
 
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            deviations = list(pool.map(one, range(args.mc_seeds)))
+            deviations = list(pool.map(one, range(args.seed, args.seed + args.mc_seeds)))
         freq = float(np.mean(np.asarray(deviations) > eps.epsilon))
         results[kind] = {"epsilon": eps.epsilon, "frequency": freq,
                          "max_deviation": max(deviations)}
@@ -591,9 +589,9 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
 def cmd_avg_geometric(args, checks: Checks, out_dir: str):
     if not args.checkpoints:
         raise ConfigError("avg-geometric needs --checkpoints <dir>")
-    files = sorted(glob.glob(os.path.join(args.checkpoints, "*.jsonl")))
+    files = sorted(glob.glob(os.path.join(args.checkpoints, "*.npz")))
     if not files:
-        raise ConfigError(f"no *.jsonl path records under {args.checkpoints}")
+        raise ConfigError(f"no *.npz path records under {args.checkpoints}")
     vectors = []
     for f in files:
         rec = load_path(f)
@@ -686,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="many lambdas from one stored path")
     common(p)
     p.set_defaults(lams=[0.01, 0.1, 1.0, 10.0])
-    p.add_argument("--path", help="stored path record (.jsonl)")
+    p.add_argument("--path", help="stored path record (.npz)")
 
     p = sub.add_parser("avg-geometric", help="geometric checkpoint averaging")
     common(p)

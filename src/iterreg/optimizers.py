@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 _PATH_FORMAT = "iterreg-path"
-_PATH_VERSION = 1
+_PATH_VERSION = 2
 
 
 class DivergenceError(RuntimeError):
@@ -466,9 +467,10 @@ def kernel_gd_run(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON-lines, one float64 vector per line.  Standard json
-# prints shortest round-trip representations, so text -> float64 is
-# bit-exact on reload.
+# Serialization: one uncompressed .npz archive holding the raw float64
+# iterates, so a round trip is bit-exact and the file is the array's size,
+# plus a JSON header.  Archives are read with allow_pickle=False: loading
+# a stored path never runs code from the file.
 
 
 def save_path(record: PathRecord, path: str) -> None:
@@ -485,24 +487,32 @@ def save_path(record: PathRecord, path: str) -> None:
         if record.schedule is None
         else {"etas": record.schedule.etas.tolist(), "lam": record.schedule.lam},
     }
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for row in record.iterates:
-            fh.write(json.dumps([float(v) for v in row]) + "\n")
+    # An open handle, not a name: np.savez appends ".npz" to a bare name.
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, header=np.bytes_(json.dumps(header)),
+                 iterates=record.iterates)
 
 
 def load_path(path: str) -> PathRecord:
-    with open(path, "r", encoding="ascii") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != _PATH_FORMAT:
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
             raise ValueError(f"{path}: not a path record")
-        if header.get("version") != _PATH_VERSION:
-            raise ValueError(f"{path}: unsupported version {header.get('version')}")
-        rows = [json.loads(line) for line in fh if line.strip()]
-    iterates = np.array(rows, dtype=np.float64)
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                header = json.loads(archive["header"].tobytes()) if "header" in archive else {}
+                iterates = archive["iterates"] if "iterates" in archive else None
+        except (zipfile.BadZipFile, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable or truncated path record ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != _PATH_FORMAT \
+            or iterates is None:
+        raise ValueError(f"{path}: not a path record")
+    if header.get("version") != _PATH_VERSION:
+        raise ValueError(f"{path}: unsupported version {header.get('version')}")
     expected = (header["steps"] + 1, header["dim"])
-    if iterates.shape != expected:
-        raise ValueError(f"{path}: expected shape {expected}, got {iterates.shape}")
+    if iterates.dtype != np.float64 or iterates.shape != expected:
+        raise ValueError(f"{path}: expected float64 iterates of shape {expected}, "
+                         f"got {iterates.dtype} {iterates.shape}")
     sched = header.get("schedule")
     schedule = None if sched is None else LRSchedule(np.asarray(sched["etas"]), sched["lam"])
     return PathRecord(

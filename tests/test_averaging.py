@@ -221,6 +221,47 @@ class TestRunningAverage:
             state.update(np.ones(1))
 
 
+def _averaged_path_reference(x, scheme):
+    """The prefix-sum formula averaged_path computes, written out directly."""
+    steps = x.shape[0] - 1
+    p_cum = scheme.cumulative[: steps + 1]
+    weighted = np.cumsum(scheme.increments[: steps + 1, None] * x, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(p_cum[:, None] > 0,
+                        weighted / np.where(p_cum > 0, p_cum, 1.0)[:, None], 0.0)
+
+
+class TestAveragedPathKernel:
+    """Wide rows take a row-by-row prefix sum, narrow rows np.cumsum; both
+    must equal the direct formula bit for bit."""
+
+    SCHEMES = {
+        "sgd-adaptive": lambda steps: weights_sgd_adaptive(0.1, 0.3, steps),
+        "nsgd": lambda steps: weights_nsgd(0.1, 0.3, 0.2, steps),
+    }
+
+    @pytest.mark.parametrize("shape", [(301, 1024), (501, 2)])
+    @pytest.mark.parametrize("kind", sorted(SCHEMES))
+    def test_bit_identical_to_formula(self, shape, kind):
+        scheme = self.SCHEMES[kind](shape[0] - 1)
+        x = np.random.default_rng(shape[1]).standard_normal(shape)
+        before = x.copy()
+        avg = averaged_path(x, scheme)
+        assert np.array_equal(avg, _averaged_path_reference(x, scheme))
+        assert np.array_equal(x, before)
+        if kind == "nsgd":  # P_0 = 0 leaves the first average at zero
+            assert scheme.P(0) == 0.0 and not avg[0].any()
+
+    def test_one_dimensional_path(self):
+        scheme = self.SCHEMES["nsgd"](40)
+        x = np.random.default_rng(3).standard_normal(41)
+        before = x.copy()
+        avg = averaged_path(x, scheme)
+        assert avg.shape == (41, 1)
+        assert np.array_equal(avg, _averaged_path_reference(x[:, None], scheme))
+        assert np.array_equal(x, before)
+
+
 class TestMixingIdentityProperty:
     """For any scheme and any pair built from the increment relation
     new_hat - hat = (1 - P_k)(new - old), the mixing identity

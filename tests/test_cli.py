@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,21 @@ def test_verify_identity(tmp_path):
 def test_kernel_demo(tmp_path):
     code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
     assert code == 0 and checks["pass"]
+
+
+def test_report_clocks_do_not_overlap(tmp_path):
+    # Each report times only its own lambda-hat, so the clocks sum to less
+    # than the whole call; clocks that keep running from the first report
+    # add up to several times the call once there are a few lambda-hats.
+    lam_hats = ("0.5", "1.0", "1.5", "2.0", "2.5")
+    start = time.perf_counter()
+    code, out, _ = run(tmp_path, "kernel-demo", "--kernel-n", "15",
+                       "--lam-hats", ",".join(lam_hats), "--format", "json")
+    wall = time.perf_counter() - start
+    assert code == 0
+    clocks = [json.loads((out / f"kernel_{lh}.json").read_text())["wall_clock_s"]
+              for lh in lam_hats]
+    assert sum(clocks) <= wall
 
 
 def test_mnist_linear_desk_scale(tmp_path):
@@ -72,6 +88,17 @@ def test_variance_mc_small(tmp_path):
     assert set(payload) == {"sgd", "psgd", "nsgd"}
 
 
+def test_variance_mc_follows_seed(tmp_path):
+    deviations = []
+    for seed in ("0", "1"):
+        code, out, _ = run(tmp_path / seed, "variance-mc", "--mc-seeds", "1",
+                           "--seed", seed)
+        assert code == 0
+        payload = json.loads((out / "variance_mc.json").read_text())
+        deviations.append([payload[k]["max_deviation"] for k in ("sgd", "psgd", "nsgd")])
+    assert all(a != b for a, b in zip(*deviations))
+
+
 def test_sandwich(tmp_path):
     code, _, checks = run(tmp_path, "sandwich")
     assert code == 0 and checks["pass"]
@@ -86,7 +113,7 @@ def test_l1_hull(tmp_path):
 
 def test_sweep_reuses_stored_path(tmp_path):
     rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500)
-    stored = tmp_path / "path.jsonl"
+    stored = tmp_path / "path.npz"
     save_path(rec, str(stored))
     code, out, checks = run(tmp_path, "sweep", "--path", str(stored))
     assert code == 0 and checks["pass"]
@@ -95,13 +122,23 @@ def test_sweep_reuses_stored_path(tmp_path):
     assert len(payload["points"]) == 4
 
 
+def test_sweep_rejects_truncated_path(tmp_path, capsys):
+    rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500)
+    stored = tmp_path / "path.npz"
+    save_path(rec, str(stored))
+    stored.write_bytes(stored.read_bytes()[:4000])
+    code, _, _ = run(tmp_path, "sweep", "--path", str(stored))
+    assert code == 2
+    assert str(stored) in capsys.readouterr().err
+
+
 def test_avg_geometric(tmp_path):
     ckpts = tmp_path / "ckpts"
     ckpts.mkdir()
     prob = toy_problem()
     for i in range(4):
         rec = sgd_run(prob, Regularizer.none(), make_schedule(0.1), 30 + i)
-        save_path(rec, str(ckpts / f"c{i:02d}.jsonl"))
+        save_path(rec, str(ckpts / f"c{i:02d}.npz"))
     code, out, checks = run(tmp_path, "avg-geometric", "--checkpoints",
                             str(ckpts), "--p-success", "0.9")
     assert code == 0 and checks["pass"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -253,7 +255,7 @@ class TestSerialization:
         prob = QuadraticProblem.from_data(x, rng.standard_normal((7, 1)))
         rec = sgd_run(prob, Regularizer.none(), make_schedule([0.05, 0.03]), 25,
                       batch_size=2, seed=5, deterministic=False)
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.npz"
         save_path(rec, str(path))
         back = load_path(str(path))
         assert back.iterates.tobytes() == rec.iterates.tobytes()
@@ -266,6 +268,82 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError, match="not a path record"):
             load_path(str(path))
+
+    @staticmethod
+    def _stored(tmp_path):
+        rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 40)
+        path = tmp_path / "stored"
+        save_path(rec, str(path))
+        return rec, path
+
+    @staticmethod
+    def _write_archive(path, header, iterates):
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.bytes_(json.dumps(header)), iterates=iterates)
+
+    def test_bare_name_is_the_only_file(self, tmp_path):
+        rec, path = self._stored(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["stored"]
+        assert path.stat().st_size <= rec.iterates.nbytes + 64 * 1024
+        assert load_path(str(path)).iterates.tobytes() == rec.iterates.tobytes()
+
+    def test_truncated_archive_rejected(self, tmp_path):
+        _, path = self._stored(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match="truncated") as err:
+            load_path(str(path))
+        assert str(path) in str(err.value)
+
+    def _header(self, tmp_path):
+        rec, path = self._stored(tmp_path)
+        with np.load(path) as archive:
+            return rec, json.loads(archive["header"].tobytes())
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_versions_rejected(self, tmp_path, version):
+        rec, header = self._header(tmp_path)
+        header["version"] = version
+        self._write_archive(tmp_path / "v", header, rec.iterates)
+        with pytest.raises(ValueError, match=f"unsupported version {version}"):
+            load_path(str(tmp_path / "v"))
+
+    def test_dim_mismatch_rejected(self, tmp_path):
+        rec, header = self._header(tmp_path)
+        header["dim"] += 1
+        self._write_archive(tmp_path / "d", header, rec.iterates)
+        with pytest.raises(ValueError, match="shape"):
+            load_path(str(tmp_path / "d"))
+
+    def test_float32_rejected(self, tmp_path):
+        rec, header = self._header(tmp_path)
+        self._write_archive(tmp_path / "f", header, rec.iterates.astype(np.float32))
+        with pytest.raises(ValueError, match="float32"):
+            load_path(str(tmp_path / "f"))
+
+    def test_pickled_object_array_refused_unread(self, tmp_path):
+        rec, header = self._header(tmp_path)
+        payload = np.empty(1, dtype=object)
+        payload[0] = _Tripwire()
+        self._write_archive(tmp_path / "p", header, payload)
+        _Tripwire.fired.clear()
+        with pytest.raises(ValueError, match="allow_pickle"):
+            load_path(str(tmp_path / "p"))
+        assert _Tripwire.fired == []
+
+
+def _trip():
+    _Tripwire.fired.append(True)
+    return _Tripwire()
+
+
+class _Tripwire:
+    """Records, on unpickling, that a loader ran code from the file."""
+
+    fired = []
+
+    def __reduce__(self):
+        return _trip, ()
 
 
 def test_schedule_validation():
