@@ -31,7 +31,6 @@ from .averaging import (
     RunningAverage,
     WeightScheme,
     averaged_path,
-    running_average_update,
     scheme_to_csv,
     weights_general,
     weights_geometric,

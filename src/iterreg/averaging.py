@@ -37,7 +37,6 @@ __all__ = [
     "weights_general",
     "weights_kernel",
     "weights_geometric",
-    "running_average_update",
     "averaged_path",
     "scheme_to_csv",
 ]
@@ -265,11 +264,6 @@ class RunningAverage:
         if p_cum <= 0:
             raise ValueError("cumulative weight is zero; average undefined")
         return self._sum / p_cum
-
-
-def running_average_update(state: RunningAverage, w: np.ndarray, k: Optional[int] = None):
-    """Functional alias for RunningAverage.update (consumed in index order)."""
-    return state.update(w, k)
 
 
 def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> np.ndarray:

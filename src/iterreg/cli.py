@@ -2,8 +2,9 @@
 
 Each subcommand wires problems -> optimizers -> averaging -> oracles,
 writes report files plus a ``checks.json`` with one entry per verified
-claim, and exits 0 only if every check passed (1 on a failed check, 2 on
-an invalid configuration).
+claim, and exits 0 only if every check passed: 1 on a failed check, 2 on
+an invalid configuration or an input file that cannot be read, and 3 when
+a run diverges.
 
 Subcommands:
     demo2d          2-D quadratic demo: identities, decay rates, limits
@@ -26,7 +27,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .averaging import (
 )
 from .data_io import Dataset, Report, one_hot, write_report
 from .optimizers import (
+    DivergenceError,
     kernel_gd_run,
     load_path,
     make_schedule,
@@ -153,22 +155,10 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
     bounds = convexity_bounds(prob)
     sched = make_schedule(eta, lam, bounds)
     gamma = sched.gamma(0)
-    q = prob.sigma
-    # Built inside the loop, so each report's wall clock covers its own runs.
-    runs = {
-        "gd": lambda: (sgd_run(prob, Regularizer.none(), sched, steps),
-                       sgd_run(prob, Regularizer.l2(lam), sched, steps),
-                       weights_sgd_adaptive(sched, lam, steps)),
-        "pgd": lambda: (psgd_run(prob, Regularizer.none(), sched, steps, Q=q),
-                        psgd_run(prob, Regularizer.generalized_l2(lam, q), sched, steps),
-                        weights_sgd_adaptive(sched, lam, steps)),
-        "ngd": lambda: (nsgd_run(prob, Regularizer.none(), sched, steps, alpha=alpha),
-                        nsgd_run(prob, Regularizer.l2(lam), sched, steps, alpha=alpha),
-                        weights_nsgd(eta, lam, alpha, steps)),
-    }
-    for name, build in runs.items():
+    for name in ("gd", "pgd", "ngd"):
+        # Runs inside the loop, so each report's wall clock covers its own runs.
         t0 = time.perf_counter()
-        p, r, scheme = build()
+        p, r, scheme = _run_pair(prob, name, sched, lam, steps, alpha)
         residual = oracles.identity_check(p, r, scheme)
         checks.add(f"demo2d/identity/{name}", residual, 1e-10,
                    {"eta": eta, "lam": lam, "steps": steps})
@@ -272,26 +262,34 @@ def _mnist_dataset(args) -> Dataset:
     )
 
 
-def _linear_runs(prob, sched, lam, steps, optimizer, alpha, batch, seed, deterministic):
-    reg = Regularizer.l2(lam)
+def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None,
+              deterministic=True, reg_sched=None, q=None, scheme=None):
+    """Plain and lambda-regularized runs of one optimizer, and their scheme.
+
+    By default the regularized run takes the coupled rates of ``sched``,
+    PGD preconditions with the quadratic's Sigma, and the scheme follows
+    from the optimizer; a general loss passes its own regularized
+    schedule, preconditioner and scheme.
+    """
+    reg_sched = sched if reg_sched is None else reg_sched
     kwargs = dict(batch_size=None if deterministic else batch, seed=seed,
                   deterministic=deterministic)
     if optimizer == "gd":
         plain = sgd_run(prob, Regularizer.none(), sched, steps, **kwargs)
-        regp = sgd_run(prob, reg, sched, steps, **kwargs)
-        scheme = weights_sgd_adaptive(sched, lam, steps)
+        regp = sgd_run(prob, Regularizer.l2(lam), reg_sched, steps, **kwargs)
     elif optimizer == "pgd":
-        q = prob.sigma if isinstance(prob, QuadraticProblem) \
-            else prob.X.T @ prob.X / prob.n_samples
+        q = prob.sigma if q is None else q
         plain = psgd_run(prob, Regularizer.none(), sched, steps, Q=q, **kwargs)
-        regp = psgd_run(prob, Regularizer.generalized_l2(lam, q), sched, steps, **kwargs)
-        scheme = weights_sgd_adaptive(sched, lam, steps)
+        regp = psgd_run(prob, Regularizer.generalized_l2(lam, q), reg_sched, steps,
+                        Q=q, **kwargs)
     elif optimizer == "ngd":
         plain = nsgd_run(prob, Regularizer.none(), sched, steps, alpha=alpha, **kwargs)
-        regp = nsgd_run(prob, reg, sched, steps, alpha=alpha, **kwargs)
-        scheme = weights_nsgd(sched.eta(0), lam, alpha, steps)
+        regp = nsgd_run(prob, Regularizer.l2(lam), reg_sched, steps, alpha=alpha, **kwargs)
     else:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
+    if scheme is None:
+        scheme = weights_nsgd(sched.eta(0), lam, alpha, steps) if optimizer == "ngd" \
+            else weights_sgd_adaptive(sched, lam, steps)
     return plain, regp, scheme
 
 
@@ -302,8 +300,8 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     sched = make_schedule(eta, lam)
     t0 = time.perf_counter()
 
-    det_plain, det_reg, scheme = _linear_runs(
-        prob, sched, lam, steps, args.optimizer, args.alpha, args.batch, args.seed, True)
+    det_plain, det_reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps,
+                                           args.alpha, seed=args.seed)
     det_avg = averaged_path(det_plain, scheme)
     err_plain, err_avg = _l1_curves(det_plain.iterates, det_reg.iterates, det_avg)
     tail = err_avg[10:]
@@ -325,9 +323,9 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
 
     if not args.deterministic:
         t0 = time.perf_counter()
-        st_plain, st_reg, scheme = _linear_runs(
-            prob, sched, lam, steps, args.optimizer, args.alpha, args.batch,
-            args.seed, False)
+        st_plain, st_reg, scheme = _run_pair(
+            prob, args.optimizer, sched, lam, steps, args.alpha, batch=args.batch,
+            seed=args.seed, deterministic=False)
         st_avg = averaged_path(st_plain, scheme)
         s_plain, s_avg = _l1_curves(st_plain.iterates, st_reg.iterates, st_avg)
         checks.add("mnist-linear/stochastic-avg-below-plain",
@@ -350,29 +348,18 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     gamma = 1.0 / (lam + 1.0 / eta)
     sched_eta = make_schedule(eta)
     sched_gamma = make_schedule(gamma)
+    q = None
+    if args.optimizer == "pgd":
+        # feature second moment as preconditioner; the tiny shift keeps
+        # it factorizable when the data is close to rank-deficient
+        q = prob.X.T @ prob.X / prob.n_samples
+        q = q + 1e-8 * np.eye(q.shape[0])
     for deterministic in (True, False) if not args.deterministic else (True,):
         t0 = time.perf_counter()
-        kwargs = dict(batch_size=None if deterministic else args.batch,
-                      seed=args.seed, deterministic=deterministic)
-        if args.optimizer == "gd":
-            plain = sgd_run(prob, Regularizer.none(), sched_eta, steps, **kwargs)
-            regp = sgd_run(prob, Regularizer.l2(lam), sched_gamma, steps, **kwargs)
-        elif args.optimizer == "pgd":
-            # feature second moment as preconditioner; the tiny shift keeps
-            # it factorizable when the data is close to rank-deficient
-            q = prob.X.T @ prob.X / prob.n_samples
-            q = q + 1e-8 * np.eye(q.shape[0])
-            plain = psgd_run(prob, Regularizer.none(), sched_eta, steps, Q=q, **kwargs)
-            regp = psgd_run(prob, Regularizer.generalized_l2(lam, q), sched_gamma,
-                            steps, Q=q, **kwargs)
-        elif args.optimizer == "ngd":
-            plain = nsgd_run(prob, Regularizer.none(), sched_eta, steps,
-                             alpha=args.alpha, **kwargs)
-            regp = nsgd_run(prob, Regularizer.l2(lam), sched_gamma, steps,
-                            alpha=args.alpha, **kwargs)
-        else:
-            raise ConfigError(f"unknown optimizer {args.optimizer!r}")
-        scheme = weights_general(eta, gamma, steps)
+        plain, regp, scheme = _run_pair(
+            prob, args.optimizer, sched_eta, lam, steps, args.alpha, batch=args.batch,
+            seed=args.seed, deterministic=deterministic, reg_sched=sched_gamma, q=q,
+            scheme=weights_general(eta, gamma, steps))
         avg = averaged_path(plain, scheme)
         err_plain, err_avg = _l1_curves(plain.iterates, regp.iterates, avg)
         mode = "deterministic" if deterministic else "stochastic"
@@ -399,35 +386,22 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
     gamma = sched.gamma(0)
     mu = np.linalg.eigvalsh(prob.sigma)
     results = {}
-
-    def deviation_run(kind, seed):
-        if kind == "sgd":
-            rec = sgd_run(prob, Regularizer.none(), sched, steps, seed=seed,
-                          noise_sigma=sigma)
-            scheme = weights_sgd_adaptive(sched, lam, steps)
-        elif kind == "psgd":
-            rec = psgd_run(prob, Regularizer.none(), sched, steps, Q=prob.sigma,
-                           seed=seed, noise_sigma=sigma)
-            scheme = weights_sgd_adaptive(sched, lam, steps)
-        else:
-            rec = nsgd_run(prob, Regularizer.none(), sched, steps, alpha=args.alpha,
-                           seed=seed, noise_sigma=sigma)
-            scheme = weights_nsgd(eta, lam, args.alpha, steps)
-        avg = averaged_path(rec, scheme)
-        return avg[-1], scheme
-
     for kind in ("sgd", "psgd", "nsgd"):
         if kind == "sgd":
             eps = oracles.variance_epsilon("sgd", sigma, delta, gamma, lam,
                                            bounds.alpha, bounds.beta)
             mean_rec = oracles.expectation_path(prob, Regularizer.none(), sched, steps)
             scheme = weights_sgd_adaptive(sched, lam, steps)
+            run = partial(sgd_run, prob, Regularizer.none(), sched, steps)
         elif kind == "psgd":
             q_norm = float(np.abs(mu).max())
             eps = oracles.variance_epsilon("psgd", sigma, delta, gamma, lam,
                                            bounds.alpha, bounds.beta, q_norm=q_norm)
-            mean_rec = _pgd_expectation(prob, sched, steps)
+            # lambda = 0 adds no penalty; the generalized penalty carries Q = Sigma.
+            mean_rec = oracles.expectation_path(
+                prob, Regularizer.generalized_l2(0.0, prob.sigma), sched, steps, kind="pgd")
             scheme = weights_sgd_adaptive(sched, lam, steps)
+            run = partial(psgd_run, prob, Regularizer.none(), sched, steps, Q=prob.sigma)
         else:
             eps = oracles.variance_epsilon("nsgd", sigma, delta, gamma, lam,
                                            args.alpha, bounds.beta, eta=eta,
@@ -435,16 +409,13 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
             mean_rec = oracles.expectation_path(prob, Regularizer.none(), sched,
                                                 steps, kind="ngd", alpha=args.alpha)
             scheme = weights_nsgd(eta, lam, args.alpha, steps)
-        mean_avg = averaged_path(mean_rec, scheme)
+            run = partial(nsgd_run, prob, Regularizer.none(), sched, steps, alpha=args.alpha)
         p_last = scheme.cumulative[steps]
-        target = mean_avg[-1]
-
-        def one(seed, kind=kind):
-            final, _ = deviation_run(kind, seed)
-            return float(np.linalg.norm(p_last * final - p_last * target))
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            deviations = list(pool.map(one, range(args.seed, args.seed + args.mc_seeds)))
+        target = averaged_path(mean_rec, scheme)[-1]
+        deviations = []
+        for seed in range(args.seed, args.seed + args.mc_seeds):
+            final = averaged_path(run(seed=seed, noise_sigma=sigma), scheme)[-1]
+            deviations.append(float(np.linalg.norm(p_last * final - p_last * target)))
         freq = float(np.mean(np.asarray(deviations) > eps.epsilon))
         results[kind] = {"epsilon": eps.epsilon, "frequency": freq,
                          "max_deviation": max(deviations)}
@@ -453,21 +424,6 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
                     "seeds": args.mc_seeds, "max_deviation": max(deviations)})
     with open(os.path.join(out_dir, "variance_mc.json"), "w", encoding="ascii") as fh:
         json.dump(results, fh, indent=1)
-
-
-def _pgd_expectation(prob, sched, steps):
-    """Mean path of the noiseless preconditioned run with Q = Sigma, where
-    the recurrence contracts uniformly: E_{k+1} - w* = (1 - eta_k)(E_k - w*)."""
-    from .optimizers import PathRecord, problem_fingerprint
-
-    target = prob.minimizer()
-    path = np.zeros((steps + 1, target.size))
-    diff = -target
-    for k in range(steps):
-        diff = (1.0 - sched.eta(k)) * diff
-        path[k + 1] = diff + target
-    return PathRecord(iterates=path, tag="expectation-pgd", schedule=sched,
-                      problem_fingerprint=problem_fingerprint(prob))
 
 
 def cmd_sandwich(args, checks: Checks, out_dir: str):
@@ -575,8 +531,7 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
         bound = tail + float(np.abs(mean_reg.iterates[-1] - ridge).max()) + 1e-10
         return lam, residual, bound, average_s
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(sweep_one, args.lams))
+    rows = [sweep_one(lam) for lam in args.lams]
     for lam, residual, bound, average_s in rows:
         checks.add(f"sweep/limit-within-oracle-bound/lam={lam}", residual, bound,
                    {"lam": lam, "optimize_s": optimize_s, "average_s": average_s})
@@ -641,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deterministic", action="store_true")
         p.add_argument("--limit", type=int, default=2000)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=4)
 
     p = sub.add_parser("demo2d", help="2-D quadratic demo (identities, rates)")
     common(p)
@@ -740,21 +694,21 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        args = parser.parse_args(_apply_config_file(parser, argv))
+        os.makedirs(args.out, exist_ok=True)
+        checks = Checks()
+        _COMMANDS[args.command](args, checks, args.out)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
-    os.makedirs(args.out, exist_ok=True)
-    checks = Checks()
-    try:
-        _COMMANDS[args.command](args, checks, args.out)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # names the file: --config, --path, --images, ...
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 3
     checks.dump(args.out)
     return 0 if checks.all_pass else 1
 

@@ -233,6 +233,51 @@ def _validate_run_args(reg, schedule, batch_size, seed, deterministic):
             raise ValueError("stochastic runs need a seed")
 
 
+def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
+         noise_sigma, name, solve=None, tau=None, extras=None) -> PathRecord:
+    """The one step loop behind sgd_run, psgd_run and nsgd_run.
+
+    ``solve`` maps a gradient to the step direction (the preconditioned
+    solve); injected noise is then subtracted from the direction.  Without
+    ``solve``, noise is subtracted from full gradients only (``_gradient``).
+    ``tau`` turns on Nesterov lookahead from w_0 = w_1 = 0, so the first
+    gradient step produces w_2.
+    """
+    _validate_run_args(reg, schedule, batch_size, seed, deterministic)
+    regularized = reg.lam > 0
+    dim = problem.param_dim
+    w = prev = np.zeros(dim)
+    path = np.zeros((steps + 1, dim))
+    limit = _guard_limit(problem)
+    use_batches = batch_size if not deterministic else None
+    noise = None
+    if noise_sigma is not None and noise_sigma > 0:
+        if seed is None:
+            raise ValueError("noise injection needs a seed")
+        noise = _sphere_noise_matrix(seed, steps, dim, noise_sigma)
+    for k in range(0 if tau is None else 1, steps):
+        rate = schedule.gamma(k) if regularized else schedule.eta(k)
+        v = w if tau is None else w + tau * (w - prev)
+        if solve is None:
+            step_dir = _gradient(problem, reg, v, k, use_batches, seed, noise)
+        else:
+            step_dir = solve(_gradient(problem, reg, v, k, use_batches, seed, None))
+            if noise is not None:
+                step_dir = step_dir - noise[k]
+        w, prev = v - rate * step_dir, w
+        _guard(w, limit, k, name)
+        path[k + 1] = w
+    return PathRecord(
+        iterates=path,
+        # full-gradient, noise-free runs drop the "s": gd, pgd, ngd
+        tag=name if (use_batches or noise_sigma) else name.replace("sgd", "gd"),
+        seed=seed,
+        schedule=schedule,
+        problem_fingerprint=problem_fingerprint(problem),
+        extras={"lam": reg.lam, "reg": reg.kind, **(extras or {})},
+    )
+
+
 def sgd_run(
     problem,
     reg: Regularizer,
@@ -249,33 +294,8 @@ def sgd_run(
     uniformly on a sphere of that radius (mean zero, variance exactly
     noise_sigma**2), which keeps bounded-variance assumptions tight.
     """
-    _validate_run_args(reg, schedule, batch_size, seed, deterministic)
-    regularized = reg.lam > 0
-    dim = problem.param_dim
-    w = np.zeros(dim)
-    path = np.empty((steps + 1, dim))
-    path[0] = w
-    limit = _guard_limit(problem)
-    use_batches = batch_size if not deterministic else None
-    noise = None
-    if noise_sigma is not None and noise_sigma > 0:
-        if seed is None:
-            raise ValueError("noise injection needs a seed")
-        noise = _sphere_noise_matrix(seed, steps, dim, noise_sigma)
-    for k in range(steps):
-        rate = schedule.gamma(k) if regularized else schedule.eta(k)
-        g = _gradient(problem, reg, w, k, use_batches, seed, noise)
-        w = w - rate * g
-        _guard(w, limit, k, "sgd")
-        path[k + 1] = w
-    return PathRecord(
-        iterates=path,
-        tag="sgd" if (use_batches or noise_sigma) else "gd",
-        seed=seed,
-        schedule=schedule,
-        problem_fingerprint=problem_fingerprint(problem),
-        extras={"lam": reg.lam, "reg": reg.kind},
-    )
+    return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
+                noise_sigma, "sgd")
 
 
 def psgd_run(
@@ -297,9 +317,7 @@ def psgd_run(
     noise is applied after preconditioning, matching the bounded-variance
     assumption placed on Q^{-1}(grad estimate - grad).
     """
-    _validate_run_args(reg, schedule, batch_size, seed, deterministic)
-    regularized = reg.lam > 0
-    if regularized and reg.kind != "generalized_l2":
+    if reg.lam > 0 and reg.kind != "generalized_l2":
         raise ValueError("regularized preconditioned runs need a generalized_l2 penalty")
     if Q is None:
         if reg.Q is None:
@@ -312,49 +330,10 @@ def psgd_run(
         factor = cho_factor(Q)
     except np.linalg.LinAlgError as exc:
         raise ValueError("Q must be positive definite") from exc
-
-    dim = problem.param_dim
-    d = problem.d
-    c = dim // d
-    w = np.zeros(dim)
-    path = np.empty((steps + 1, dim))
-    path[0] = w
-    limit = _guard_limit(problem)
-    use_batches = batch_size if not deterministic else None
-    noise = None
-    if noise_sigma is not None and noise_sigma > 0:
-        if seed is None:
-            raise ValueError("noise injection needs a seed")
-        noise = _sphere_noise_matrix(seed, steps, dim, noise_sigma)
-    for k in range(steps):
-        rate = schedule.gamma(k) if regularized else schedule.eta(k)
-        g = _gradient(problem, reg, w, k, use_batches, seed, None)
-        step_dir = cho_solve(factor, g.reshape(d, c)).ravel()
-        if noise is not None:
-            step_dir = step_dir - noise[k]
-        w = w - rate * step_dir
-        _guard(w, limit, k, "psgd")
-        path[k + 1] = w
-    return PathRecord(
-        iterates=path,
-        tag="psgd" if (use_batches or noise_sigma) else "pgd",
-        seed=seed,
-        schedule=schedule,
-        problem_fingerprint=problem_fingerprint(problem),
-        extras={"lam": reg.lam, "reg": reg.kind},
-    )
-
-
-@dataclass
-class NesterovState:
-    """Momentum bookkeeping for an accelerated run."""
-
-    current: np.ndarray
-    previous: np.ndarray
-    tau: float
-
-    def lookahead(self) -> np.ndarray:
-        return self.current + self.tau * (self.current - self.previous)
+    shape = (problem.d, problem.param_dim // problem.d)
+    return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
+                noise_sigma, "psgd",
+                solve=lambda g: cho_solve(factor, g.reshape(shape)).ravel())
 
 
 def nesterov_momentum(rate: float, strong_convexity: float) -> float:
@@ -384,7 +363,6 @@ def nsgd_run(
     strong-convexity constant of the objective being optimized
     (alpha for the plain loss, alpha + lam for the regularized one).
     """
-    _validate_run_args(reg, schedule, batch_size, seed, deterministic)
     if not schedule.is_constant:
         raise ValueError("accelerated runs support constant learning rates only")
     if reg.kind not in ("none", "l2"):
@@ -393,35 +371,8 @@ def nsgd_run(
     rate = schedule.gamma(0) if regularized else schedule.eta(0)
     mu = alpha + reg.lam if regularized else alpha
     tau = nesterov_momentum(rate, mu)
-
-    dim = problem.param_dim
-    path = np.empty((max(steps, 1) + 1, dim))
-    path[0] = 0.0
-    path[1] = 0.0
-    state = NesterovState(current=np.zeros(dim), previous=np.zeros(dim), tau=tau)
-    limit = _guard_limit(problem)
-    use_batches = batch_size if not deterministic else None
-    noise = None
-    if noise_sigma is not None and noise_sigma > 0:
-        if seed is None:
-            raise ValueError("noise injection needs a seed")
-        noise = _sphere_noise_matrix(seed, steps, dim, noise_sigma)
-    for k in range(1, steps):
-        v = state.lookahead()
-        g = _gradient(problem, reg, v, k, use_batches, seed, noise)
-        w_next = v - rate * g
-        _guard(w_next, limit, k, "nsgd")
-        path[k + 1] = w_next
-        state = NesterovState(current=w_next, previous=state.current, tau=tau)
-    iterates = path[: steps + 1] if steps >= 1 else path[:1]
-    return PathRecord(
-        iterates=iterates,
-        tag="nsgd" if (use_batches or noise_sigma) else "ngd",
-        seed=seed,
-        schedule=schedule,
-        problem_fingerprint=problem_fingerprint(problem),
-        extras={"lam": reg.lam, "reg": reg.kind, "alpha": alpha, "tau": tau},
-    )
+    return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
+                noise_sigma, "nsgd", tau=tau, extras={"alpha": alpha, "tau": tau})
 
 
 def kernel_gd_run(

@@ -8,7 +8,6 @@ from iterreg.averaging import (
     RunningAverage,
     WeightScheme,
     averaged_path,
-    running_average_update,
     scheme_to_csv,
     weights_general,
     weights_geometric,
@@ -194,7 +193,7 @@ class TestRunningAverage:
         scheme = weights_sgd_adaptive(sched, lam, steps)
         state = RunningAverage(scheme)
         for w in rec.iterates:
-            state = running_average_update(state, w)
+            state = state.update(w)
         # direct weighted sum, computed independently
         direct = (scheme.increments[:, None] * rec.iterates).sum(axis=0)
         direct /= scheme.P(steps)

@@ -132,6 +132,24 @@ def test_sweep_rejects_truncated_path(tmp_path, capsys):
     assert str(stored) in capsys.readouterr().err
 
 
+def test_unreadable_input_files_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing.npz"
+    code, _, _ = run(tmp_path, "sweep", "--path", str(missing))
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+    config = tmp_path / "missing.json"
+    assert main(["--config", str(config), "demo2d", "--out", str(tmp_path / "c")]) == 2
+    assert str(config) in capsys.readouterr().err
+
+
+def test_divergence_exits_three(tmp_path, capsys):
+    code, _, checks = run(tmp_path, "l1-hull", "--eta", "5", "--steps", "100")
+    assert code == 3 and checks is None
+    err = capsys.readouterr().err
+    assert err.startswith("diverged: ") and "step 14" in err
+    assert err.count("\n") == 1
+
+
 def test_avg_geometric(tmp_path):
     ckpts = tmp_path / "ckpts"
     ckpts.mkdir()

@@ -5,6 +5,7 @@ import pytest
 
 from iterreg.optimizers import (
     DivergenceError,
+    _sphere_noise_matrix,
     LRSchedule,
     kernel_gd_run,
     load_path,
@@ -211,6 +212,49 @@ class TestNsgdRun:
         with pytest.raises(ValueError, match="none/l2"):
             nsgd_run(toy_problem(), Regularizer.generalized_l2(0.1, np.eye(2)),
                      make_schedule(0.1, 0.1), 10, alpha=0.05)
+
+
+class TestNoisePlacement:
+    """Where injected noise enters each update, against hand-written steps."""
+
+    sigma, seed, steps, eta = 0.5, 5, 3, 0.1
+
+    def grad(self, prob, w):
+        return eval_loss_grad(prob, Regularizer.none(), w)[1]
+
+    def test_sgd_subtracts_noise_from_gradient(self):
+        prob = toy_problem()
+        rec = sgd_run(prob, Regularizer.none(), make_schedule(self.eta), self.steps,
+                      seed=self.seed, noise_sigma=self.sigma)
+        noise = _sphere_noise_matrix(self.seed, self.steps, 2, self.sigma)
+        w = np.zeros(2)
+        for k in range(self.steps):
+            w = w - self.eta * (self.grad(prob, w) - noise[k])
+            np.testing.assert_allclose(rec.iterates[k + 1], w, rtol=0, atol=1e-15)
+
+    def test_nsgd_subtracts_noise_at_lookahead_from_row_one(self):
+        prob = toy_problem()
+        alpha = 0.05
+        rec = nsgd_run(prob, Regularizer.none(), make_schedule(self.eta), self.steps + 1,
+                       alpha=alpha, seed=self.seed, noise_sigma=self.sigma)
+        noise = _sphere_noise_matrix(self.seed, self.steps + 1, 2, self.sigma)
+        tau = nesterov_momentum(self.eta, alpha)
+        prev = w = np.zeros(2)
+        for k in range(1, self.steps + 1):
+            v = w + tau * (w - prev)
+            prev, w = w, v - self.eta * (self.grad(prob, v) - noise[k])
+            np.testing.assert_allclose(rec.iterates[k + 1], w, rtol=0, atol=1e-15)
+
+    def test_psgd_subtracts_noise_after_the_solve(self):
+        prob = toy_problem()
+        q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        rec = psgd_run(prob, Regularizer.none(), make_schedule(self.eta), self.steps,
+                       Q=q, seed=self.seed, noise_sigma=self.sigma)
+        noise = _sphere_noise_matrix(self.seed, self.steps, 2, self.sigma)
+        w = np.zeros(2)
+        for k in range(self.steps):
+            w = w - self.eta * (np.linalg.solve(q, self.grad(prob, w)) - noise[k])
+            np.testing.assert_allclose(rec.iterates[k + 1], w, rtol=0, atol=1e-14)
 
 
 class TestKernelRun:
