@@ -4,7 +4,9 @@ Each subcommand wires problems -> optimizers -> averaging -> oracles,
 writes report files plus a ``checks.json`` with one entry per verified
 claim, and exits 0 only if every check passed: 1 on a failed check, 2 on
 an invalid configuration or an input file that cannot be read, and 3 when
-a run diverges.
+a run diverges or a numerical step fails (a linear solve or
+eigendecomposition that misses its accuracy bound, a solver that does not
+converge).
 
 Subcommands:
     demo2d          2-D quadratic demo: identities, decay rates, limits
@@ -48,6 +50,7 @@ from .optimizers import (
     load_path,
     make_schedule,
     nsgd_run,
+    problem_fingerprint,
     psgd_run,
     sgd_run,
 )
@@ -68,7 +71,36 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Check bookkeeping
+# Output files and check bookkeeping
+
+
+def _write_json(out_dir: str, name: str, payload) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=1)
+
+
+def _write_report(args, out_dir, stem, experiment, plain, reg, avg, scheme, config, t0):
+    """Write ``<stem>.<format>`` for a plain/regularized run pair and its average.
+
+    Returns the per-iteration l1 distances of the plain and averaged paths
+    from the regularized one.  A per-eigenvalue scheme reports its smallest P_k.
+    """
+    err_plain = np.abs(plain.iterates - reg.iterates).sum(axis=1)
+    err_avg = np.abs(avg - reg.iterates).sum(axis=1)
+    p_cum = scheme.cumulative[: len(plain)]
+    if p_cum.ndim == 2:
+        p_cum = p_cum.min(axis=1)
+    report = Report(
+        experiment=experiment,
+        iters=list(range(len(plain))),
+        err_plain=err_plain.tolist(),
+        err_avg=err_avg.tolist(),
+        p_cumulative=p_cum.tolist(),
+        config=config,
+        wall_clock_s=time.perf_counter() - t0,
+    )
+    write_report(report, os.path.join(out_dir, f"{stem}.{args.format}"), args.format)
+    return err_plain, err_avg
 
 
 class Checks:
@@ -97,35 +129,11 @@ class Checks:
         return all(e["pass"] for e in self.entries)
 
     def dump(self, out_dir: str) -> None:
-        path = os.path.join(out_dir, "checks.json")
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump({"pass": self.all_pass, "checks": self.entries}, fh, indent=1)
+        _write_json(out_dir, "checks.json", {"pass": self.all_pass, "checks": self.entries})
         for e in self.entries:
             status = "PASS" if e["pass"] else "FAIL"
             print(f"[{status}] {e['check']}: residual={e['residual']:.6g} "
                   f"threshold={e['threshold']:.6g}")
-
-
-def _l1_curves(plain, reg, avg):
-    err_plain = np.abs(plain - reg).sum(axis=1)
-    err_avg = np.abs(avg - reg).sum(axis=1)
-    return err_plain, err_avg
-
-
-def _report_from_paths(name, plain, reg, avg, scheme, config, elapsed):
-    err_plain, err_avg = _l1_curves(plain, reg, avg)
-    p_cum = scheme.cumulative[: plain.shape[0]]
-    if p_cum.ndim == 2:
-        p_cum = p_cum.min(axis=1)
-    return Report(
-        experiment=name,
-        iters=list(range(plain.shape[0])),
-        err_plain=err_plain.tolist(),
-        err_avg=err_avg.tolist(),
-        p_cumulative=p_cum.tolist(),
-        config=config,
-        wall_clock_s=elapsed,
-    )
 
 
 def _fit_slope(values: np.ndarray, start: int, floor: float = 0.0) -> float:
@@ -177,13 +185,8 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
         realized = np.abs(avg[-1] - r.iterates[-1]).max()
         checks.add(f"demo2d/final-gap-vs-theory/{name}",
                    abs(realized - predicted), 1e-10 + 1e-6 * predicted)
-        report = _report_from_paths(
-            f"demo2d-{name}", p.iterates, r.iterates, avg, scheme,
-            {"eta": eta, "lam": lam, "alpha": alpha, "steps": steps},
-            time.perf_counter() - t0,
-        )
-        write_report(report, os.path.join(out_dir, f"demo2d_{name}.{args.format}"),
-                     args.format)
+        _write_report(args, out_dir, f"demo2d_{name}", f"demo2d-{name}", p, r, avg, scheme,
+                      {"eta": eta, "lam": lam, "alpha": alpha, "steps": steps}, t0)
         if name == "gd":
             scheme_to_csv(scheme, os.path.join(out_dir, "demo2d_gd_scheme.csv"))
 
@@ -219,8 +222,10 @@ def cmd_kernel_demo(args, checks: Checks, out_dir: str):
     kernel = _random_kernel(args.kernel_n, args.seed)
     eta = 0.2
     mu = kernel.eigenvalues
-    stability = max(1.0 / (mu.max() * (mu.max() + 0.0)),
-                    1.0 / (mu.max() * (mu.max() + 2 * max(args.lam_hats))))
+    # Plain GD needs eta mu^2 <= 1.  The regularized run's per-eigenvalue
+    # factor (eta mu^2 + lam_hat eta mu) / (1 + lam_hat eta mu) is then at
+    # most 1 for every lam_hat > 0, and lam_hat <= 0 is rejected below.
+    stability = 1.0 / mu.max() ** 2
     if eta > stability:
         raise ConfigError(f"eta {eta} exceeds the kernel stability bound {stability:.4g}")
     sched = make_schedule(eta)
@@ -240,13 +245,9 @@ def cmd_kernel_demo(args, checks: Checks, out_dir: str):
         rate = 1.0 / (1.0 + lam_hat * eta * mu.min())
         checks.add(f"kernel/decay-slope/lam_hat={lam_hat}", slope,
                    np.log10(rate) + 1e-3, {"rate": rate})
-        report = _report_from_paths(
-            f"kernel-{lam_hat}", plain.iterates, reg.iterates, avg, scheme,
-            {"n": kernel.n, "eta": eta, "lam_hat": lam_hat, "seed": args.seed},
-            time.perf_counter() - t0,
-        )
-        write_report(report, os.path.join(out_dir, f"kernel_{lam_hat}.{args.format}"),
-                     args.format)
+        _write_report(args, out_dir, f"kernel_{lam_hat}", f"kernel-{lam_hat}", plain, reg,
+                      avg, scheme,
+                      {"n": kernel.n, "eta": eta, "lam_hat": lam_hat, "seed": args.seed}, t0)
 
 
 def _mnist_dataset(args) -> Dataset:
@@ -300,45 +301,32 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     sched = make_schedule(eta, lam)
     t0 = time.perf_counter()
 
-    det_plain, det_reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps,
-                                           args.alpha, seed=args.seed)
-    det_avg = averaged_path(det_plain, scheme)
-    err_plain, err_avg = _l1_curves(det_plain.iterates, det_reg.iterates, det_avg)
-    tail = err_avg[10:]
+    plain, reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
+                                   seed=args.seed)
+    _, err_avg = _write_report(
+        args, out_dir, "mnist_linear_det", "mnist-linear-deterministic", plain, reg,
+        averaged_path(plain, scheme), scheme,
+        {"eta": eta, "lam": lam, "steps": steps, "n": data.n,
+         "optimizer": args.optimizer, "provenance": data.provenance}, t0)
     checks.add("mnist-linear/deterministic-monotone-after-10",
-               float(np.max(np.diff(tail))), 0.0,
-               {"optimizer": args.optimizer})
-    ridge_norm = np.abs(det_reg.iterates[-1]).sum()
+               float(np.max(np.diff(err_avg[10:]))), 0.0, {"optimizer": args.optimizer})
+    ridge_norm = np.abs(reg.iterates[-1]).sum()
     checks.add("mnist-linear/deterministic-final-error",
                float(err_avg[-1]), 1e-4 * ridge_norm,
                {"ridge_l1_norm": float(ridge_norm)})
-    report = _report_from_paths(
-        "mnist-linear-deterministic", det_plain.iterates, det_reg.iterates, det_avg,
-        scheme, {"eta": eta, "lam": lam, "steps": steps, "n": data.n,
-                 "optimizer": args.optimizer, "provenance": data.provenance},
-        time.perf_counter() - t0,
-    )
-    write_report(report, os.path.join(out_dir, f"mnist_linear_det.{args.format}"),
-                 args.format)
 
     if not args.deterministic:
         t0 = time.perf_counter()
-        st_plain, st_reg, scheme = _run_pair(
-            prob, args.optimizer, sched, lam, steps, args.alpha, batch=args.batch,
-            seed=args.seed, deterministic=False)
-        st_avg = averaged_path(st_plain, scheme)
-        s_plain, s_avg = _l1_curves(st_plain.iterates, st_reg.iterates, st_avg)
+        plain, reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
+                                       batch=args.batch, seed=args.seed, deterministic=False)
+        err_plain, err_avg = _write_report(
+            args, out_dir, "mnist_linear_stoch", "mnist-linear-stochastic", plain, reg,
+            averaged_path(plain, scheme), scheme,
+            {"eta": eta, "lam": lam, "steps": steps, "batch": args.batch,
+             "seed": args.seed, "optimizer": args.optimizer}, t0)
         checks.add("mnist-linear/stochastic-avg-below-plain",
-                   float(s_avg[-1] - s_plain[-1]), 0.0,
+                   float(err_avg[-1] - err_plain[-1]), 0.0,
                    {"batch": args.batch, "seed": args.seed})
-        report = _report_from_paths(
-            "mnist-linear-stochastic", st_plain.iterates, st_reg.iterates, st_avg,
-            scheme, {"eta": eta, "lam": lam, "steps": steps, "batch": args.batch,
-                     "seed": args.seed, "optimizer": args.optimizer},
-            time.perf_counter() - t0,
-        )
-        write_report(report, os.path.join(out_dir, f"mnist_linear_stoch.{args.format}"),
-                     args.format)
 
 
 def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
@@ -350,31 +338,26 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     sched_gamma = make_schedule(gamma)
     q = None
     if args.optimizer == "pgd":
-        # feature second moment as preconditioner; the tiny shift keeps
-        # it factorizable when the data is close to rank-deficient
+        # Feature second moment plus the loss's own ridge as preconditioner,
+        # so the Hessian (at most Sigma/2 + base_ridge I) stays below Q; the
+        # 1e-8 floor keeps Q factorizable at --base-ridge 0.
         q = prob.X.T @ prob.X / prob.n_samples
-        q = q + 1e-8 * np.eye(q.shape[0])
+        q = q + (args.base_ridge + 1e-8) * np.eye(q.shape[0])
     for deterministic in (True, False) if not args.deterministic else (True,):
         t0 = time.perf_counter()
         plain, regp, scheme = _run_pair(
             prob, args.optimizer, sched_eta, lam, steps, args.alpha, batch=args.batch,
             seed=args.seed, deterministic=deterministic, reg_sched=sched_gamma, q=q,
             scheme=weights_general(eta, gamma, steps))
-        avg = averaged_path(plain, scheme)
-        err_plain, err_avg = _l1_curves(plain.iterates, regp.iterates, avg)
         mode = "deterministic" if deterministic else "stochastic"
+        err_plain, err_avg = _write_report(
+            args, out_dir, f"mnist_logistic_{mode}", f"mnist-logistic-{mode}", plain, regp,
+            averaged_path(plain, scheme), scheme,
+            {"eta": eta, "lam": lam, "gamma": gamma, "steps": steps,
+             "base_ridge": args.base_ridge, "optimizer": args.optimizer}, t0)
         checks.add(f"mnist-logistic/{mode}-avg-below-plain",
                    float(err_avg[-1] - err_plain[-1]), 0.0,
                    {"optimizer": args.optimizer})
-        report = _report_from_paths(
-            f"mnist-logistic-{mode}", plain.iterates, regp.iterates, avg, scheme,
-            {"eta": eta, "lam": lam, "gamma": gamma, "steps": steps,
-             "base_ridge": args.base_ridge, "optimizer": args.optimizer},
-            time.perf_counter() - t0,
-        )
-        write_report(report,
-                     os.path.join(out_dir, f"mnist_logistic_{mode}.{args.format}"),
-                     args.format)
 
 
 def cmd_variance_mc(args, checks: Checks, out_dir: str):
@@ -422,8 +405,7 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
         checks.add(f"variance-mc/{kind}", freq, delta + 0.05,
                    {"epsilon": eps.epsilon, "sigma": sigma, "delta": delta,
                     "seeds": args.mc_seeds, "max_deviation": max(deviations)})
-    with open(os.path.join(out_dir, "variance_mc.json"), "w", encoding="ascii") as fh:
-        json.dump(results, fh, indent=1)
+    _write_json(out_dir, "variance_mc.json", results)
 
 
 def cmd_sandwich(args, checks: Checks, out_dir: str):
@@ -456,9 +438,8 @@ def cmd_sandwich(args, checks: Checks, out_dir: str):
     worst = float(np.max(later - envelope * later_powers)) if later.size else 0.0
     checks.add("sandwich/envelope", worst, 1e-12,
                {"rate": rate, "envelope_constant": envelope})
-    with open(os.path.join(out_dir, "sandwich.json"), "w", encoding="ascii") as fh:
-        json.dump({"lam1": lam1, "lam2": lam2, "slack": slack,
-                   "rate": rate, "envelope_constant": envelope}, fh, indent=1)
+    _write_json(out_dir, "sandwich.json", {"lam1": lam1, "lam2": lam2, "slack": slack,
+                                           "rate": rate, "envelope_constant": envelope})
 
 
 def _sandwich_problem(seed: int) -> LogisticProblem:
@@ -488,35 +469,31 @@ def cmd_l1_hull(args, checks: Checks, out_dir: str):
                {"lams": args.lams}, direction=">=")
     checks.add("l1-hull/all-l2-inside", float(sum(inside_l2)), float(len(args.lams)),
                {"lams": args.lams}, direction=">=")
-    with open(os.path.join(out_dir, "l1_hull.json"), "w", encoding="ascii") as fh:
-        json.dump({"lams": list(args.lams), "l1_outside": outside,
-                   "l2_inside": inside_l2}, fh, indent=1)
+    _write_json(out_dir, "l1_hull.json", {"lams": list(args.lams), "l1_outside": outside,
+                                          "l2_inside": inside_l2})
 
 
 def cmd_sweep(args, checks: Checks, out_dir: str):
     steps = args.steps
+    prob = toy_problem()
     t0 = time.perf_counter()
     if args.path:
-        from .optimizers import problem_fingerprint
-
         plain = load_path(args.path)
         if plain.schedule is None:
             raise ConfigError("stored path carries no schedule; cannot re-average")
-        prob = toy_problem()
         if plain.problem_fingerprint and \
                 plain.problem_fingerprint != problem_fingerprint(prob):
             raise ConfigError("stored path does not belong to the demo problem")
         steps = len(plain) - 1
         sched = plain.schedule
     else:
-        prob = toy_problem()
         sched = make_schedule(args.eta)
         plain = sgd_run(prob, Regularizer.none(), sched, steps)
     optimize_s = time.perf_counter() - t0
 
     etas = sched.etas_upto(steps + 1)
-
-    def sweep_one(lam):
+    points = []
+    for lam in args.lams:
         t1 = time.perf_counter()
         scheme = weights_sgd_adaptive(etas, lam, steps)
         avg = averaged_path(plain, scheme)
@@ -529,16 +506,11 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
         mean_reg = oracles.expectation_path(prob, Regularizer.l2(lam), reg_sched, steps)
         tail = (1.0 - scheme.cumulative[steps]) * np.abs(plain.iterates[-1] - avg[-1]).max()
         bound = tail + float(np.abs(mean_reg.iterates[-1] - ridge).max()) + 1e-10
-        return lam, residual, bound, average_s
-
-    rows = [sweep_one(lam) for lam in args.lams]
-    for lam, residual, bound, average_s in rows:
         checks.add(f"sweep/limit-within-oracle-bound/lam={lam}", residual, bound,
                    {"lam": lam, "optimize_s": optimize_s, "average_s": average_s})
-    with open(os.path.join(out_dir, "sweep.json"), "w", encoding="ascii") as fh:
-        json.dump({"optimize_s": optimize_s,
-                   "points": [{"lam": r[0], "residual": r[1], "bound": r[2],
-                               "average_s": r[3]} for r in rows]}, fh, indent=1)
+        points.append({"lam": lam, "residual": residual, "bound": bound,
+                       "average_s": average_s})
+    _write_json(out_dir, "sweep.json", {"optimize_s": optimize_s, "points": points})
 
 
 def cmd_avg_geometric(args, checks: Checks, out_dir: str):
@@ -547,20 +519,15 @@ def cmd_avg_geometric(args, checks: Checks, out_dir: str):
     files = sorted(glob.glob(os.path.join(args.checkpoints, "*.npz")))
     if not files:
         raise ConfigError(f"no *.npz path records under {args.checkpoints}")
-    vectors = []
-    for f in files:
-        rec = load_path(f)
-        vectors.append(rec.final)
-    stack = np.array(vectors)
+    stack = np.array([load_path(f).final for f in files])
     scheme = weights_geometric(args.p_success, stack.shape[0] - 1)
     checks.add("avg-geometric/weights-normalized",
                abs(float(scheme.cumulative[-1]) - 1.0), 1e-12,
                {"p": args.p_success, "checkpoints": len(files)})
     weighted = (scheme.increments[:, None] * stack).sum(axis=0)
-    out = {"p_success": args.p_success, "checkpoints": files,
-           "average": [float(v) for v in weighted]}
-    with open(os.path.join(out_dir, "avg_geometric.json"), "w", encoding="ascii") as fh:
-        json.dump(out, fh, indent=1)
+    _write_json(out_dir, "avg_geometric.json", {"p_success": args.p_success,
+                                                "checkpoints": files,
+                                                "average": [float(v) for v in weighted]})
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with argument defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, text):
+        """Subparser for one experiment, with the flags every experiment takes."""
+        p = sub.add_parser(name, help=text)
         p.add_argument("--out", default="iterreg-out")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--steps", type=int, default=500)
@@ -596,23 +565,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deterministic", action="store_true")
         p.add_argument("--limit", type=int, default=2000)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    p = sub.add_parser("demo2d", help="2-D quadratic demo (identities, rates)")
-    common(p)
+    command("demo2d", "2-D quadratic demo (identities, rates)")
 
-    p = sub.add_parser("verify-identity", help="exact identity for all optimizers")
-    common(p)
+    p = command("verify-identity", "exact identity for all optimizers")
     p.add_argument("--kernel-n", type=int, default=20)
     p.add_argument("--lam-hats", type=_parse_lams, default=[1.0])
 
-    p = sub.add_parser("kernel-demo", help="kernel dual paths vs closed form")
-    common(p)
+    p = command("kernel-demo", "kernel dual paths vs closed form")
     p.add_argument("--kernel-n", type=int, default=40)
     p.add_argument("--lam-hats", type=_parse_lams, default=[0.5, 1.0, 2.0])
 
     for name in ("mnist-linear", "mnist-logistic"):
-        p = sub.add_parser(name, help=f"{name} experiment (IDX data or stand-in)")
-        common(p)
+        p = command(name, f"{name} experiment (IDX data or stand-in)")
         p.add_argument("--images")
         p.add_argument("--labels")
         p.add_argument("--optimizer", choices=("gd", "pgd", "ngd"), default="gd")
@@ -620,28 +586,23 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "mnist-logistic":
             p.add_argument("--base-ridge", type=float, default=1.0)
 
-    p = sub.add_parser("variance-mc", help="Chebyshev deviation bound, many seeds")
-    common(p)
+    p = command("variance-mc", "Chebyshev deviation bound, many seeds")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--mc-seeds", type=int, default=200)
 
-    p = sub.add_parser("sandwich", help="entry-wise bracket for a general loss")
-    common(p)
+    p = command("sandwich", "entry-wise bracket for a general loss")
     p.set_defaults(eta=0.4)
     p.add_argument("--gamma", type=float, default=0.25)
 
-    p = sub.add_parser("l1-hull", help="l1 solutions vs the descent-path hull")
-    common(p)
+    p = command("l1-hull", "l1 solutions vs the descent-path hull")
     p.set_defaults(lams=[0.01, 0.03, 0.1, 0.3, 1.0, 3.0])
 
-    p = sub.add_parser("sweep", help="many lambdas from one stored path")
-    common(p)
+    p = command("sweep", "many lambdas from one stored path")
     p.set_defaults(lams=[0.01, 0.1, 1.0, 10.0])
     p.add_argument("--path", help="stored path record (.npz)")
 
-    p = sub.add_parser("avg-geometric", help="geometric checkpoint averaging")
-    common(p)
+    p = command("avg-geometric", "geometric checkpoint averaging")
     p.add_argument("--checkpoints", help="directory of stored path records")
     p.add_argument("--p-success", type=float, default=0.99)
     return parser
@@ -706,8 +667,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # names the file: --config, --path, --images, ...
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
+    except RuntimeError as exc:  # DivergenceError included
+        kind = "diverged" if isinstance(exc, DivergenceError) else "numerical failure"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 3
     checks.dump(args.out)
     return 0 if checks.all_pass else 1

@@ -26,7 +26,7 @@ from .problems import (
     KernelProblem,
     QuadraticProblem,
     Regularizer,
-    eval_loss_grad,
+    _objective_grad,
     stochastic_grad,
 )
 
@@ -199,7 +199,7 @@ def _gradient(problem, reg, w, step, batch_size, seed, noise):
             rng = _step_rng(seed, step)
             batch = rng.integers(0, problem.n_samples, size=batch_size)
         return stochastic_grad(problem, reg, w, batch)
-    _, g = eval_loss_grad(problem, reg, w)
+    g = _objective_grad(problem, reg, w)
     if noise is not None:
         g = g - noise[step]
     return g

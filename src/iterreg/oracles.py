@@ -22,6 +22,7 @@ from .problems import (
     LogisticProblem,
     QuadraticProblem,
     Regularizer,
+    _objective_grad,
     eval_loss_grad,
 )
 
@@ -78,7 +79,7 @@ def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution
         raise ValueError("regularized system is singular") from exc
     residual = np.abs(system @ w - a2).max()
     if residual > 1e-10 * max(1.0, np.abs(a2).max()):
-        raise ValueError(f"linear solve residual too large: {residual:.3e}")
+        raise RuntimeError(f"linear solve residual too large: {residual:.3e}")
     return RidgeSolution(w_hat=w.ravel(), lam=lam, kind=kind)
 
 
@@ -99,10 +100,7 @@ def kernel_solution(kernel: KernelProblem, lam_hat: float, rank_tol: float = 1e-
     if np.any(on_range & (denom <= 0)):
         raise ValueError("K + lam_hat I is singular on the range of K")
     coeff = np.zeros_like(y_eig)
-    if lam_hat == 0.0:
-        coeff[on_range] = y_eig[on_range] / mu[on_range]
-    else:
-        coeff[on_range] = y_eig[on_range] / denom[on_range]
+    coeff[on_range] = y_eig[on_range] / denom[on_range]
     return kernel.basis @ coeff
 
 
@@ -152,13 +150,13 @@ def expectation_path(
         contraction = np.eye(d) - rate * system
         prev = np.zeros((d, c))
         curr = np.zeros((d, c))
-        path = np.zeros((max(steps, 1) + 1, d * c))
+        path = np.zeros((steps + 1, d * c))
         for k in range(1, steps):
             nxt = (1 + tau) * (contraction @ curr) - tau * (contraction @ prev) + rate * a2
             path[k + 1] = nxt.ravel()
             prev, curr = curr, nxt
         return PathRecord(
-            iterates=path[: steps + 1] if steps >= 1 else path[:1],
+            iterates=path,
             tag="expectation-ngd",
             schedule=schedule,
             problem_fingerprint=problem_fingerprint(problem),
@@ -433,8 +431,7 @@ def bounding_sequences(
     w_star = minimize_objective(problem, Regularizer.none())
     signs = np.sign(w_star)
     mask = np.abs(w_star) > zero_tol * max(1.0, float(np.abs(w_star).max()))
-    _, grad0 = eval_loss_grad(problem, Regularizer.none(), np.zeros(problem.param_dim))
-    b = -grad0
+    b = -_objective_grad(problem, Regularizer.none(), np.zeros(problem.param_dim))
     b_orient = signs * b
 
     def first_order(rate, slope):

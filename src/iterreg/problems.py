@@ -309,7 +309,6 @@ class KernelProblem:
 
     K: np.ndarray
     y: np.ndarray
-    eig_tol: float = 1e-12
     eigenvalues: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
 
@@ -328,7 +327,7 @@ class KernelProblem:
             raise ValueError(f"K must be positive semi-definite (min eig {mu.min():.3e})")
         recon = u @ (mu[:, None] * u.T)
         if np.abs(recon - k).max() > 1e-10 * scale:
-            raise ValueError("eigendecomposition failed to reconstruct K")
+            raise RuntimeError("eigendecomposition failed to reconstruct K")
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "eigenvalues", mu)
@@ -372,19 +371,29 @@ class ConvexityBounds:
 
 def eval_loss_grad(problem, reg: Regularizer, w: np.ndarray):
     """Loss and gradient of the regularized objective L(w) + lam R(w)."""
+    grad = _objective_grad(problem, reg, w)
+    w = np.asarray(w, dtype=np.float64)
+    if isinstance(problem, KernelProblem):
+        return problem.loss(w, reg.lam if reg.kind == "l2" else 0.0), grad
+    return problem.loss(w) + reg.value(w, problem.d), grad
+
+
+def _objective_grad(problem, reg: Regularizer, w: np.ndarray) -> np.ndarray:
+    """The gradient half of ``eval_loss_grad``, argument checks included.
+
+    Step loops call this directly: the quadratic loss costs a second
+    product with Sigma that the gradient does not need.
+    """
     w = np.asarray(w, dtype=np.float64)
     if isinstance(problem, KernelProblem):
         if reg.kind not in ("none", "l2"):
             raise ValueError("kernel problems support only the built-in dual penalty")
-        lam = reg.lam if reg.kind == "l2" else 0.0
-        return problem.loss(w, lam), problem.grad(w, lam)
+        return problem.grad(w, reg.lam if reg.kind == "l2" else 0.0)
     if w.shape != (problem.param_dim,):
         raise ValueError(f"w has shape {w.shape}, expected ({problem.param_dim},)")
     if not reg.is_smooth:
         raise ValueError("l1 regularizer rejected: gradient undefined at zeros")
-    loss = problem.loss(w) + reg.value(w, problem.d)
-    grad = problem.grad(w) + reg.grad(w, problem.d)
-    return loss, grad
+    return problem.grad(w) + reg.grad(w, problem.d)
 
 
 def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarray:
@@ -407,7 +416,7 @@ def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarr
     if batch.size == n and np.array_equal(np.sort(batch), np.arange(n)):
         # A batch covering every sample once is the full gradient; route it
         # through the moment form so the two are bit-identical.
-        return eval_loss_grad(problem, reg, w)[1]
+        return _objective_grad(problem, reg, w)
     mat = w.reshape(problem.d, problem.n_outputs)
     xb = problem.X[batch]
     if isinstance(problem, QuadraticProblem):
@@ -473,11 +482,10 @@ def make_synthetic_quadratic(
 ) -> QuadraticProblem:
     """Quadratic with a prescribed spectrum and known minimizer.
 
-    Sigma = U diag(spectrum) U^T for a random (seeded) orthogonal U, and
-    a = Sigma w_star so that w_star is the unregularized minimizer.  For
-    d == 2 the rotation is the plane rotation by the seeded angle, which
-    reproduces the usual two-dimensional demo problem when the angle is
-    pi/3.
+    Sigma = U diag(spectrum) U^T for a random (seeded) orthogonal U, the
+    Q factor of a seeded Gaussian matrix at every d (d == 2 included),
+    and a = Sigma w_star so that w_star is the unregularized minimizer.
+    The two-dimensional demo problem comes from ``make_rotated_quadratic``.
     """
     if not (0 < eig_min <= eig_max):
         raise ValueError(f"need 0 < eig_min <= eig_max, got ({eig_min}, {eig_max})")

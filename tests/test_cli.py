@@ -5,7 +5,9 @@ import time
 import numpy as np
 import pytest
 
+from iterreg import cli
 from iterreg.cli import main
+from iterreg.data_io import read_report
 from iterreg.optimizers import make_schedule, save_path, sgd_run
 from iterreg.problems import Regularizer, toy_problem
 
@@ -18,23 +20,45 @@ def run(tmp_path, *argv):
     return code, out, checks
 
 
+def written(out):
+    """Names of the files a run wrote to its --out directory."""
+    return {p.name for p in out.iterdir()}
+
+
+DEMO2D_FILES = {"demo2d_gd.csv", "demo2d_pgd.csv", "demo2d_ngd.csv",
+                "demo2d_gd_scheme.csv", "checks.json"}
+
+
 def test_demo2d_all_checks_pass(tmp_path):
     code, out, checks = run(tmp_path, "demo2d")
     assert code == 0 and checks["pass"]
-    assert (out / "demo2d_gd.csv").exists()
-    assert (out / "demo2d_gd_scheme.csv").exists()
+    assert written(out) == DEMO2D_FILES
+    # Both report formats carry the same columns, bit for bit.
+    code, out_json, _ = run(tmp_path / "json", "demo2d", "--format", "json")
+    assert code == 0
+    assert written(out_json) == {"demo2d_gd.json", "demo2d_pgd.json", "demo2d_ngd.json",
+                                 "demo2d_gd_scheme.csv", "checks.json"}
+    for name in ("gd", "pgd", "ngd"):
+        a = read_report(str(out / f"demo2d_{name}.csv"), "csv")
+        b = read_report(str(out_json / f"demo2d_{name}.json"), "json")
+        assert (a.iters, a.err_plain, a.err_avg, a.p_cumulative) == \
+            (b.iters, b.err_plain, b.err_avg, b.p_cumulative)
+        assert b.experiment == f"demo2d-{name}" and len(b.iters) == 501
 
 
 def test_verify_identity(tmp_path):
-    code, _, checks = run(tmp_path, "verify-identity", "--kernel-n", "12")
+    code, out, checks = run(tmp_path, "verify-identity", "--kernel-n", "12")
     assert code == 0
+    assert written(out) == DEMO2D_FILES
     names = {c["check"] for c in checks["checks"]}
     assert "verify-identity/kernel" in names
 
 
 def test_kernel_demo(tmp_path):
-    code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
+    code, out, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
     assert code == 0 and checks["pass"]
+    assert written(out) == {"kernel_0.5.csv", "kernel_1.0.csv", "kernel_2.0.csv",
+                            "checks.json"}
 
 
 def test_report_clocks_do_not_overlap(tmp_path):
@@ -47,6 +71,7 @@ def test_report_clocks_do_not_overlap(tmp_path):
                        "--lam-hats", ",".join(lam_hats), "--format", "json")
     wall = time.perf_counter() - start
     assert code == 0
+    assert written(out) == {f"kernel_{lh}.json" for lh in lam_hats} | {"checks.json"}
     clocks = [json.loads((out / f"kernel_{lh}.json").read_text())["wall_clock_s"]
               for lh in lam_hats]
     assert sum(clocks) <= wall
@@ -57,8 +82,7 @@ def test_mnist_linear_desk_scale(tmp_path):
         tmp_path, "mnist-linear", "--limit", "1100", "--batch", "300",
         "--seed", "3")
     assert code == 0 and checks["pass"]
-    assert (out / "mnist_linear_det.csv").exists()
-    assert (out / "mnist_linear_stoch.csv").exists()
+    assert written(out) == {"mnist_linear_det.csv", "mnist_linear_stoch.csv", "checks.json"}
 
 
 def test_mnist_linear_from_idx_files(tmp_path):
@@ -68,22 +92,32 @@ def test_mnist_linear_from_idx_files(tmp_path):
     ip, lp = str(tmp_path / "i.idx.gz"), str(tmp_path / "l.idx.gz")
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
-    code, _, checks = run(
+    code, out, checks = run(
         tmp_path, "mnist-linear", "--images", ip, "--labels", lp,
         "--limit", "1100", "--batch", "300", "--deterministic")
     assert code == 0 and checks["pass"]
+    assert written(out) == {"mnist_linear_det.csv", "checks.json"}
 
 
 def test_mnist_logistic(tmp_path):
-    code, _, checks = run(
-        tmp_path, "mnist-logistic", "--limit", "300", "--steps", "150",
-        "--batch", "100")
-    assert code == 0 and checks["pass"]
+    # pgd preconditions with Sigma + base_ridge I; a Q without the ridge
+    # lets the softmax Hessian exceed it and the run diverges.
+    for optimizer in ("gd", "pgd"):
+        code, out, checks = run(
+            tmp_path / optimizer, "mnist-logistic", "--limit", "300", "--steps", "150",
+            "--batch", "100", "--optimizer", optimizer)
+        assert code == 0 and checks["pass"]
+        assert [c["check"] for c in checks["checks"]] == [
+            "mnist-logistic/deterministic-avg-below-plain",
+            "mnist-logistic/stochastic-avg-below-plain"]
+        assert written(out) == {"mnist_logistic_deterministic.csv",
+                                "mnist_logistic_stochastic.csv", "checks.json"}
 
 
 def test_variance_mc_small(tmp_path):
     code, out, checks = run(tmp_path, "variance-mc", "--mc-seeds", "24")
     assert code == 0 and checks["pass"]
+    assert written(out) == {"variance_mc.json", "checks.json"}
     payload = json.loads((out / "variance_mc.json").read_text())
     assert set(payload) == {"sgd", "psgd", "nsgd"}
 
@@ -93,20 +127,22 @@ def test_variance_mc_follows_seed(tmp_path):
     for seed in ("0", "1"):
         code, out, _ = run(tmp_path / seed, "variance-mc", "--mc-seeds", "1",
                            "--seed", seed)
-        assert code == 0
+        assert code == 0 and written(out) == {"variance_mc.json", "checks.json"}
         payload = json.loads((out / "variance_mc.json").read_text())
         deviations.append([payload[k]["max_deviation"] for k in ("sgd", "psgd", "nsgd")])
     assert all(a != b for a, b in zip(*deviations))
 
 
 def test_sandwich(tmp_path):
-    code, _, checks = run(tmp_path, "sandwich")
+    code, out, checks = run(tmp_path, "sandwich")
     assert code == 0 and checks["pass"]
+    assert written(out) == {"sandwich.json", "checks.json"}
 
 
 def test_l1_hull(tmp_path):
     code, out, checks = run(tmp_path, "l1-hull")
     assert code == 0 and checks["pass"]
+    assert written(out) == {"l1_hull.json", "checks.json"}
     payload = json.loads((out / "l1_hull.json").read_text())
     assert any(payload["l1_outside"]) and all(payload["l2_inside"])
 
@@ -117,6 +153,7 @@ def test_sweep_reuses_stored_path(tmp_path):
     save_path(rec, str(stored))
     code, out, checks = run(tmp_path, "sweep", "--path", str(stored))
     assert code == 0 and checks["pass"]
+    assert written(out) == {"sweep.json", "checks.json"}
     payload = json.loads((out / "sweep.json").read_text())
     assert payload["optimize_s"] == 0.0 or payload["optimize_s"] < 0.05
     assert len(payload["points"]) == 4
@@ -127,15 +164,15 @@ def test_sweep_rejects_truncated_path(tmp_path, capsys):
     stored = tmp_path / "path.npz"
     save_path(rec, str(stored))
     stored.write_bytes(stored.read_bytes()[:4000])
-    code, _, _ = run(tmp_path, "sweep", "--path", str(stored))
-    assert code == 2
+    code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
+    assert code == 2 and written(out) == set()
     assert str(stored) in capsys.readouterr().err
 
 
 def test_unreadable_input_files_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.npz"
-    code, _, _ = run(tmp_path, "sweep", "--path", str(missing))
-    assert code == 2
+    code, out, _ = run(tmp_path, "sweep", "--path", str(missing))
+    assert code == 2 and written(out) == set()
     assert str(missing) in capsys.readouterr().err
     config = tmp_path / "missing.json"
     assert main(["--config", str(config), "demo2d", "--out", str(tmp_path / "c")]) == 2
@@ -143,11 +180,22 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
 
 
 def test_divergence_exits_three(tmp_path, capsys):
-    code, _, checks = run(tmp_path, "l1-hull", "--eta", "5", "--steps", "100")
+    code, out, checks = run(tmp_path, "l1-hull", "--eta", "5", "--steps", "100")
     assert code == 3 and checks is None
+    assert written(out) == set()
     err = capsys.readouterr().err
     assert err.startswith("diverged: ") and "step 14" in err
     assert err.count("\n") == 1
+
+
+def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def fail(args, checks, out_dir):
+        raise RuntimeError("x")
+
+    monkeypatch.setitem(cli._COMMANDS, "demo2d", fail)
+    code, out, checks = run(tmp_path, "demo2d")
+    assert code == 3 and checks is None
+    assert capsys.readouterr().err == "numerical failure: x\n"
 
 
 def test_avg_geometric(tmp_path):
@@ -160,6 +208,7 @@ def test_avg_geometric(tmp_path):
     code, out, checks = run(tmp_path, "avg-geometric", "--checkpoints",
                             str(ckpts), "--p-success", "0.9")
     assert code == 0 and checks["pass"]
+    assert written(out) == {"avg_geometric.json", "checks.json"}
     payload = json.loads((out / "avg_geometric.json").read_text())
     assert len(payload["average"]) == 2
 
@@ -170,6 +219,8 @@ def test_reports_are_deterministic(tmp_path):
     args = ["mnist-linear", "--limit", "1100", "--batch", "300", "--seed", "11"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
+    assert written(out1) == written(out2) == {"mnist_linear_det.csv",
+                                              "mnist_linear_stoch.csv", "checks.json"}
     for name in ("mnist_linear_det.csv", "mnist_linear_stoch.csv", "checks.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -181,6 +232,7 @@ def test_config_file_defaults(tmp_path):
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "demo2d", "--out", str(out)])
     assert code == 0
+    assert written(out) == DEMO2D_FILES
     checks = json.loads((out / "checks.json").read_text())
     assert checks["checks"][0]["params"]["steps"] == 400
     assert checks["checks"][0]["params"]["lam"] == 0.2

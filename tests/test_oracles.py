@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from iterreg.averaging import WeightScheme, averaged_path, weights_general
 from iterreg.optimizers import make_schedule, nsgd_run, sgd_run
@@ -54,6 +55,13 @@ class TestRidgeSolution:
     def test_l1_rejected(self):
         with pytest.raises(ValueError, match="l1"):
             ridge_solution(diag_problem(), Regularizer.l1(0.1))
+
+    def test_inaccurate_solve_is_a_numerical_failure(self):
+        # The Hilbert matrix of order 12 leaves a residual near 1.5e-8,
+        # against the 1e-10 bound: a failed solve, not a bad input.
+        prob = QuadraticProblem(sigma=scipy.linalg.hilbert(12), a=np.ones(12))
+        with pytest.raises(RuntimeError, match="residual too large"):
+            ridge_solution(prob, Regularizer.l2(1e-300))
 
 
 class TestKernelSolution:
