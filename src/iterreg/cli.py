@@ -480,10 +480,11 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
     if args.path:
         plain = load_path(args.path)
         if plain.schedule is None:
-            raise ConfigError("stored path carries no schedule; cannot re-average")
-        if plain.problem_fingerprint and \
-                plain.problem_fingerprint != problem_fingerprint(prob):
-            raise ConfigError("stored path does not belong to the demo problem")
+            raise ConfigError(f"{args.path}: stored path carries no schedule")
+        if plain.problem_fingerprint != problem_fingerprint(prob):
+            raise ConfigError(f"{args.path}: stored path is not of the demo problem")
+        if float(plain.extras.get("lam", 0.0)) > 0:
+            raise ConfigError(f"{args.path}: stored path has a penalty, lam > 0")
         steps = len(plain) - 1
         sched = plain.schedule
     else:
@@ -524,10 +525,10 @@ def cmd_avg_geometric(args, checks: Checks, out_dir: str):
     checks.add("avg-geometric/weights-normalized",
                abs(float(scheme.cumulative[-1]) - 1.0), 1e-12,
                {"p": args.p_success, "checkpoints": len(files)})
-    weighted = (scheme.increments[:, None] * stack).sum(axis=0)
+    average = averaged_path(stack, scheme)[-1]
     _write_json(out_dir, "avg_geometric.json", {"p_success": args.p_success,
                                                 "checkpoints": files,
-                                                "average": [float(v) for v in weighted]})
+                                                "average": [float(v) for v in average]})
 
 
 # ---------------------------------------------------------------------------

@@ -496,14 +496,10 @@ def identity_check(
     if plain.shape != reg.shape:
         raise ValueError(f"path shapes differ: {plain.shape} vs {reg.shape}")
     avg = averaged_path(plain, scheme)
-    steps = plain.shape[0] - 1
-    p_cum = scheme.cumulative[: steps + 1]
-    if scheme.is_matrix:
-        u = scheme.basis
-        plain_e, reg_e, avg_e = plain @ u, reg @ u, avg @ u
-        residual = p_cum * avg_e - (reg_e - (1.0 - p_cum) * plain_e)
-    else:
-        residual = p_cum[:, None] * avg - (reg - (1.0 - p_cum)[:, None] * plain)
+    if scheme.basis is not None:
+        plain, reg, avg = plain @ scheme.basis, reg @ scheme.basis, avg @ scheme.basis
+    p_cum = scheme.cumulative[: len(plain)].reshape(len(plain), -1)
+    residual = p_cum * avg - (reg - (1.0 - p_cum) * plain)
     return float(np.abs(residual).max())
 
 

@@ -1,4 +1,5 @@
 import csv
+import decimal
 
 import numpy as np
 import pytest
@@ -49,6 +50,30 @@ class TestSgdAdaptiveScheme:
         sched = make_schedule(0.1, lam=0.3)
         with pytest.raises(ValueError, match="coupled"):
             weights_sgd_adaptive(sched, 0.1, 5)
+
+
+def test_cumulative_relative_accuracy():
+    """P_K against 60-digit decimal arithmetic on the same float inputs.
+
+    A cumsum of K + 1 logs carries an error of about K * eps / 4, which
+    puts the bound at 1e-13 for K = 2000."""
+    D = decimal.Decimal
+    worst = {}
+    with decimal.localcontext(decimal.Context(prec=60)):
+        for lam in np.logspace(-12, 3, 16):
+            for eta in (0.1, 0.01):
+                gamma = eta / (1 + lam * eta)
+                for K in (1, 500, 2000):
+                    cases = [(weights_sgd_adaptive, (eta, lam, K), 1 / (1 + D(lam) * D(eta))),
+                             (weights_general, (eta, gamma, K), D(gamma) / D(eta))]
+                    for build, args, ratio in cases:
+                        expected = float(1 - ratio ** (K + 1))
+                        if build is weights_general and expected < 1e-6:
+                            continue  # refused as ill-conditioned
+                        err = abs(build(*args).P(K) - expected) / expected
+                        worst[build.__name__] = max(worst.get(build.__name__, 0.0), err)
+    assert set(worst) == {"weights_sgd_adaptive", "weights_general"}
+    assert max(worst.values()) <= 1e-13, worst
 
 
 class TestNsgdScheme:
@@ -201,6 +226,18 @@ class TestRunningAverage:
         np.testing.assert_allclose(averaged_path(rec, scheme)[-1], direct,
                                    atol=1e-12)
 
+    def test_kernel_scheme_matches_averaged_path(self):
+        kern = _null_eigen_kernel(40, 1)
+        scheme = weights_kernel(kern, 0.1, 0.0, 2.0, 200)
+        x = np.random.default_rng(2).standard_normal((201, 40))
+        state = RunningAverage(scheme)
+        for w in x:
+            state.update(w)
+        final = state.finalize()
+        np.testing.assert_allclose(final, averaged_path(x, scheme)[-1], rtol=0, atol=1e-12)
+        null = kern.basis[:, np.argmin(kern.eigenvalues)]
+        assert abs(final @ null) <= 1e-12
+
     def test_out_of_order_rejected(self):
         scheme = WeightScheme.from_cumulative([0.5, 1.0])
         state = RunningAverage(scheme)
@@ -220,6 +257,11 @@ class TestRunningAverage:
             state.update(np.ones(1))
 
 
+def _same_bits(a, b):
+    """Equal bit for bit: unlike np.array_equal, -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _averaged_path_reference(x, scheme):
     """The prefix-sum formula averaged_path computes, written out directly."""
     steps = x.shape[0] - 1
@@ -230,9 +272,36 @@ def _averaged_path_reference(x, scheme):
                         weighted / np.where(p_cum > 0, p_cum, 1.0)[:, None], 0.0)
 
 
+def _null_eigen_kernel(n, seed):
+    """Full-rank Gram matrix on n - 1 coordinates plus an exact zero eigenvalue."""
+    a = np.random.default_rng(seed).standard_normal((n - 1, n - 1))
+    gram = np.zeros((n, n))
+    gram[:-1, :-1] = a @ a.T / n
+    return KernelProblem(K=0.5 * (gram + gram.T), y=np.zeros(n))
+
+
+def _per_eigen_reference(x, scheme):
+    """(cumsum(p_inc * (x @ U)) / P) @ U.T, zero where P = 0, written out directly."""
+    steps = x.shape[0] - 1
+    p_cum = scheme.cumulative[: steps + 1]
+    weighted = np.cumsum(scheme.increments[: steps + 1] * (x @ scheme.basis), axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        avg = np.where(p_cum > 0, weighted / np.where(p_cum > 0, p_cum, 1.0), 0.0)
+    return avg @ scheme.basis.T
+
+
+def _wide_per_eigen_scheme(steps, m=600, seed=5):
+    """A per-eigenvalue scheme wide enough for the row loop, one column dead."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    p_cum = np.sort(rng.uniform(0, 1, size=(steps + 1, m)), axis=0)
+    p_cum[:, 7] = 0.0
+    return WeightScheme.from_cumulative(p_cum, basis=basis)
+
+
 class TestAveragedPathKernel:
     """Wide rows take a row-by-row prefix sum, narrow rows np.cumsum; both
-    must equal the direct formula bit for bit."""
+    must equal the direct formula bit for bit, zero-weight entries as +0.0."""
 
     SCHEMES = {
         "sgd-adaptive": lambda steps: weights_sgd_adaptive(0.1, 0.3, steps),
@@ -246,10 +315,23 @@ class TestAveragedPathKernel:
         x = np.random.default_rng(shape[1]).standard_normal(shape)
         before = x.copy()
         avg = averaged_path(x, scheme)
-        assert np.array_equal(avg, _averaged_path_reference(x, scheme))
+        assert _same_bits(avg, _averaged_path_reference(x, scheme))
         assert np.array_equal(x, before)
         if kind == "nsgd":  # P_0 = 0 leaves the first average at zero
             assert scheme.P(0) == 0.0 and not avg[0].any()
+
+    @pytest.mark.parametrize("kind", ["kernel", "wide"])
+    def test_per_eigenvalue_bit_identical_to_formula(self, kind):
+        if kind == "kernel":
+            scheme = weights_kernel(_null_eigen_kernel(40, 0), 0.1, 0.0, 2.0, 300)
+            assert (scheme.cumulative == 0.0).all(axis=0).sum() == 1
+        else:
+            scheme = _wide_per_eigen_scheme(300)
+        width = scheme.basis.shape[0]
+        x = np.random.default_rng(width).standard_normal((301, width))
+        before = x.copy()
+        assert _same_bits(averaged_path(x, scheme), _per_eigen_reference(x, scheme))
+        assert np.array_equal(x, before)
 
     def test_one_dimensional_path(self):
         scheme = self.SCHEMES["nsgd"](40)
@@ -257,7 +339,7 @@ class TestAveragedPathKernel:
         before = x.copy()
         avg = averaged_path(x, scheme)
         assert avg.shape == (41, 1)
-        assert np.array_equal(avg, _averaged_path_reference(x[:, None], scheme))
+        assert _same_bits(avg, _averaged_path_reference(x[:, None], scheme))
         assert np.array_equal(x, before)
 
 

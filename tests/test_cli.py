@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import time
@@ -9,7 +10,7 @@ from iterreg import cli
 from iterreg.cli import main
 from iterreg.data_io import read_report
 from iterreg.optimizers import make_schedule, save_path, sgd_run
-from iterreg.problems import Regularizer, toy_problem
+from iterreg.problems import Regularizer, make_rotated_quadratic, toy_problem
 
 
 def run(tmp_path, *argv):
@@ -167,6 +168,26 @@ def test_sweep_rejects_truncated_path(tmp_path, capsys):
     code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
     assert code == 2 and written(out) == set()
     assert str(stored) in capsys.readouterr().err
+
+
+def test_sweep_rejects_path_without_fingerprint(tmp_path, capsys):
+    other = make_rotated_quadratic((0.5, 2.0), 0.3, (-1.0, 2.0))
+    rec = sgd_run(other, Regularizer.none(), make_schedule(0.1), 500)
+    stored = tmp_path / "path.npz"
+    save_path(dataclasses.replace(rec, problem_fingerprint=""), str(stored))
+    code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
+    assert code == 2 and written(out) == set()
+    assert str(stored) in capsys.readouterr().err
+
+
+def test_sweep_rejects_penalized_path(tmp_path, capsys):
+    rec = sgd_run(toy_problem(), Regularizer.l2(0.5), make_schedule(0.1, lam=0.5), 500)
+    stored = tmp_path / "path.npz"
+    save_path(rec, str(stored))
+    code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
+    assert code == 2 and written(out) == set()
+    err = capsys.readouterr().err
+    assert str(stored) in err and "penalty" in err
 
 
 def test_unreadable_input_files_exit_two(tmp_path, capsys):
