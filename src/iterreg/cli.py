@@ -216,9 +216,12 @@ def _random_kernel(n: int, seed: int, mu_min: float = 0.5, mu_max: float = 2.0):
     return KernelProblem(K=gram, y=y)
 
 
+_KERNEL_DEMO_MAX_N = 1000
+
+
 def cmd_kernel_demo(args, checks: Checks, out_dir: str):
-    if args.kernel_n > 50:
-        raise ConfigError("kernel demo is desk-scale: n must be <= 50")
+    if args.kernel_n > _KERNEL_DEMO_MAX_N:
+        raise ConfigError(f"kernel demo is desk-scale: n must be <= {_KERNEL_DEMO_MAX_N}")
     kernel = _random_kernel(args.kernel_n, args.seed)
     eta = 0.2
     mu = kernel.eigenvalues
@@ -499,17 +502,19 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
         scheme = weights_sgd_adaptive(etas, lam, steps)
         avg = averaged_path(plain, scheme)
         average_s = time.perf_counter() - t1
-        ridge = oracles.ridge_solution(prob, Regularizer.l2(lam)).w_hat
-        residual = float(np.abs(avg[-1] - ridge).max())
-        # Oracle bound: identity tail + distance of the mean regularized
-        # path from its limit, both computable without re-optimizing.
-        reg_sched = make_schedule(etas, lam)
-        mean_reg = oracles.expectation_path(prob, Regularizer.l2(lam), reg_sched, steps)
-        tail = (1.0 - scheme.cumulative[steps]) * np.abs(plain.iterates[-1] - avg[-1]).max()
-        bound = tail + float(np.abs(mean_reg.iterates[-1] - ridge).max()) + 1e-10
-        checks.add(f"sweep/limit-within-oracle-bound/lam={lam}", residual, bound,
+        # Mixing identity at step K, an equality: P_K wavg_K = what_K -
+        # (1 - P_K) w_K, where what_K ends the penalized run from the oracle.
+        reg = Regularizer.l2(lam)
+        what = oracles.expectation_path(prob, reg, make_schedule(etas, lam), steps).iterates[-1]
+        p_k, w_k, wavg_k = float(scheme.cumulative[steps]), plain.iterates[-1], avg[-1]
+        residual = float(np.abs(p_k * wavg_k - (what - (1.0 - p_k) * w_k)).max())
+        checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual, 1e-10,
                    {"lam": lam, "optimize_s": optimize_s, "average_s": average_s})
-        points.append({"lam": lam, "residual": residual, "bound": bound,
+        # By the identity the certificate equals |wavg_K - what_K|, for free.
+        ridge = oracles.ridge_solution(prob, reg).w_hat
+        points.append({"lam": lam, "P_K": p_k, "residual": residual,
+                       "certificate": (1.0 - p_k) * float(np.abs(w_k - wavg_k).max()),
+                       "ridge_gap": float(np.abs(wavg_k - ridge).max()),
                        "average_s": average_s})
     _write_json(out_dir, "sweep.json", {"optimize_s": optimize_s, "points": points})
 

@@ -1,10 +1,4 @@
-"""Dense symmetric eigensolver based on cyclic Jacobi rotations.
-
-Gram matrices in this package are small (tens of rows), so a classic
-Jacobi sweep is both fast enough and gives an orthonormal basis whose
-reconstruction error is easy to reason about: every rotation is exactly
-orthogonal, so U stays orthonormal to machine precision.
-"""
+"""Symmetric eigendecomposition of Gram matrices, by LAPACK."""
 
 from __future__ import annotations
 
@@ -13,60 +7,15 @@ import numpy as np
 __all__ = ["jacobi_eigh"]
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
+def jacobi_eigh(matrix: np.ndarray):
+    """Eigenvalues (ascending) and orthonormal eigenvectors U, A = U diag(w) U^T.
 
-    Args:
-        matrix: symmetric (n, n) array. Symmetry is required, not checked
-            beyond a cheap assertion; callers validate their inputs.
-        tol: stop when the largest off-diagonal magnitude falls below
-            ``tol * max(1, ||A||_F)``.
-        max_sweeps: safety cap on full sweeps.
-
-    Returns:
-        (eigenvalues, eigenvectors): eigenvalues ascending, eigenvectors
-        as columns of an orthonormal matrix U with A = U diag(w) U^T.
-
-    Raises:
-        ValueError: non-square input or no convergence within the cap.
+    A checked call to ``np.linalg.eigh``, which reads only the lower
+    triangle; callers validate symmetry.  The name is kept from an earlier
+    Jacobi solver because the benchmark's per-layer tracer finds it by it.
+    Raises ValueError on non-square input.
     """
-    a = np.array(matrix, dtype=np.float64, copy=True)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    u = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), u
-
-    threshold = tol * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(a.diagonal()))
-        if off.max() <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold * 1e-2:
-                    continue
-                # Rotation angle that zeroes a[p, q].
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * u[:, p] - s * u[:, q]
-                rot_q = s * u[:, p] + c * u[:, q]
-                u[:, p], u[:, q] = rot_p, rot_q
-    else:
-        raise ValueError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-    eigvals = a.diagonal().copy()
-    order = np.argsort(eigvals)
-    return eigvals[order], u[:, order]
+    return np.linalg.eigh(a)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import jacobi_eigh
 
@@ -302,9 +303,9 @@ class LogisticProblem:
 class KernelProblem:
     """Dual kernel regression data: Gram matrix K and labels y.
 
-    The Gram matrix is eigendecomposed once at construction (Jacobi
-    rotations) and cached; every weighting-scheme and oracle computation
-    for kernels happens in that eigenbasis.
+    The Gram matrix is eigendecomposed once at construction (LAPACK) and
+    cached; every weighting-scheme and oracle computation for kernels
+    happens in that eigenbasis, and rotates back with U^T as U^-1.
     """
 
     K: np.ndarray
@@ -328,6 +329,8 @@ class KernelProblem:
         recon = u @ (mu[:, None] * u.T)
         if np.abs(recon - k).max() > 1e-10 * scale:
             raise RuntimeError("eigendecomposition failed to reconstruct K")
+        if np.abs(u.T @ u - np.eye(len(mu))).max() > 1e-12:
+            raise RuntimeError("eigendecomposition basis is not orthonormal")
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "eigenvalues", mu)
@@ -466,11 +469,11 @@ def convexity_bounds(problem, reg: Regularizer = Regularizer.none()) -> Convexit
 
 
 def _whitened_eigvals(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    qe, qv = np.linalg.eigh(q)
-    if qe.min() <= 0:
-        raise ValueError("Q must be positive definite")
-    inv_sqrt = qv @ np.diag(1.0 / np.sqrt(qe)) @ qv.T
-    return np.linalg.eigvalsh(inv_sqrt @ sigma @ inv_sqrt)
+    """Eigenvalues of Q^{-1/2} Sigma Q^{-1/2}, from LAPACK's generalized solver."""
+    try:
+        return scipy.linalg.eigh(sigma, q, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("Q must be positive definite") from exc
 
 
 def make_synthetic_quadratic(

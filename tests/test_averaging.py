@@ -323,7 +323,7 @@ class TestAveragedPathKernel:
     @pytest.mark.parametrize("kind", ["kernel", "wide"])
     def test_per_eigenvalue_bit_identical_to_formula(self, kind):
         if kind == "kernel":
-            scheme = weights_kernel(_null_eigen_kernel(40, 0), 0.1, 0.0, 2.0, 300)
+            scheme = weights_kernel(_null_eigen_kernel(200, 0), 0.1, 0.0, 2.0, 300)
             assert (scheme.cumulative == 0.0).all(axis=0).sum() == 1
         else:
             scheme = _wide_per_eigen_scheme(300)

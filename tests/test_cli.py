@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from iterreg import cli
+from iterreg import cli, oracles
+from iterreg.averaging import averaged_path, weights_sgd_adaptive
 from iterreg.cli import main
 from iterreg.data_io import read_report
 from iterreg.optimizers import make_schedule, save_path, sgd_run
@@ -60,6 +61,13 @@ def test_kernel_demo(tmp_path):
     assert code == 0 and checks["pass"]
     assert written(out) == {"kernel_0.5.csv", "kernel_1.0.csv", "kernel_2.0.csv",
                             "checks.json"}
+
+
+def test_kernel_demo_size_cap(tmp_path):
+    code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "200")
+    assert code == 0 and checks["pass"]
+    code, out, _ = run(tmp_path / "big", "kernel-demo", "--kernel-n", "1001")
+    assert code == 2 and written(out) == set()
 
 
 def test_report_clocks_do_not_overlap(tmp_path):
@@ -158,6 +166,29 @@ def test_sweep_reuses_stored_path(tmp_path):
     payload = json.loads((out / "sweep.json").read_text())
     assert payload["optimize_s"] == 0.0 or payload["optimize_s"] < 0.05
     assert len(payload["points"]) == 4
+    # At lam = 0.01 the sweep has not converged, and the free certificate shows it.
+    first = payload["points"][0]
+    assert first["P_K"] < 0.5 and first["certificate"] > 0.1 and first["ridge_gap"] > 0.1
+
+
+def test_sweep_check_fails_on_corrupted_average(tmp_path, monkeypatch):
+    # Blend each average halfway toward its ridge solution: the mixing
+    # identity at step K no longer holds where the sweep has not converged.
+    seen = {}
+
+    def scheme(etas, lam, steps):
+        seen["lam"] = lam
+        return weights_sgd_adaptive(etas, lam, steps)
+
+    def blended(path, scheme):
+        ridge = oracles.ridge_solution(toy_problem(), Regularizer.l2(seen["lam"])).w_hat
+        return 0.5 * (averaged_path(path, scheme) + ridge)
+
+    monkeypatch.setattr(cli, "weights_sgd_adaptive", scheme)
+    monkeypatch.setattr(cli, "averaged_path", blended)
+    code, _, checks = run(tmp_path, "sweep", "--lambda", "0.01,0.1")
+    assert code == 1
+    assert [c["pass"] for c in checks["checks"]] == [False, False]
 
 
 def test_sweep_rejects_truncated_path(tmp_path, capsys):

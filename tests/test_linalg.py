@@ -6,7 +6,7 @@ from iterreg.linalg import jacobi_eigh
 
 def test_matches_lapack_on_random_symmetric():
     rng = np.random.default_rng(0)
-    for n in (1, 2, 5, 12, 30):
+    for n in (1, 2, 5, 12, 30, 200):
         a = rng.standard_normal((n, n))
         a = 0.5 * (a + a.T)
         vals, vecs = jacobi_eigh(a)
@@ -15,6 +15,17 @@ def test_matches_lapack_on_random_symmetric():
         # orthonormal basis, exact reconstruction
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
         np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-11)
+
+
+def test_gram_with_exact_null_eigenvalue():
+    a = np.random.default_rng(1).standard_normal((199, 199))
+    gram = np.zeros((200, 200))
+    gram[:-1, :-1] = a @ a.T / 200
+    vals, vecs = jacobi_eigh(gram)
+    assert abs(vals[0]) <= 1e-12 and vals[1] > 1e-6
+    np.testing.assert_allclose(np.abs(vecs[:, 0]), np.eye(200)[:, -1], atol=1e-12)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(200), atol=1e-12)
+    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, gram, atol=1e-11)
 
 
 def test_diagonal_input_is_fixed_point():

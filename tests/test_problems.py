@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from iterreg.linalg import jacobi_eigh
+from iterreg import problems
 from iterreg.problems import (
     ConvexityBounds,
     KernelProblem,
@@ -227,8 +227,7 @@ class TestSyntheticQuadratic:
     def test_requested_spectrum_recovered(self):
         for seed in range(5):
             prob = make_synthetic_quadratic(4, 0.5, 3.0, rotation_seed=seed)
-            # independent recomputation through the Jacobi solver
-            vals, _ = jacobi_eigh(prob.sigma)
+            vals = np.linalg.eigvalsh(prob.sigma)
             np.testing.assert_allclose(vals, np.linspace(0.5, 3.0, 4), atol=1e-12)
 
     def test_w_star_is_minimizer(self):
@@ -263,6 +262,15 @@ class TestKernelProblem:
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError, match="semi-definite"):
             KernelProblem(K=np.diag([1.0, -0.5]), y=np.zeros(2))
+
+    def test_non_orthonormal_basis_rejected(self, monkeypatch):
+        # [e1, e2, e3 + e1] reconstructs diag(1, 1, 0) exactly, but U^T is
+        # not its inverse, so averaging would rotate back wrongly.
+        skewed = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        monkeypatch.setattr(problems, "jacobi_eigh",
+                            lambda k: (np.array([1.0, 1.0, 0.0]), skewed))
+        with pytest.raises(RuntimeError, match="orthonormal"):
+            KernelProblem(K=np.diag([1.0, 1.0, 0.0]), y=np.zeros(3))
 
 
 def test_one_hot_labels_validated():
