@@ -116,9 +116,8 @@ def _cumulative(log_ratios: np.ndarray) -> np.ndarray:
 
 
 def _rates_upto(schedule, steps: int) -> np.ndarray:
-    if isinstance(schedule, LRSchedule):
-        return schedule.etas_upto(steps)
-    return LRSchedule(np.atleast_1d(np.asarray(schedule, dtype=np.float64))).etas_upto(steps)
+    schedule = schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule)
+    return schedule.etas_upto(steps)
 
 
 def weights_sgd_adaptive(

@@ -157,8 +157,15 @@ def _fit_slope(values: np.ndarray, start: int, floor: float = 0.0) -> float:
 # Subcommands
 
 
+def _single(values, flag: str) -> float:
+    """The value of a list flag that a single-lambda command reads."""
+    if len(values) != 1:
+        raise ConfigError(f"{flag} takes one value for this command, got {len(values)}")
+    return values[0]
+
+
 def cmd_demo2d(args, checks: Checks, out_dir: str):
-    eta, lam, alpha, steps = args.eta, args.lams[0], args.alpha, args.steps
+    eta, lam, alpha, steps = args.eta, _single(args.lams, "--lambda"), args.alpha, args.steps
     prob = toy_problem()
     bounds = convexity_bounds(prob)
     sched = make_schedule(eta, lam, bounds)
@@ -192,12 +199,12 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
 
 
 def cmd_verify_identity(args, checks: Checks, out_dir: str):
+    lam_hat = _single(args.lam_hats, "--lam-hats")
     cmd_demo2d(args, checks, out_dir)
     # Kernel identity on a seeded well-conditioned Gram matrix.
     kernel = _random_kernel(args.kernel_n, args.seed)
     eta = 0.2
     sched = make_schedule(eta)
-    lam_hat = args.lam_hats[0] if args.lam_hats else 1.0
     plain = kernel_gd_run(kernel, sched, args.steps, lam=0.0)
     reg = kernel_gd_run(kernel, sched, args.steps, lam=0.0, lam_hat=lam_hat)
     scheme = weights_kernel(kernel, sched, 0.0, lam_hat, args.steps)
@@ -298,9 +305,9 @@ def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None,
 
 
 def cmd_mnist_linear(args, checks: Checks, out_dir: str):
+    eta, lam, steps = args.eta, _single(args.lams, "--lambda"), args.steps
     data = _mnist_dataset(args)
     prob = QuadraticProblem.from_data(data.X, data.Y)
-    eta, lam, steps = args.eta, args.lams[0], args.steps
     sched = make_schedule(eta, lam)
     t0 = time.perf_counter()
 
@@ -333,9 +340,9 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
 
 
 def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
+    eta, lam, steps = args.eta, _single(args.lams, "--lambda"), args.steps
     data = _mnist_dataset(args)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
-    eta, lam, steps = args.eta, args.lams[0], args.steps
     gamma = 1.0 / (lam + 1.0 / eta)
     sched_eta = make_schedule(eta)
     sched_gamma = make_schedule(gamma)
@@ -366,7 +373,7 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
 def cmd_variance_mc(args, checks: Checks, out_dir: str):
     prob = toy_problem()
     bounds = convexity_bounds(prob)
-    eta, lam, steps = args.eta, args.lams[0], args.steps
+    eta, lam, steps = args.eta, _single(args.lams, "--lambda"), args.steps
     sigma, delta = args.sigma, args.delta
     sched = make_schedule(eta, lam, bounds)
     gamma = sched.gamma(0)

@@ -26,8 +26,8 @@ from .problems import (
     KernelProblem,
     QuadraticProblem,
     Regularizer,
-    _objective_grad,
-    stochastic_grad,
+    _batch_grad,
+    _full_grad,
 )
 
 __all__ = [
@@ -73,17 +73,14 @@ class LRSchedule:
         return self.etas.size == 1
 
     def eta(self, k: int) -> float:
-        return float(self.etas[k % self.etas.size]) if not self.is_constant else float(self.etas[0])
+        return float(self.etas[k % self.etas.size])
 
     def gamma(self, k: int) -> float:
         e = self.eta(k)
         return e / (1.0 + self.lam * e)
 
     def etas_upto(self, steps: int) -> np.ndarray:
-        if self.is_constant:
-            return np.full(steps, self.etas[0])
-        reps = int(np.ceil(steps / self.etas.size))
-        return np.tile(self.etas, reps)[:steps]
+        return np.resize(self.etas, steps)  # repeats the rates cyclically
 
     def gammas_upto(self, steps: int) -> np.ndarray:
         e = self.etas_upto(steps)
@@ -184,33 +181,11 @@ def _sphere_noise_matrix(seed: int, steps: int, dim: int, sigma: float) -> np.nd
     return mat
 
 
-def _gradient(problem, reg, w, step, batch_size, seed, noise):
-    """Gradient of the (regularized) objective, optionally noisy.
-
-    Mini-batches are drawn uniformly with replacement; a batch covering
-    the whole sample reduces to the exact full gradient, so batch_size
-    >= n coincides with a deterministic run.  ``noise`` is a per-step
-    matrix of injected perturbations (the estimate is gradient - noise).
-    """
-    if batch_size is not None:
-        if batch_size >= problem.n_samples:
-            batch = np.arange(problem.n_samples)
-        else:
-            rng = _step_rng(seed, step)
-            batch = rng.integers(0, problem.n_samples, size=batch_size)
-        return stochastic_grad(problem, reg, w, batch)
-    g = _objective_grad(problem, reg, w)
-    if noise is not None:
-        g = g - noise[step]
-    return g
-
-
 def _guard(w: np.ndarray, limit: float, step: int, tag: str) -> None:
-    norm = float(np.linalg.norm(w))
-    if not np.isfinite(norm) or norm > limit:
-        raise DivergenceError(
-            f"{tag} diverged at step {step}: ||w|| = {norm:.3e} (rate too large?)"
-        )
+    # NaN fails the comparison too; the norm is only needed for the message.
+    if not w.dot(w) <= limit * limit:
+        raise DivergenceError(f"{tag} diverged at step {step}: "
+                              f"||w|| = {np.linalg.norm(w):.3e} (rate too large?)")
 
 
 def _guard_limit(problem) -> float:
@@ -219,7 +194,7 @@ def _guard_limit(problem) -> float:
     return 1e8
 
 
-def _validate_run_args(reg, schedule, batch_size, seed, deterministic):
+def _validate_run_args(reg, schedule, batch_size, seed, deterministic, noisy):
     # A schedule with lam == 0 provides raw (uncoupled) rates, also for
     # regularized objectives; a coupled schedule must agree with the penalty.
     if reg.lam > 0 and schedule.lam > 0 and schedule.lam != reg.lam:
@@ -227,50 +202,53 @@ def _validate_run_args(reg, schedule, batch_size, seed, deterministic):
             f"schedule lambda {schedule.lam} does not match regularizer lambda {reg.lam}"
         )
     if not deterministic:
-        if batch_size is None:
-            raise ValueError("stochastic runs need a batch_size")
+        if batch_size is None or batch_size < 1:
+            raise ValueError("stochastic runs need a batch_size >= 1")
         if seed is None:
             raise ValueError("stochastic runs need a seed")
+    if noisy and seed is None:
+        raise ValueError("noise injection needs a seed")
 
 
 def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
          noise_sigma, name, solve=None, tau=None, extras=None) -> PathRecord:
     """The one step loop behind sgd_run, psgd_run and nsgd_run.
 
+    Rates, gradient route and noise are fixed before the loop.  Mini-batches
+    are drawn uniformly with replacement; batch_size >= n is the full gradient.
     ``solve`` maps a gradient to the step direction (the preconditioned
-    solve); injected noise is then subtracted from the direction.  Without
-    ``solve``, noise is subtracted from full gradients only (``_gradient``).
-    ``tau`` turns on Nesterov lookahead from w_0 = w_1 = 0, so the first
-    gradient step produces w_2.
+    solve), and injected noise is subtracted from that direction.  ``tau``
+    turns on Nesterov lookahead from w_0 = w_1 = 0, so w_2 is the first step.
     """
-    _validate_run_args(reg, schedule, batch_size, seed, deterministic)
-    regularized = reg.lam > 0
+    noisy = noise_sigma is not None and noise_sigma > 0
+    _validate_run_args(reg, schedule, batch_size, seed, deterministic, noisy)
     dim = problem.param_dim
     w = prev = np.zeros(dim)
     path = np.zeros((steps + 1, dim))
     limit = _guard_limit(problem)
-    use_batches = batch_size if not deterministic else None
-    noise = None
-    if noise_sigma is not None and noise_sigma > 0:
-        if seed is None:
-            raise ValueError("noise injection needs a seed")
-        noise = _sphere_noise_matrix(seed, steps, dim, noise_sigma)
+    rates = (schedule.gammas_upto(steps) if reg.lam > 0 else schedule.etas_upto(steps)).tolist()
+    part = None if deterministic else _batch_grad(problem, reg)
+    if part is None or batch_size >= problem.n_samples:
+        full = _full_grad(problem, reg)
+        grad = lambda v, k: full(v)
+    else:
+        n = problem.n_samples
+        grad = lambda v, k: part(v, _step_rng(seed, k).integers(0, n, size=batch_size))
+    noise = _sphere_noise_matrix(seed, steps, dim, noise_sigma) if noisy else None
     for k in range(0 if tau is None else 1, steps):
-        rate = schedule.gamma(k) if regularized else schedule.eta(k)
         v = w if tau is None else w + tau * (w - prev)
-        if solve is None:
-            step_dir = _gradient(problem, reg, v, k, use_batches, seed, noise)
-        else:
-            step_dir = solve(_gradient(problem, reg, v, k, use_batches, seed, None))
-            if noise is not None:
-                step_dir = step_dir - noise[k]
-        w, prev = v - rate * step_dir, w
+        step_dir = grad(v, k)
+        if solve is not None:
+            step_dir = solve(step_dir)
+        if noise is not None:
+            step_dir = step_dir - noise[k]
+        w, prev = v - rates[k] * step_dir, w
         _guard(w, limit, k, name)
         path[k + 1] = w
     return PathRecord(
         iterates=path,
         # full-gradient, noise-free runs drop the "s": gd, pgd, ngd
-        tag=name if (use_batches or noise_sigma) else name.replace("sgd", "gd"),
+        tag=name if (not deterministic or noise_sigma) else name.replace("sgd", "gd"),
         seed=seed,
         schedule=schedule,
         problem_fingerprint=problem_fingerprint(problem),
@@ -290,9 +268,10 @@ def sgd_run(
 ) -> PathRecord:
     """(Stochastic) gradient descent; regularized runs use the coupled rate.
 
-    With ``noise_sigma`` set, full gradients are perturbed by noise drawn
-    uniformly on a sphere of that radius (mean zero, variance exactly
-    noise_sigma**2), which keeps bounded-variance assumptions tight.
+    With ``noise_sigma`` set, noise drawn uniformly on a sphere of that
+    radius (mean zero, variance exactly noise_sigma**2) is subtracted from
+    every gradient estimate, full or mini-batch, which keeps
+    bounded-variance assumptions tight.
     """
     return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
                 noise_sigma, "sgd")
@@ -314,8 +293,8 @@ def psgd_run(
     The preconditioner is applied through a cached Cholesky factorization.
     Regularized runs expect a generalized-l2 penalty whose matrix matches
     Q; the unregularized companion run passes Q explicitly.  Injected
-    noise is applied after preconditioning, matching the bounded-variance
-    assumption placed on Q^{-1}(grad estimate - grad).
+    noise is subtracted from the preconditioned direction, matching the
+    bounded-variance assumption placed on Q^{-1}(grad estimate - grad).
     """
     if reg.lam > 0 and reg.kind != "generalized_l2":
         raise ValueError("regularized preconditioned runs need a generalized_l2 penalty")
@@ -362,6 +341,8 @@ def nsgd_run(
     tau = (1 - sqrt(rate * mu)) / (1 + sqrt(rate * mu)) with mu the
     strong-convexity constant of the objective being optimized
     (alpha for the plain loss, alpha + lam for the regularized one).
+    Injected noise is subtracted from the gradient estimate at the
+    lookahead point.
     """
     if not schedule.is_constant:
         raise ValueError("accelerated runs support constant learning rates only")
@@ -396,17 +377,15 @@ def kernel_gd_run(
     u = kernel.basis
     y_eig = u.T @ kernel.y
     strength = lam if lam_hat is None else lam_hat
+    rates = schedule.etas_upto(steps)[:, None]
+    if lam_hat is not None:
+        rates = rates / (1.0 + (lam_hat - lam) * rates * mu)
     coeff = np.zeros(kernel.n)
     path = np.empty((steps + 1, kernel.n))
     path[0] = 0.0
     for k in range(steps):
-        eta = schedule.eta(k)
-        if lam_hat is None:
-            rate = eta
-        else:
-            rate = eta / (1.0 + (lam_hat - lam) * eta * mu)
         grad_eig = (mu * mu + strength * mu) * coeff - mu * y_eig
-        coeff = coeff - rate * grad_eig
+        coeff = coeff - rates[k] * grad_eig
         path[k + 1] = u @ coeff
     return PathRecord(
         iterates=path,

@@ -174,11 +174,11 @@ def expectation_path(
     else:
         mat = system
 
+    rates = (schedule.gammas_upto(steps) if regularized else schedule.etas_upto(steps)).tolist()
     path = np.zeros((steps + 1, d * c))
     diff = -target
     for k in range(steps):
-        rate = schedule.gamma(k) if regularized else schedule.eta(k)
-        diff = diff - rate * (mat @ diff)
+        diff = diff - rates[k] * (mat @ diff)
         path[k + 1] = (diff + target).ravel()
     return PathRecord(
         iterates=path,

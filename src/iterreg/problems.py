@@ -286,17 +286,11 @@ class LogisticProblem:
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         """Dense Hessian over the flat parameter, for small problems only."""
-        mat = w.reshape(self.d, self.n_outputs)
-        probs = self._softmax(self.X @ mat)
-        dim = self.param_dim
-        h = np.zeros((dim, dim))
-        for i in range(self.n_samples):
-            s = probs[i]
-            block = np.diag(s) - np.outer(s, s)
-            h += np.kron(np.outer(self.X[i], self.X[i]), block)
-        h /= self.n_samples
-        h += self.base_ridge * np.eye(dim)
-        return h
+        probs = self._softmax(self.X @ w.reshape(self.d, self.n_outputs))
+        # diag(s_i) - s_i s_i^T for every sample i, one (c, c) block each
+        blocks = probs[:, :, None] * np.eye(self.n_outputs) - probs[:, :, None] * probs[:, None, :]
+        h = np.einsum("ni,nj,nab->iajb", self.X, self.X, blocks).reshape(self.param_dim, -1)
+        return h / self.n_samples + self.base_ridge * np.eye(self.param_dim)
 
 
 @dataclass(frozen=True)
@@ -382,21 +376,48 @@ def eval_loss_grad(problem, reg: Regularizer, w: np.ndarray):
 
 
 def _objective_grad(problem, reg: Regularizer, w: np.ndarray) -> np.ndarray:
-    """The gradient half of ``eval_loss_grad``, argument checks included.
-
-    Step loops call this directly: the quadratic loss costs a second
-    product with Sigma that the gradient does not need.
-    """
+    """The gradient half of ``eval_loss_grad``, argument checks included."""
     w = np.asarray(w, dtype=np.float64)
+    grad = _full_grad(problem, reg)
+    if not isinstance(problem, KernelProblem) and w.shape != (problem.param_dim,):
+        raise ValueError(f"w has shape {w.shape}, expected ({problem.param_dim},)")
+    return grad(w)
+
+
+def _full_grad(problem, reg: Regularizer):
+    """The gradient of L(w) + lam R(w) as a function of w, checked once here.
+    Step loops skip ``eval_loss_grad``, whose loss costs a second Sigma product."""
     if isinstance(problem, KernelProblem):
         if reg.kind not in ("none", "l2"):
             raise ValueError("kernel problems support only the built-in dual penalty")
-        return problem.grad(w, reg.lam if reg.kind == "l2" else 0.0)
-    if w.shape != (problem.param_dim,):
-        raise ValueError(f"w has shape {w.shape}, expected ({problem.param_dim},)")
+        lam = reg.lam if reg.kind == "l2" else 0.0
+        return lambda w: problem.grad(w, lam)
     if not reg.is_smooth:
         raise ValueError("l1 regularizer rejected: gradient undefined at zeros")
-    return problem.grad(w) + reg.grad(w, problem.d)
+    return lambda w: problem.grad(w) + reg.grad(w, problem.d)
+
+
+def _batch_grad(problem, reg: Regularizer):
+    """The mini-batch gradient as a function of (w, indices in [0, n)), checked once here."""
+    if isinstance(problem, KernelProblem):
+        raise ValueError("kernel problems have no per-sample gradient form")
+    if problem.X is None:
+        raise ValueError("problem carries no raw data; stochastic gradients unavailable")
+    if not reg.is_smooth:
+        raise ValueError("l1 regularizer rejected: gradient undefined at zeros")
+    y2 = problem.Y if problem.Y.ndim == 2 else problem.Y[:, None]
+    quadratic = isinstance(problem, QuadraticProblem)
+
+    def grad(w, batch):
+        mat = w.reshape(problem.d, problem.n_outputs)
+        xb = problem.X[batch]
+        if quadratic:
+            g = xb.T @ (xb @ mat - y2[batch]) / batch.size
+        else:
+            probs = problem._softmax(xb @ mat)
+            g = xb.T @ (probs - y2[batch]) / batch.size + problem.base_ridge * mat
+        return g.ravel() + reg.grad(w, problem.d)
+    return grad
 
 
 def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarray:
@@ -405,12 +426,7 @@ def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarr
     Averaged over all equally likely batches this equals the full
     gradient, so the estimator is unbiased under uniform sampling.
     """
-    if isinstance(problem, KernelProblem):
-        raise ValueError("kernel problems have no per-sample gradient form")
-    if problem.X is None:
-        raise ValueError("problem carries no raw data; stochastic gradients unavailable")
-    if not reg.is_smooth:
-        raise ValueError("l1 regularizer rejected: gradient undefined at zeros")
+    grad = _batch_grad(problem, reg)
     batch = np.asarray(batch, dtype=np.intp)
     n = problem.n_samples
     if batch.size == 0 or batch.min() < 0 or batch.max() >= n:
@@ -420,18 +436,7 @@ def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarr
         # A batch covering every sample once is the full gradient; route it
         # through the moment form so the two are bit-identical.
         return _objective_grad(problem, reg, w)
-    mat = w.reshape(problem.d, problem.n_outputs)
-    xb = problem.X[batch]
-    if isinstance(problem, QuadraticProblem):
-        yb = problem.Y[batch]
-        if yb.ndim == 1:
-            yb = yb[:, None]
-        g = xb.T @ (xb @ mat - yb) / batch.size
-    else:
-        yb = problem.Y[batch]
-        probs = problem._softmax(xb @ mat)
-        g = xb.T @ (probs - yb) / batch.size + problem.base_ridge * mat
-    return g.ravel() + reg.grad(w, problem.d)
+    return grad(w, batch)
 
 
 def convexity_bounds(problem, reg: Regularizer = Regularizer.none()) -> ConvexityBounds:

@@ -307,6 +307,19 @@ def test_invalid_configs_exit_two(tmp_path):
                  "--out", str(tmp_path / "k")]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["demo2d", "--lambda", "0.1,1.0"], "--lambda"),
+    (["verify-identity", "--lam-hats", "1.0,2.0"], "--lam-hats"),
+    (["mnist-linear", "--lambda", "1,4", "--limit", "50", "--steps", "20"], "--lambda"),
+    (["mnist-logistic", "--lambda", "1,4", "--limit", "50", "--steps", "20"], "--lambda"),
+    (["variance-mc", "--lambda", "0.1,0.2", "--mc-seeds", "2", "--steps", "20"], "--lambda"),
+])
+def test_single_lambda_commands_reject_lists(tmp_path, capsys, argv, flag):
+    # These commands run one lambda; a longer list must not be cut to its head.
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_images_without_labels_rejected(tmp_path):
     assert main(["mnist-linear", "--images", "only.idx",
                  "--out", str(tmp_path / "o")]) == 2

@@ -6,6 +6,7 @@ import pytest
 from iterreg.optimizers import (
     DivergenceError,
     _sphere_noise_matrix,
+    _step_rng,
     LRSchedule,
     kernel_gd_run,
     load_path,
@@ -22,6 +23,7 @@ from iterreg.problems import (
     Regularizer,
     convexity_bounds,
     eval_loss_grad,
+    stochastic_grad,
     toy_problem,
 )
 
@@ -51,6 +53,16 @@ class TestSchedule:
         e = s.etas_upto(9)
         g = s.gammas_upto(9)
         assert np.abs((1 - 2.3 * g) - g / e).max() <= 1e-14
+
+    @pytest.mark.parametrize("etas", [0.1, [0.09, 0.05, 0.013]])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_rate_tables_match_per_step_rates(self, etas, n):
+        s = make_schedule(etas, lam=2.3)
+        e, g = s.etas_upto(n), s.gammas_upto(n)
+        assert e.shape == g.shape == (n,)
+        for k in range(n):
+            assert e[k].tobytes() == np.float64(s.eta(k)).tobytes()
+            assert g[k].tobytes() == np.float64(s.gamma(k)).tobytes()
 
     def test_mismatched_coupled_schedule_rejected(self):
         s = make_schedule(0.1, lam=0.5)
@@ -130,6 +142,9 @@ class TestSgdRun:
         with pytest.raises(ValueError, match="batch_size"):
             sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 3,
                     deterministic=False)
+        with pytest.raises(ValueError, match="batch_size >= 1"):
+            sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 3,
+                    batch_size=0, seed=1, deterministic=False)
 
 
 class TestPsgdRun:
@@ -256,6 +271,44 @@ class TestNoisePlacement:
             w = w - self.eta * (np.linalg.solve(q, self.grad(prob, w)) - noise[k])
             np.testing.assert_allclose(rec.iterates[k + 1], w, rtol=0, atol=1e-14)
 
+    n, batch = 40, 4
+
+    def batch_problem(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0, 1, size=(self.n, 3))
+        return QuadraticProblem.from_data(x, rng.standard_normal((self.n, 1)))
+
+    def batch_grad(self, prob, w, k):
+        batch = _step_rng(self.seed, k).integers(0, self.n, size=self.batch)
+        return stochastic_grad(prob, Regularizer.none(), w, batch)
+
+    def batch_runs(self, run, steps, **kwargs):
+        """A mini-batch run with noise and the same run without it."""
+        prob = self.batch_problem()
+        kwargs.update(batch_size=self.batch, seed=self.seed, deterministic=False)
+        noisy = run(prob, Regularizer.none(), make_schedule(self.eta), steps,
+                    noise_sigma=self.sigma, **kwargs)
+        quiet = run(prob, Regularizer.none(), make_schedule(self.eta), steps, **kwargs)
+        assert not np.array_equal(noisy.iterates, quiet.iterates)
+        return prob, noisy, _sphere_noise_matrix(self.seed, steps, 3, self.sigma)
+
+    def test_minibatch_sgd_subtracts_noise_from_estimate(self):
+        prob, rec, noise = self.batch_runs(sgd_run, self.steps)
+        w = np.zeros(3)
+        for k in range(self.steps):
+            w = w - self.eta * (self.batch_grad(prob, w, k) - noise[k])
+            np.testing.assert_allclose(rec.iterates[k + 1], w, rtol=0, atol=1e-15)
+
+    def test_minibatch_nsgd_subtracts_noise_at_lookahead(self):
+        alpha = 0.05
+        prob, rec, noise = self.batch_runs(nsgd_run, self.steps + 1, alpha=alpha)
+        tau = nesterov_momentum(self.eta, alpha)
+        prev = w = np.zeros(3)
+        for k in range(1, self.steps + 1):
+            v = w + tau * (w - prev)
+            prev, w = w, v - self.eta * (self.batch_grad(prob, v, k) - noise[k])
+            np.testing.assert_allclose(rec.iterates[k + 1], w, rtol=0, atol=1e-15)
+
 
 class TestKernelRun:
     def make_kernel(self):
@@ -277,14 +330,16 @@ class TestKernelRun:
 
     def test_regularized_run_matches_matrix_rate_updates(self):
         kern = self.make_kernel()
-        eta, lam, lam_hat = 0.1, 0.0, 1.0
-        rec = kernel_gd_run(kern, make_schedule(eta), 15, lam=lam, lam_hat=lam_hat)
-        rate = eta * np.linalg.inv(np.eye(5) + (lam_hat - lam) * eta * kern.K)
-        alpha = np.zeros(5)
-        for k in range(15):
-            grad = kern.K @ (kern.K @ alpha - kern.y) + lam_hat * (kern.K @ alpha)
-            alpha = alpha - rate @ grad
-            np.testing.assert_allclose(rec.iterates[k + 1], alpha, atol=1e-12)
+        lam, lam_hat = 0.0, 1.0
+        for sched in (make_schedule(0.1), make_schedule([0.1, 0.05, 0.02])):
+            rec = kernel_gd_run(kern, sched, 15, lam=lam, lam_hat=lam_hat)
+            alpha = np.zeros(5)
+            for k in range(15):
+                eta = sched.eta(k)
+                rate = eta * np.linalg.inv(np.eye(5) + (lam_hat - lam) * eta * kern.K)
+                grad = kern.K @ (kern.K @ alpha - kern.y) + lam_hat * (kern.K @ alpha)
+                alpha = alpha - rate @ grad
+                np.testing.assert_allclose(rec.iterates[k + 1], alpha, atol=1e-12)
 
     def test_lam_hat_must_exceed_lam(self):
         with pytest.raises(ValueError, match="lam_hat"):

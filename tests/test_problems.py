@@ -112,6 +112,21 @@ def test_finite_difference_gradients():
             assert abs(fd - grad @ u) <= 1e-5
 
 
+def test_logistic_hessian_matches_gradient_differences():
+    # Column j of the Hessian against central differences of the gradient
+    # along e_j; three classes so the off-diagonal class blocks count.
+    rng = np.random.default_rng(7)
+    prob = LogisticProblem(X=rng.uniform(0, 1, size=(25, 4)),
+                           Y=np.eye(3)[rng.integers(0, 3, size=25)], base_ridge=0.5)
+    w = rng.standard_normal(prob.param_dim)
+    h = 1e-5
+    fd = np.column_stack([(prob.grad(w + h * e) - prob.grad(w - h * e)) / (2 * h)
+                          for e in np.eye(prob.param_dim)])
+    hess = prob.hessian(w)
+    assert hess.shape == (12, 12)
+    assert np.abs(hess - fd).max() <= 1e-8
+
+
 class TestStochasticGrad:
     def test_full_batch_equals_gradient(self):
         rng = np.random.default_rng(1)
