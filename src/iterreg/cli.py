@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import operator
 import os
 import sys
 import time
@@ -109,20 +110,13 @@ class Checks:
 
     def add(self, name: str, residual: float, threshold: float, params=None,
             direction: str = "<="):
-        if direction == "<=":
-            ok = bool(residual <= threshold)
-        elif direction == ">=":
-            ok = bool(residual >= threshold)
-        else:
-            raise ValueError(direction)
         self.entries.append({
             "check": name,
             "params": params or {},
             "residual": float(residual),
             "threshold": float(threshold),
-            "pass": ok,
+            "pass": bool({"<=": operator.le, ">=": operator.ge}[direction](residual, threshold)),
         })
-        return ok
 
     @property
     def all_pass(self) -> bool:
@@ -136,15 +130,20 @@ class Checks:
                   f"threshold={e['threshold']:.6g}")
 
 
-def _fit_slope(values: np.ndarray, start: int, floor: float = 0.0) -> float:
+def _fit_slope(values: np.ndarray, floor: float) -> float:
     """Least-squares slope of log10(values) against the iteration index.
 
-    With a positive ``floor`` the fit stops where the values sink below
-    it (the float round-off plateau would otherwise flatten the slope);
-    if fewer than 20 live points remain the decay already outran any
-    measurable geometric rate and -inf is returned.
+    The fit starts at step max(50, K // 2) (early steps carry a transient)
+    and stops where the values sink below ``floor``, the round-off plateau;
+    fewer than 20 live points there mean the decay outran any measurable
+    rate, -inf.  A run too short to hold 20 points is a ConfigError.
     """
-    live = np.nonzero(values > floor)[0] if floor > 0 else np.arange(values.size)
+    steps = values.size - 1
+    start = max(50, steps // 2)
+    if values.size - start < 20:
+        raise ConfigError(f"--steps {steps} is too short for the decay-slope fit, "
+                          f"which needs --steps >= {50 + 20 - 1}")
+    live = np.nonzero(values > floor)[0]
     end = int(live.max()) + 1 if live.size else 0
     if end - start < 20:
         return float("-inf")
@@ -157,15 +156,8 @@ def _fit_slope(values: np.ndarray, start: int, floor: float = 0.0) -> float:
 # Subcommands
 
 
-def _single(values, flag: str) -> float:
-    """The value of a list flag that a single-lambda command reads."""
-    if len(values) != 1:
-        raise ConfigError(f"{flag} takes one value for this command, got {len(values)}")
-    return values[0]
-
-
 def cmd_demo2d(args, checks: Checks, out_dir: str):
-    eta, lam, alpha, steps = args.eta, _single(args.lams, "--lambda"), args.alpha, args.steps
+    eta, lam, alpha, steps = args.eta, args.lam, args.alpha, args.steps
     prob = toy_problem()
     bounds = convexity_bounds(prob)
     sched = make_schedule(eta, lam, bounds)
@@ -180,9 +172,7 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
         avg = averaged_path(p, scheme)
         err = np.linalg.norm(avg - r.iterates, axis=1)
         rate = scheme.params["decay"] if name == "ngd" else 1.0 - lam * gamma
-        # Fit over the late half of the run: early iterations carry a
-        # transient from ||w_k - wavg_k|| still growing toward its limit.
-        slope = _fit_slope(err, max(50, steps // 2), floor=1e-13)
+        slope = _fit_slope(err, floor=1e-13)
         checks.add(f"demo2d/decay-slope/{name}", slope, np.log10(rate) + 1e-3,
                    {"rate": rate})
         # The mixing identity pins the end gap at (1 - P_K) * ||w_K - wavg_K||;
@@ -198,19 +188,22 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
             scheme_to_csv(scheme, os.path.join(out_dir, "demo2d_gd_scheme.csv"))
 
 
+# Step size of both kernel commands, and their largest Gram matrix.
+_KERNEL_ETA = 0.2
+_KERNEL_MAX_N = 1000
+
+
 def cmd_verify_identity(args, checks: Checks, out_dir: str):
-    lam_hat = _single(args.lam_hats, "--lam-hats")
     cmd_demo2d(args, checks, out_dir)
     # Kernel identity on a seeded well-conditioned Gram matrix.
     kernel = _random_kernel(args.kernel_n, args.seed)
-    eta = 0.2
-    sched = make_schedule(eta)
+    sched = make_schedule(_KERNEL_ETA)
     plain = kernel_gd_run(kernel, sched, args.steps, lam=0.0)
-    reg = kernel_gd_run(kernel, sched, args.steps, lam=0.0, lam_hat=lam_hat)
-    scheme = weights_kernel(kernel, sched, 0.0, lam_hat, args.steps)
+    reg = kernel_gd_run(kernel, sched, args.steps, lam=0.0, lam_hat=args.lam_hat)
+    scheme = weights_kernel(kernel, sched, 0.0, args.lam_hat, args.steps)
     residual = oracles.identity_check(plain, reg, scheme)
     checks.add("verify-identity/kernel", residual, 1e-9,
-               {"n": kernel.n, "lam_hat": lam_hat, "eta": eta})
+               {"n": kernel.n, "lam_hat": args.lam_hat, "eta": _KERNEL_ETA})
 
 
 def _random_kernel(n: int, seed: int, mu_min: float = 0.5, mu_max: float = 2.0):
@@ -223,21 +216,13 @@ def _random_kernel(n: int, seed: int, mu_min: float = 0.5, mu_max: float = 2.0):
     return KernelProblem(K=gram, y=y)
 
 
-_KERNEL_DEMO_MAX_N = 1000
-
-
 def cmd_kernel_demo(args, checks: Checks, out_dir: str):
-    if args.kernel_n > _KERNEL_DEMO_MAX_N:
-        raise ConfigError(f"kernel demo is desk-scale: n must be <= {_KERNEL_DEMO_MAX_N}")
     kernel = _random_kernel(args.kernel_n, args.seed)
-    eta = 0.2
+    eta = _KERNEL_ETA
     mu = kernel.eigenvalues
-    # Plain GD needs eta mu^2 <= 1.  The regularized run's per-eigenvalue
-    # factor (eta mu^2 + lam_hat eta mu) / (1 + lam_hat eta mu) is then at
-    # most 1 for every lam_hat > 0, and lam_hat <= 0 is rejected below.
-    stability = 1.0 / mu.max() ** 2
-    if eta > stability:
-        raise ConfigError(f"eta {eta} exceeds the kernel stability bound {stability:.4g}")
+    # Plain GD is stable, eta mu^2 <= 0.2 * 2^2 < 1 on _random_kernel's spectrum,
+    # and so is the regularized run: its factor (eta mu^2 + lam_hat eta mu) /
+    # (1 + lam_hat eta mu) is at most 1 for lam_hat > 0 (lam_hat <= 0 is rejected).
     sched = make_schedule(eta)
     plain = kernel_gd_run(kernel, sched, args.steps, lam=0.0)
     for lam_hat in args.lam_hats:
@@ -251,7 +236,7 @@ def cmd_kernel_demo(args, checks: Checks, out_dir: str):
         checks.add(f"kernel/limit/lam_hat={lam_hat}",
                    np.abs(avg[-1] - target).max(), 1e-6)
         err = np.linalg.norm(avg - reg.iterates, axis=1)
-        slope = _fit_slope(err, max(50, args.steps // 2), floor=1e-12)
+        slope = _fit_slope(err, floor=1e-12)
         rate = 1.0 / (1.0 + lam_hat * eta * mu.min())
         checks.add(f"kernel/decay-slope/lam_hat={lam_hat}", slope,
                    np.log10(rate) + 1e-3, {"rate": rate})
@@ -293,11 +278,9 @@ def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None,
         plain = psgd_run(prob, Regularizer.none(), sched, steps, Q=q, **kwargs)
         regp = psgd_run(prob, Regularizer.generalized_l2(lam, q), reg_sched, steps,
                         Q=q, **kwargs)
-    elif optimizer == "ngd":
+    else:  # ngd, the parser admits no other
         plain = nsgd_run(prob, Regularizer.none(), sched, steps, alpha=alpha, **kwargs)
         regp = nsgd_run(prob, Regularizer.l2(lam), reg_sched, steps, alpha=alpha, **kwargs)
-    else:
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
     if scheme is None:
         scheme = weights_nsgd(sched.eta(0), lam, alpha, steps) if optimizer == "ngd" \
             else weights_sgd_adaptive(sched, lam, steps)
@@ -305,7 +288,7 @@ def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None,
 
 
 def cmd_mnist_linear(args, checks: Checks, out_dir: str):
-    eta, lam, steps = args.eta, _single(args.lams, "--lambda"), args.steps
+    eta, lam, steps = args.eta, args.lam, args.steps
     data = _mnist_dataset(args)
     prob = QuadraticProblem.from_data(data.X, data.Y)
     sched = make_schedule(eta, lam)
@@ -340,7 +323,7 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
 
 
 def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
-    eta, lam, steps = args.eta, _single(args.lams, "--lambda"), args.steps
+    eta, lam, steps = args.eta, args.lam, args.steps
     data = _mnist_dataset(args)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
     gamma = 1.0 / (lam + 1.0 / eta)
@@ -373,7 +356,7 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
 def cmd_variance_mc(args, checks: Checks, out_dir: str):
     prob = toy_problem()
     bounds = convexity_bounds(prob)
-    eta, lam, steps = args.eta, _single(args.lams, "--lambda"), args.steps
+    eta, lam, steps = args.eta, args.lam, args.steps
     sigma, delta = args.sigma, args.delta
     sched = make_schedule(eta, lam, bounds)
     gamma = sched.gamma(0)
@@ -527,12 +510,15 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
 
 
 def cmd_avg_geometric(args, checks: Checks, out_dir: str):
-    if not args.checkpoints:
-        raise ConfigError("avg-geometric needs --checkpoints <dir>")
     files = sorted(glob.glob(os.path.join(args.checkpoints, "*.npz")))
     if not files:
         raise ConfigError(f"no *.npz path records under {args.checkpoints}")
-    stack = np.array([load_path(f).final for f in files])
+    records = [load_path(f) for f in files]
+    for f, rec in zip(files, records):
+        if (rec.problem_fingerprint, rec.final.shape) != \
+                (records[0].problem_fingerprint, records[0].final.shape):
+            raise ConfigError(f"{f}: problem fingerprint or dimension differs from {files[0]}")
+    stack = np.array([rec.final for rec in records])
     scheme = weights_geometric(args.p_success, stack.shape[0] - 1)
     checks.add("avg-geometric/weights-normalized",
                abs(float(scheme.cumulative[-1]) - 1.0), 1e-12,
@@ -550,11 +536,55 @@ def cmd_avg_geometric(args, checks: Checks, out_dir: str):
 def _parse_lams(text: str):
     try:
         vals = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --lambda list: {text!r}") from exc
+    except ValueError:
+        vals = []
     if not vals:
-        raise ConfigError("--lambda list is empty")
+        raise argparse.ArgumentTypeError(f"expected a list of numbers, got {text!r}")
     return vals
+
+
+def _count(text: str, most: int = 0) -> int:
+    """An integer of at least 1, and at most ``most`` if that is set."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1 or (most and n > most):
+        span = f"in [1, {most}]" if most else ">= 1"
+        raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+    return n
+
+
+# Every flag a subcommand can take: key -> (option string, add_argument keywords).
+# A command lists the keys it reads and sets its own defaults by dest.
+_FLAGS = {
+    "out": ("--out", dict(default="iterreg-out")),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "steps": ("--steps", dict(type=_count, default=500)),
+    "lam": ("--lambda", dict(dest="lam", type=float, default=0.1)),
+    "lams": ("--lambda", dict(dest="lams", type=_parse_lams)),
+    "eta": ("--eta", dict(type=float, default=0.1)),
+    "alpha": ("--alpha", dict(type=float, default=0.05)),
+    "batch": ("--batch", dict(type=_count, default=500)),
+    "deterministic": ("--deterministic", dict(action="store_true")),
+    "limit": ("--limit", dict(type=_count, default=2000)),
+    "format": ("--format", dict(choices=("csv", "json"), default="csv")),
+    "kernel_n": ("--kernel-n", dict(type=partial(_count, most=_KERNEL_MAX_N))),
+    "lam_hat": ("--lam-hats", dict(dest="lam_hat", type=float, default=1.0)),
+    "lam_hats": ("--lam-hats", dict(type=_parse_lams, default=[0.5, 1.0, 2.0])),
+    "images": ("--images", {}),
+    "labels": ("--labels", {}),
+    "optimizer": ("--optimizer", dict(choices=("gd", "pgd", "ngd"), default="gd")),
+    "base_ridge": ("--base-ridge", dict(type=float, default=1.0)),
+    "sigma": ("--sigma", dict(type=float, default=0.5)),
+    "delta": ("--delta", dict(type=float, default=0.1)),
+    "mc_seeds": ("--mc-seeds", dict(type=_count, default=200)),
+    "gamma": ("--gamma", dict(type=float, default=0.25)),
+    "path": ("--path", dict(help="stored path record (.npz)")),
+    "checkpoints": ("--checkpoints", dict(required=True,
+                                          help="directory of stored path records")),
+    "p_success": ("--p-success", dict(type=float, default=0.99)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,59 +595,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with argument defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, text):
-        """Subparser for one experiment, with the flags every experiment takes."""
+    def command(name, text, flags, **defaults):
+        """Subparser for one experiment, taking exactly the flags it reads."""
         p = sub.add_parser(name, help=text)
-        p.add_argument("--out", default="iterreg-out")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--steps", type=int, default=500)
-        p.add_argument("--lambda", dest="lams", type=_parse_lams, default=[0.1])
-        p.add_argument("--eta", type=float, default=0.1)
-        p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--batch", type=int, default=500)
-        p.add_argument("--deterministic", action="store_true")
-        p.add_argument("--limit", type=int, default=2000)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        return p
+        for key in flags:
+            option, kwargs = _FLAGS[key]
+            p.add_argument(option, **kwargs)
+        p.set_defaults(**defaults)
 
-    command("demo2d", "2-D quadratic demo (identities, rates)")
-
-    p = command("verify-identity", "exact identity for all optimizers")
-    p.add_argument("--kernel-n", type=int, default=20)
-    p.add_argument("--lam-hats", type=_parse_lams, default=[1.0])
-
-    p = command("kernel-demo", "kernel dual paths vs closed form")
-    p.add_argument("--kernel-n", type=int, default=40)
-    p.add_argument("--lam-hats", type=_parse_lams, default=[0.5, 1.0, 2.0])
-
-    for name in ("mnist-linear", "mnist-logistic"):
-        p = command(name, f"{name} experiment (IDX data or stand-in)")
-        p.add_argument("--images")
-        p.add_argument("--labels")
-        p.add_argument("--optimizer", choices=("gd", "pgd", "ngd"), default="gd")
-        p.set_defaults(eta=0.01, lams=[4.0], alpha=1.0)
-        if name == "mnist-logistic":
-            p.add_argument("--base-ridge", type=float, default=1.0)
-
-    p = command("variance-mc", "Chebyshev deviation bound, many seeds")
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--mc-seeds", type=int, default=200)
-
-    p = command("sandwich", "entry-wise bracket for a general loss")
-    p.set_defaults(eta=0.4)
-    p.add_argument("--gamma", type=float, default=0.25)
-
-    p = command("l1-hull", "l1 solutions vs the descent-path hull")
-    p.set_defaults(lams=[0.01, 0.03, 0.1, 0.3, 1.0, 3.0])
-
-    p = command("sweep", "many lambdas from one stored path")
-    p.set_defaults(lams=[0.01, 0.1, 1.0, 10.0])
-    p.add_argument("--path", help="stored path record (.npz)")
-
-    p = command("avg-geometric", "geometric checkpoint averaging")
-    p.add_argument("--checkpoints", help="directory of stored path records")
-    p.add_argument("--p-success", type=float, default=0.99)
+    demo2d = ("out", "steps", "lam", "eta", "alpha", "format")
+    mnist = ("out", "seed", "steps", "lam", "eta", "alpha", "batch", "deterministic", "limit",
+             "format", "images", "labels", "optimizer")
+    command("demo2d", "2-D quadratic demo (identities, rates)", demo2d)
+    command("verify-identity", "exact identity for all optimizers",
+            demo2d + ("seed", "kernel_n", "lam_hat"), kernel_n=20)
+    command("kernel-demo", "kernel dual paths vs closed form",
+            ("out", "seed", "steps", "format", "kernel_n", "lam_hats"), kernel_n=40)
+    for name, extra in (("mnist-linear", ()), ("mnist-logistic", ("base_ridge",))):
+        command(name, f"{name} experiment (IDX data or stand-in)", mnist + extra,
+                eta=0.01, lam=4.0, alpha=1.0)
+    command("variance-mc", "Chebyshev deviation bound, many seeds",
+            ("out", "seed", "steps", "lam", "eta", "alpha", "sigma", "delta", "mc_seeds"))
+    command("sandwich", "entry-wise bracket for a general loss",
+            ("out", "seed", "steps", "eta", "gamma"), eta=0.4)
+    command("l1-hull", "l1 solutions vs the descent-path hull",
+            ("out", "steps", "lams", "eta"), lams=[0.01, 0.03, 0.1, 0.3, 1.0, 3.0])
+    command("sweep", "many lambdas from one stored path",
+            ("out", "steps", "lams", "eta", "path"), lams=[0.01, 0.1, 1.0, 10.0])
+    command("avg-geometric", "geometric checkpoint averaging",
+            ("out", "checkpoints", "p_success"))
     return parser
 
 
@@ -635,7 +641,7 @@ _COMMANDS = {
 }
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
     """Pull --config out of argv and fold its values in as defaults."""
     if "--config" not in argv:
         return argv
@@ -652,8 +658,6 @@ def _apply_config_file(parser, argv):
     extra = []
     for key, value in payload.get("args", {}).items():
         flag = "--" + key.replace("_", "-")
-        if flag in rest:
-            continue  # explicit flags win
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
@@ -661,14 +665,15 @@ def _apply_config_file(parser, argv):
             extra.extend([flag, ",".join(str(v) for v in value)])
         else:
             extra.extend([flag, str(value)])
-    return rest + extra
+    # Right after the subcommand, so that its explicit flags, parsed later, win.
+    return rest[:1] + extra + rest[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(parser, argv))
+        args = parser.parse_args(_apply_config_file(argv))
         os.makedirs(args.out, exist_ok=True)
         checks = Checks()
         _COMMANDS[args.command](args, checks, args.out)

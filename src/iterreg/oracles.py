@@ -59,19 +59,21 @@ class RidgeSolution:
     kind: str  # "l2" or "generalized_l2"
 
 
+def _regularized_system(problem: QuadraticProblem, reg: Regularizer):
+    if reg.kind == "generalized_l2":
+        return problem.sigma + reg.lam * reg.Q
+    if reg.lam > 0:
+        return problem.sigma + reg.lam * np.eye(problem.d)
+    return problem.sigma
+
+
 def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution:
     """Solve (Sigma + lam I) w = a, or (Sigma + lam Q) w = a for the
     generalized penalty.  This doubles as the limit oracle for every
     averaging test."""
     if reg.kind == "l1":
         raise ValueError("l1 penalty has no linear-solve solution; use l1_prox_solution")
-    lam = reg.lam
-    if reg.kind == "generalized_l2":
-        system = problem.sigma + lam * reg.Q
-        kind = "generalized_l2"
-    else:
-        system = problem.sigma + lam * np.eye(problem.d)
-        kind = "l2"
+    system = _regularized_system(problem, reg)
     a2 = problem._as_2d(problem.a)
     try:
         w = np.linalg.solve(system, a2)
@@ -80,7 +82,8 @@ def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution
     residual = np.abs(system @ w - a2).max()
     if residual > 1e-10 * max(1.0, np.abs(a2).max()):
         raise RuntimeError(f"linear solve residual too large: {residual:.3e}")
-    return RidgeSolution(w_hat=w.ravel(), lam=lam, kind=kind)
+    kind = "generalized_l2" if reg.kind == "generalized_l2" else "l2"
+    return RidgeSolution(w_hat=w.ravel(), lam=reg.lam, kind=kind)
 
 
 def kernel_solution(kernel: KernelProblem, lam_hat: float, rank_tol: float = 1e-12) -> np.ndarray:
@@ -106,14 +109,6 @@ def kernel_solution(kernel: KernelProblem, lam_hat: float, rank_tol: float = 1e-
 
 # ---------------------------------------------------------------------------
 # Expectation recurrences (quadratic problems)
-
-
-def _regularized_system(problem: QuadraticProblem, reg: Regularizer):
-    if reg.kind == "generalized_l2":
-        return problem.sigma + reg.lam * reg.Q
-    if reg.lam > 0:
-        return problem.sigma + reg.lam * np.eye(problem.d)
-    return problem.sigma
 
 
 def expectation_path(

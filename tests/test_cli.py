@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -11,7 +12,12 @@ from iterreg.averaging import averaged_path, weights_sgd_adaptive
 from iterreg.cli import main
 from iterreg.data_io import read_report
 from iterreg.optimizers import make_schedule, save_path, sgd_run
-from iterreg.problems import Regularizer, make_rotated_quadratic, toy_problem
+from iterreg.problems import (
+    QuadraticProblem,
+    Regularizer,
+    make_rotated_quadratic,
+    toy_problem,
+)
 
 
 def run(tmp_path, *argv):
@@ -23,8 +29,11 @@ def run(tmp_path, *argv):
 
 
 def written(out):
-    """Names of the files a run wrote to its --out directory."""
-    return {p.name for p in out.iterdir()}
+    """Names of the files a run wrote to its --out directory.
+
+    A run stopped by the argument parser never creates the directory.
+    """
+    return {p.name for p in out.iterdir()} if out.exists() else set()
 
 
 DEMO2D_FILES = {"demo2d_gd.csv", "demo2d_pgd.csv", "demo2d_ngd.csv",
@@ -323,3 +332,126 @@ def test_single_lambda_commands_reject_lists(tmp_path, capsys, argv, flag):
 def test_images_without_labels_rejected(tmp_path):
     assert main(["mnist-linear", "--images", "only.idx",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+# The flags each subcommand reads, and so the only ones it accepts.
+_DEMO2D_FLAGS = {"--out", "--steps", "--lambda", "--eta", "--alpha", "--format"}
+_MNIST_FLAGS = {"--out", "--seed", "--steps", "--lambda", "--eta", "--alpha", "--batch",
+                "--deterministic", "--limit", "--format", "--images", "--labels",
+                "--optimizer"}
+ACCEPTED_FLAGS = {
+    "demo2d": _DEMO2D_FLAGS,
+    "verify-identity": _DEMO2D_FLAGS | {"--seed", "--kernel-n", "--lam-hats"},
+    "kernel-demo": {"--out", "--seed", "--steps", "--format", "--kernel-n", "--lam-hats"},
+    "mnist-linear": _MNIST_FLAGS,
+    "mnist-logistic": _MNIST_FLAGS | {"--base-ridge"},
+    "variance-mc": {"--out", "--seed", "--steps", "--lambda", "--eta", "--alpha",
+                    "--sigma", "--delta", "--mc-seeds"},
+    "sandwich": {"--out", "--seed", "--steps", "--eta", "--gamma"},
+    "l1-hull": {"--out", "--steps", "--lambda", "--eta"},
+    "sweep": {"--out", "--steps", "--lambda", "--eta", "--path"},
+    "avg-geometric": {"--out", "--checkpoints", "--p-success"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    parser = cli.build_parser()
+    assert {o for a in parser._actions for o in a.option_strings} == {"-h", "--help",
+                                                                       "--config"}
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+                for name, sub in subparsers.choices.items()}
+    assert accepted == ACCEPTED_FLAGS
+    assert sum(len(flags) for flags in accepted.values()) == 74
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["kernel-demo", "--kernel-n", "8", "--eta", "0.05"], "--eta"),
+    (["sweep", "--seed", "4"], "--seed"),
+    (["variance-mc", "--mc-seeds", "2", "--format", "json"], "--format"),
+    (["avg-geometric", "--checkpoints", "ckpts", "--steps", "5"], "--steps"),
+])
+def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys, argv, flag):
+    code, out, _ = run(tmp_path, *argv)
+    assert code == 2 and written(out) == set()
+    assert flag in capsys.readouterr().err
+
+
+def test_config_keys_a_command_does_not_read_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "args": {"batch": 7}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "demo2d", "--out", str(out)]) == 2
+    assert written(out) == set() and "--batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["demo2d", "--steps", "0"], "--steps"),
+    (["variance-mc", "--mc-seeds", "0"], "--mc-seeds"),
+    (["kernel-demo", "--kernel-n", "0"], "--kernel-n"),
+    (["verify-identity", "--kernel-n", "1001"], "--kernel-n"),
+    (["mnist-linear", "--batch", "0", "--limit", "50", "--steps", "20"], "--batch"),
+    (["mnist-linear", "--limit", "0", "--steps", "20"], "--limit"),
+])
+def test_counts_out_of_range_exit_two(tmp_path, capsys, argv, flag):
+    code, out, _ = run(tmp_path, *argv)
+    assert code == 2 and written(out) == set()
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo2d", "--steps", "30"],
+    ["demo2d", "--steps", "68"],
+    ["kernel-demo", "--kernel-n", "8", "--steps", "60"],
+])
+def test_runs_too_short_for_the_decay_slope_exit_two(tmp_path, capsys, argv):
+    # A slope fitted to no points must not pass as -inf.
+    code, out, _ = run(tmp_path, *argv)
+    assert code == 2 and written(out) == set()
+    err = capsys.readouterr().err
+    assert "--steps" in err and "69" in err
+
+
+def test_shortest_run_with_a_decay_slope_fits_it(tmp_path):
+    # 69 steps leave exactly 20 points from step 50; the slopes are real
+    # numbers, whether or not the early transient lets them pass.
+    code, _, checks = run(tmp_path, "demo2d", "--steps", "69")
+    slopes = [c["residual"] for c in checks["checks"] if "/decay-slope/" in c["check"]]
+    assert code in (0, 1) and len(slopes) == 3 and np.all(np.isfinite(slopes))
+
+
+def test_avg_geometric_rejects_mixed_checkpoints(tmp_path, capsys):
+    sched = make_schedule(0.1)
+    others = {
+        "other-problem": make_rotated_quadratic((0.5, 2.0), 0.3, (-1.0, 2.0)),
+        "other-dimension": QuadraticProblem(sigma=np.diag([0.5, 1.0, 2.0]), a=np.ones(3)),
+    }
+    for label, other in others.items():
+        ckpts = tmp_path / label
+        ckpts.mkdir()
+        for i in range(2):
+            rec = sgd_run(toy_problem(), Regularizer.none(), sched, 30 + i)
+            save_path(rec, str(ckpts / f"c{i:02d}.npz"))
+        odd = ckpts / "c02.npz"
+        save_path(sgd_run(other, Regularizer.none(), sched, 32), str(odd))
+        code, out, _ = run(tmp_path / f"out-{label}", "avg-geometric",
+                           "--checkpoints", str(ckpts))
+        assert code == 2 and written(out) == set()
+        assert str(odd) in capsys.readouterr().err
+
+
+def test_avg_geometric_needs_checkpoints(tmp_path, capsys):
+    code, out, _ = run(tmp_path, "avg-geometric")
+    assert code == 2 and written(out) == set()
+    assert "--checkpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("explicit", [["--steps", "300"], ["--steps=300"]])
+def test_explicit_flags_beat_the_config_file(tmp_path, explicit):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "args": {"steps": 400}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "demo2d", *explicit, "--out", str(out)]) == 0
+    checks = json.loads((out / "checks.json").read_text())
+    assert checks["checks"][0]["params"]["steps"] == 300
