@@ -10,7 +10,6 @@ from .problems import (
     Regularizer,
     convexity_bounds,
     eval_loss_grad,
-    make_synthetic_quadratic,
     stochastic_grad,
     toy_problem,
 )

@@ -95,9 +95,9 @@ class WeightScheme:
         return self.cumulative[k]
 
     @classmethod
-    def from_cumulative(cls, cumulative, basis=None, kind="custom", **params):
-        return cls(kind=kind, cumulative=np.asarray(cumulative, dtype=np.float64),
-                   basis=basis, params=dict(params))
+    def from_cumulative(cls, cumulative, basis=None):
+        return cls(kind="custom", cumulative=np.asarray(cumulative, dtype=np.float64),
+                   basis=basis)
 
 
 def _require_positive_lam(lam: float) -> None:

@@ -130,6 +130,12 @@ class Checks:
                   f"threshold={e['threshold']:.6g}")
 
 
+def _need_steps(steps: int, least: int, what: str) -> None:
+    if steps < least:
+        raise ConfigError(f"--steps {steps} is too short for {what}, "
+                          f"which needs --steps >= {least}")
+
+
 def _fit_slope(values: np.ndarray, floor: float) -> float:
     """Least-squares slope of log10(values) against the iteration index.
 
@@ -140,9 +146,7 @@ def _fit_slope(values: np.ndarray, floor: float) -> float:
     """
     steps = values.size - 1
     start = max(50, steps // 2)
-    if values.size - start < 20:
-        raise ConfigError(f"--steps {steps} is too short for the decay-slope fit, "
-                          f"which needs --steps >= {50 + 20 - 1}")
+    _need_steps(steps, 50 + 20 - 1, "the decay-slope fit")
     live = np.nonzero(values > floor)[0]
     end = int(live.max()) + 1 if live.size else 0
     if end - start < 20:
@@ -206,10 +210,10 @@ def cmd_verify_identity(args, checks: Checks, out_dir: str):
                {"n": kernel.n, "lam_hat": args.lam_hat, "eta": _KERNEL_ETA})
 
 
-def _random_kernel(n: int, seed: int, mu_min: float = 0.5, mu_max: float = 2.0):
+def _random_kernel(n: int, seed: int):
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    mu = rng.uniform(mu_min, mu_max, size=n)
+    mu = rng.uniform(0.5, 2.0, size=n)
     gram = basis @ np.diag(mu) @ basis.T
     gram = 0.5 * (gram + gram.T)
     y = rng.standard_normal(n)
@@ -289,6 +293,7 @@ def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None,
 
 def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     eta, lam, steps = args.eta, args.lam, args.steps
+    _need_steps(steps, 11, "the monotonicity check after step 10")
     data = _mnist_dataset(args)
     prob = QuadraticProblem.from_data(data.X, data.Y)
     sched = make_schedule(eta, lam)
@@ -402,9 +407,10 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
 
 
 def cmd_sandwich(args, checks: Checks, out_dir: str):
+    eta, gamma, steps = args.eta, args.gamma, args.steps
+    _need_steps(steps, 50, "the envelope fit over steps 10-50")
     prob = _sandwich_problem(args.seed)
     bounds = convexity_bounds(prob)
-    eta, gamma, steps = args.eta, args.gamma, args.steps
     lam1, lam2 = oracles.lambda_pair(eta, gamma, bounds)
     sched_eta = make_schedule(eta)
     sched_gamma = make_schedule(gamma)
@@ -555,6 +561,14 @@ def _count(text: str, most: int = 0) -> int:
     return n
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and note that it was given (or set by --config)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 # Every flag a subcommand can take: key -> (option string, add_argument keywords).
 # A command lists the keys it reads and sets its own defaults by dest.
 _FLAGS = {
@@ -600,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         for key in flags:
             option, kwargs = _FLAGS[key]
-            p.add_argument(option, **kwargs)
-        p.set_defaults(**defaults)
+            p.add_argument(option, **{"action": _Given, **kwargs})
+        p.set_defaults(given=frozenset(), **defaults)
 
     demo2d = ("out", "steps", "lam", "eta", "alpha", "format")
     mnist = ("out", "seed", "steps", "lam", "eta", "alpha", "batch", "deterministic", "limit",
@@ -625,6 +639,20 @@ def build_parser() -> argparse.ArgumentParser:
     command("avg-geometric", "geometric checkpoint averaging",
             ("out", "checkpoints", "p_success"))
     return parser
+
+
+# Flags a command reads only without its mode flag: command -> (mode, flags).
+_UNREAD_IN_MODE = {"sweep": ("path", ("steps", "eta")),  # the stored path fixes both
+                   "mnist-linear": ("deterministic", ("batch",)),
+                   "mnist-logistic": ("deterministic", ("batch",))}
+
+
+def _check_mode_flags(args) -> None:
+    mode, unread = _UNREAD_IN_MODE.get(args.command, (None, ()))
+    for key in unread:
+        if getattr(args, mode) and key in args.given:
+            mode_flag, flag = _FLAGS[mode][0], _FLAGS[key][0]
+            raise ConfigError(f"{args.command} {mode_flag} does not read {flag}")
 
 
 _COMMANDS = {
@@ -674,6 +702,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config_file(argv))
+        _check_mode_flags(args)
         os.makedirs(args.out, exist_ok=True)
         checks = Checks()
         _COMMANDS[args.command](args, checks, args.out)

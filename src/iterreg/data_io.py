@@ -153,37 +153,26 @@ def one_hot(labels, c: int) -> np.ndarray:
     return out
 
 
-def synthetic_mnist(
-    n: int = 2000,
-    seed: int = 7,
-    side: int = 28,
-    n_bits: int = 2,
-    base: float = 0.45,
-    bit_amp: float = 0.2,
-    noise_amp: float = 0.03,
-):
+def synthetic_mnist(n: int = 2000, seed: int = 7, side: int = 28):
     """Seeded MNIST-like stand-in: images whose classes are bit patterns.
 
-    Each class is a combination of ``n_bits`` global +-1 pixel patterns
-    on top of a constant background, plus small per-sample noise, and
-    pixels are quantized to the uint8 grid so an IDX round trip is
-    exact.  The construction keeps the label-relevant directions of the
-    second-moment matrix well separated from the noise directions, which
-    makes regression error curves clean at desk scale.
+    Each of the four classes is a combination of two global +-0.2 pixel
+    patterns on top of a 0.45 background, plus per-sample noise uniform
+    in +-0.03, so pixels stay inside [0, 1]; they are quantized to the
+    uint8 grid so an IDX round trip is exact.  The construction keeps the
+    label-relevant directions of the second-moment matrix well separated
+    from the noise directions, which makes regression error curves clean
+    at desk scale.
 
     Returns (images uint8 (n, side, side), labels uint8 (n,)).
     """
-    if not 1 <= n_bits <= 3:
-        raise ValueError("n_bits must be 1..3")
-    if base + n_bits * bit_amp > 1.0 or base - n_bits * bit_amp < 0.0:
-        raise ValueError("base and bit_amp must keep pixels inside [0, 1]")
     rng = np.random.default_rng(seed)
     d = side * side
-    patterns = rng.choice((-1.0, 1.0), size=(n_bits, d))
-    labels = rng.integers(0, 2**n_bits, size=n)
-    signs = ((labels[:, None] >> np.arange(n_bits)[None, :]) & 1) * 2.0 - 1.0
-    pixels = base + signs @ (bit_amp * patterns)
-    pixels += noise_amp * rng.uniform(-1.0, 1.0, size=(n, d))
+    patterns = rng.choice((-1.0, 1.0), size=(2, d))
+    labels = rng.integers(0, 4, size=n)
+    signs = ((labels[:, None] >> np.arange(2)[None, :]) & 1) * 2.0 - 1.0
+    pixels = 0.45 + signs @ (0.2 * patterns)
+    pixels += 0.03 * rng.uniform(-1.0, 1.0, size=(n, d))
     pixels = np.clip(pixels, 0.0, 1.0)
     images = np.round(pixels * 255.0).astype(np.uint8).reshape(n, side, side)
     return images, labels.astype(np.uint8)

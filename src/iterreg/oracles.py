@@ -10,7 +10,7 @@ is a genuine two-route check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .problems import (
     LogisticProblem,
     QuadraticProblem,
     Regularizer,
-    _objective_grad,
     eval_loss_grad,
 )
 
@@ -71,8 +70,6 @@ def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution
     """Solve (Sigma + lam I) w = a, or (Sigma + lam Q) w = a for the
     generalized penalty.  This doubles as the limit oracle for every
     averaging test."""
-    if reg.kind == "l1":
-        raise ValueError("l1 penalty has no linear-solve solution; use l1_prox_solution")
     system = _regularized_system(problem, reg)
     a2 = problem._as_2d(problem.a)
     try:
@@ -86,7 +83,7 @@ def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution
     return RidgeSolution(w_hat=w.ravel(), lam=reg.lam, kind=kind)
 
 
-def kernel_solution(kernel: KernelProblem, lam_hat: float, rank_tol: float = 1e-12) -> np.ndarray:
+def kernel_solution(kernel: KernelProblem, lam_hat: float) -> np.ndarray:
     """Minimizer of the dual objective at strength lam_hat, on the range of K.
 
     Solves (K + lam_hat I) alpha = y in the eigenbasis; components along
@@ -98,7 +95,7 @@ def kernel_solution(kernel: KernelProblem, lam_hat: float, rank_tol: float = 1e-
     mu = kernel.eigenvalues
     scale = max(1.0, float(mu.max(initial=0.0)))
     y_eig = kernel.basis.T @ kernel.y
-    on_range = mu > rank_tol * scale
+    on_range = mu > 1e-12 * scale
     denom = mu + lam_hat
     if np.any(on_range & (denom <= 0)):
         raise ValueError("K + lam_hat I is singular on the range of K")
@@ -338,7 +335,7 @@ def lambda_pair(eta: float, gamma: float, bounds: ConvexityBounds):
     return lam1, lam2
 
 
-def minimize_objective(problem, reg: Regularizer, tol: float = 1e-12, max_iter: int = 200):
+def minimize_objective(problem, reg: Regularizer):
     """High-accuracy minimizer of L + lam R for quadratic or softmax losses.
 
     Quadratics solve in closed form; the softmax loss runs (damped)
@@ -355,7 +352,7 @@ def minimize_objective(problem, reg: Regularizer, tol: float = 1e-12, max_iter: 
     w = np.zeros(dim)
     loss, grad = eval_loss_grad(problem, reg, w)
     identity = np.eye(dim)
-    for _ in range(max_iter):
+    for _ in range(200):
         hess = problem.hessian(w) + reg.lam * identity
         step = np.linalg.solve(hess, grad)
         scale = 1.0
@@ -366,9 +363,9 @@ def minimize_objective(problem, reg: Regularizer, tol: float = 1e-12, max_iter: 
                 break
             scale *= 0.5
         w, loss, grad = candidate, new_loss, new_grad
-        if np.abs(grad).max() < tol:
+        if np.abs(grad).max() < 1e-12:
             return w
-    raise RuntimeError(f"Newton did not reach |grad| < {tol} in {max_iter} iterations")
+    raise RuntimeError("Newton did not reach |grad| < 1e-12 in 200 iterations")
 
 
 @dataclass(frozen=True)
@@ -410,7 +407,6 @@ def bounding_sequences(
     lam1: float,
     lam2: float,
     steps: int,
-    zero_tol: float = 1e-10,
 ) -> BoundingSequences:
     """Comparison sequences for the entry-wise sandwich of an averaged path.
 
@@ -425,8 +421,8 @@ def bounding_sequences(
     alpha, beta = bounds.alpha, bounds.beta
     w_star = minimize_objective(problem, Regularizer.none())
     signs = np.sign(w_star)
-    mask = np.abs(w_star) > zero_tol * max(1.0, float(np.abs(w_star).max()))
-    b = -_objective_grad(problem, Regularizer.none(), np.zeros(problem.param_dim))
+    mask = np.abs(w_star) > 1e-10 * max(1.0, float(np.abs(w_star).max()))
+    b = -eval_loss_grad(problem, Regularizer.none(), np.zeros(problem.param_dim))[1]
     b_orient = signs * b
 
     def first_order(rate, slope):
@@ -539,12 +535,7 @@ def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
-def l1_prox_solution(
-    problem: QuadraticProblem,
-    lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-) -> np.ndarray:
+def l1_prox_solution(problem: QuadraticProblem, lam: float, tol: float = 1e-10) -> np.ndarray:
     """l1-penalized quadratic minimizer by proximal gradient (ISTA).
 
     Step size 1/beta with beta the largest eigenvalue of Sigma;
@@ -559,7 +550,7 @@ def l1_prox_solution(
     beta = float(np.linalg.eigvalsh(problem.sigma).max())
     step = 1.0 / beta
     w = np.zeros(problem.param_dim)
-    for _ in range(max_iter):
+    for _ in range(200_000):
         grad = problem.grad(w)
         w_next = soft_threshold(w - step * grad, lam * step)
         if np.linalg.norm(w_next - w) < tol * (1.0 + np.linalg.norm(w_next)):
@@ -567,7 +558,7 @@ def l1_prox_solution(
             break
         w = w_next
     else:
-        raise RuntimeError(f"proximal gradient did not converge in {max_iter} iterations")
+        raise RuntimeError("proximal gradient did not converge in 200000 iterations")
     grad = problem.grad(w)
     scale = max(1.0, float(np.abs(problem._as_2d(problem.a)).max()))
     on = w != 0
@@ -625,12 +616,13 @@ def _on_segment(a: np.ndarray, b: np.ndarray, q: np.ndarray, tol: float) -> bool
     return -tol <= t <= 1.0 + tol
 
 
-def hull_contains(points: np.ndarray, query, tol: float = 1e-12) -> bool:
+def hull_contains(points: np.ndarray, query) -> bool:
     """True iff the query point lies inside or on the hull of the points.
 
     Degenerate hulls (a point or a segment) fall back to distance tests
     with the same orientation tolerance.
     """
+    tol = 1e-12
     query = np.asarray(query, dtype=np.float64)
     hull = convex_hull(points)
     if hull.shape[0] == 1:

@@ -7,7 +7,10 @@ Three problem families are supported:
   data for mini-batch gradients),
 * multi-class softmax regression with a built-in ridge term that makes
   the objective strongly convex,
-* kernel regression in its dual form, parameterized by a Gram matrix.
+* kernel regression in its dual form, parameterized by a Gram matrix,
+  whose paths run only through ``optimizers.kernel_gd_run``.
+
+Penalties are none, l2 and generalized l2; l1 is left to the prox oracle.
 
 Parameters for multi-output problems are (d, c) matrices flattened to
 1-D vectors in C order; all path algebra in the rest of the package
@@ -17,10 +20,9 @@ works on those flat vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import jacobi_eigh
 
@@ -33,7 +35,7 @@ __all__ = [
     "eval_loss_grad",
     "stochastic_grad",
     "convexity_bounds",
-    "make_synthetic_quadratic",
+    "toy_problem",
 ]
 
 
@@ -45,9 +47,9 @@ __all__ = [
 class Regularizer:
     """A regularization term lam * R(w).
 
-    kind is one of "none", "l2", "generalized_l2", "l1".  The matrix Q
-    is present exactly when kind == "generalized_l2" and must be
-    symmetric positive definite.
+    kind is one of "none", "l2", "generalized_l2"; every one is smooth.
+    The matrix Q is present exactly when kind == "generalized_l2" and
+    must be symmetric positive definite.
     """
 
     kind: str = "none"
@@ -55,7 +57,7 @@ class Regularizer:
     Q: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "l2", "generalized_l2", "l1"):
+        if self.kind not in ("none", "l2", "generalized_l2"):
             raise ValueError(f"unknown regularizer kind: {self.kind!r}")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
@@ -78,31 +80,17 @@ class Regularizer:
     def generalized_l2(cls, lam: float, Q: np.ndarray) -> "Regularizer":
         return cls("generalized_l2", lam, Q)
 
-    @classmethod
-    def l1(cls, lam: float) -> "Regularizer":
-        return cls("l1", lam)
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind != "l1"
-
     def value(self, w: np.ndarray, d: int) -> float:
         """lam * R(w) for a flat parameter vector of row dimension d."""
         if self.kind == "none" or self.lam == 0.0:
             return 0.0
         if self.kind == "l2":
             return 0.5 * self.lam * float(w @ w)
-        if self.kind == "generalized_l2":
-            mat = w.reshape(d, -1)
-            return 0.5 * self.lam * float(np.sum(mat * (self.Q @ mat)))
-        if self.kind == "l1":
-            return self.lam * float(np.sum(np.abs(w)))
-        raise AssertionError(self.kind)
+        mat = w.reshape(d, -1)
+        return 0.5 * self.lam * float(np.sum(mat * (self.Q @ mat)))
 
     def grad(self, w: np.ndarray, d: int) -> np.ndarray:
-        """Gradient of lam * R(w); rejects the non-smooth l1 penalty."""
-        if self.kind == "l1":
-            raise ValueError("l1 regularizer has no gradient; use the proximal solver")
+        """Gradient of lam * R(w)."""
         if self.kind == "none" or self.lam == 0.0:
             return np.zeros_like(w)
         if self.kind == "l2":
@@ -338,17 +326,6 @@ class KernelProblem:
     def param_dim(self) -> int:
         return self.n
 
-    def loss(self, alpha: np.ndarray, lam: float = 0.0) -> float:
-        r = self.y - self.K @ alpha
-        return float(0.5 * r @ r + 0.5 * lam * alpha @ (self.K @ alpha))
-
-    def grad(self, alpha: np.ndarray, lam: float = 0.0) -> np.ndarray:
-        """Gradient of the dual objective at regularization strength lam."""
-        return self.K @ (self.K @ alpha - self.y) + lam * (self.K @ alpha)
-
-
-Problem = Union[QuadraticProblem, LogisticProblem, KernelProblem]
-
 
 @dataclass(frozen=True)
 class ConvexityBounds:
@@ -368,43 +345,26 @@ class ConvexityBounds:
 
 def eval_loss_grad(problem, reg: Regularizer, w: np.ndarray):
     """Loss and gradient of the regularized objective L(w) + lam R(w)."""
-    grad = _objective_grad(problem, reg, w)
-    w = np.asarray(w, dtype=np.float64)
-    if isinstance(problem, KernelProblem):
-        return problem.loss(w, reg.lam if reg.kind == "l2" else 0.0), grad
-    return problem.loss(w) + reg.value(w, problem.d), grad
-
-
-def _objective_grad(problem, reg: Regularizer, w: np.ndarray) -> np.ndarray:
-    """The gradient half of ``eval_loss_grad``, argument checks included."""
-    w = np.asarray(w, dtype=np.float64)
     grad = _full_grad(problem, reg)
-    if not isinstance(problem, KernelProblem) and w.shape != (problem.param_dim,):
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (problem.param_dim,):
         raise ValueError(f"w has shape {w.shape}, expected ({problem.param_dim},)")
-    return grad(w)
+    return problem.loss(w) + reg.value(w, problem.d), grad(w)
 
 
 def _full_grad(problem, reg: Regularizer):
     """The gradient of L(w) + lam R(w) as a function of w, checked once here.
     Step loops skip ``eval_loss_grad``, whose loss costs a second Sigma product."""
     if isinstance(problem, KernelProblem):
-        if reg.kind not in ("none", "l2"):
-            raise ValueError("kernel problems support only the built-in dual penalty")
-        lam = reg.lam if reg.kind == "l2" else 0.0
-        return lambda w: problem.grad(w, lam)
-    if not reg.is_smooth:
-        raise ValueError("l1 regularizer rejected: gradient undefined at zeros")
+        raise ValueError("kernel problems run through optimizers.kernel_gd_run, "
+                         "which steps in the Gram eigenbasis")
     return lambda w: problem.grad(w) + reg.grad(w, problem.d)
 
 
 def _batch_grad(problem, reg: Regularizer):
     """The mini-batch gradient as a function of (w, indices in [0, n)), checked once here."""
-    if isinstance(problem, KernelProblem):
-        raise ValueError("kernel problems have no per-sample gradient form")
-    if problem.X is None:
+    if getattr(problem, "X", None) is None:
         raise ValueError("problem carries no raw data; stochastic gradients unavailable")
-    if not reg.is_smooth:
-        raise ValueError("l1 regularizer rejected: gradient undefined at zeros")
     y2 = problem.Y if problem.Y.ndim == 2 else problem.Y[:, None]
     quadratic = isinstance(problem, QuadraticProblem)
 
@@ -435,78 +395,28 @@ def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarr
     if batch.size == n and np.array_equal(np.sort(batch), np.arange(n)):
         # A batch covering every sample once is the full gradient; route it
         # through the moment form so the two are bit-identical.
-        return _objective_grad(problem, reg, w)
+        return eval_loss_grad(problem, reg, w)[1]
     return grad(w, batch)
 
 
-def convexity_bounds(problem, reg: Regularizer = Regularizer.none()) -> ConvexityBounds:
+def convexity_bounds(problem) -> ConvexityBounds:
     """Curvature constants (alpha, beta) of the unregularized loss L.
 
-    Plain problems use the extreme eigenvalues of Sigma; under a
-    generalized-l2 penalty with matrix Q the constants satisfy
-    alpha Q <= Sigma <= beta Q, i.e. they are the extreme eigenvalues of
-    Q^{-1/2} Sigma Q^{-1/2}.  The softmax loss uses its ridge term for
-    alpha and the bound (diag(s) - s s^T) <= I/2 for beta.
+    Quadratics use the extreme eigenvalues of Sigma.  The softmax loss
+    uses its ridge term for alpha and the bound (diag(s) - s s^T) <= I/2
+    for beta.
     """
     if isinstance(problem, KernelProblem):
         raise ValueError("convexity bounds are defined for quadratic/logistic problems")
-    q = reg.Q if reg.kind == "generalized_l2" else None
     if isinstance(problem, QuadraticProblem):
-        sigma = problem.sigma
-        if q is None:
-            eigvals = np.linalg.eigvalsh(sigma)
-        else:
-            eigvals = _whitened_eigvals(sigma, q)
+        eigvals = np.linalg.eigvalsh(problem.sigma)
         return ConvexityBounds(float(eigvals.min()), float(eigvals.max()))
     # Softmax with ridge.
     if problem.base_ridge <= 0:
         raise ValueError("softmax loss without a ridge term is not strongly convex")
     sigma = problem.X.T @ problem.X / problem.n_samples
     lam0 = problem.base_ridge
-    if q is None:
-        beta = lam0 + 0.5 * float(np.linalg.eigvalsh(sigma).max())
-        return ConvexityBounds(lam0, beta)
-    q_eigs = np.linalg.eigvalsh(q)
-    whitened = _whitened_eigvals(sigma, q)
-    alpha = lam0 / float(q_eigs.max())
-    beta = lam0 / float(q_eigs.min()) + 0.5 * float(whitened.max())
-    return ConvexityBounds(alpha, beta)
-
-
-def _whitened_eigvals(sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Q^{-1/2} Sigma Q^{-1/2}, from LAPACK's generalized solver."""
-    try:
-        return scipy.linalg.eigh(sigma, q, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Q must be positive definite") from exc
-
-
-def make_synthetic_quadratic(
-    d: int,
-    eig_min: float,
-    eig_max: float,
-    rotation_seed: int = 0,
-    w_star=None,
-) -> QuadraticProblem:
-    """Quadratic with a prescribed spectrum and known minimizer.
-
-    Sigma = U diag(spectrum) U^T for a random (seeded) orthogonal U, the
-    Q factor of a seeded Gaussian matrix at every d (d == 2 included),
-    and a = Sigma w_star so that w_star is the unregularized minimizer.
-    The two-dimensional demo problem comes from ``make_rotated_quadratic``.
-    """
-    if not (0 < eig_min <= eig_max):
-        raise ValueError(f"need 0 < eig_min <= eig_max, got ({eig_min}, {eig_max})")
-    spectrum = np.linspace(eig_min, eig_max, d)
-    rng = np.random.default_rng(rotation_seed)
-    mat = rng.standard_normal((d, d))
-    u, _ = np.linalg.qr(mat)
-    sigma = u @ np.diag(spectrum) @ u.T
-    sigma = 0.5 * (sigma + sigma.T)
-    if w_star is None:
-        w_star = np.ones(d)
-    w_star = np.asarray(w_star, dtype=np.float64)
-    return QuadraticProblem(sigma=sigma, a=sigma @ w_star)
+    return ConvexityBounds(lam0, lam0 + 0.5 * float(np.linalg.eigvalsh(sigma).max()))
 
 
 def make_rotated_quadratic(eigs, theta: float, w_star) -> QuadraticProblem:

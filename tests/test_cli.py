@@ -112,7 +112,7 @@ def test_mnist_linear_from_idx_files(tmp_path):
     write_idx_labels(lp, labels)
     code, out, checks = run(
         tmp_path, "mnist-linear", "--images", ip, "--labels", lp,
-        "--limit", "1100", "--batch", "300", "--deterministic")
+        "--limit", "1100", "--deterministic")
     assert code == 0 and checks["pass"]
     assert written(out) == {"mnist_linear_det.csv", "checks.json"}
 
@@ -371,6 +371,8 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     (["sweep", "--seed", "4"], "--seed"),
     (["variance-mc", "--mc-seeds", "2", "--format", "json"], "--format"),
     (["avg-geometric", "--checkpoints", "ckpts", "--steps", "5"], "--steps"),
+    (["mnist-linear", "--deterministic", "--batch", "500"], "--batch"),
+    (["mnist-logistic", "--deterministic", "--batch", "500"], "--batch"),
 ])
 def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys, argv, flag):
     code, out, _ = run(tmp_path, *argv)
@@ -455,3 +457,42 @@ def test_explicit_flags_beat_the_config_file(tmp_path, explicit):
     assert main(["--config", str(cfg), "demo2d", *explicit, "--out", str(out)]) == 0
     checks = json.loads((out / "checks.json").read_text())
     assert checks["checks"][0]["params"]["steps"] == 300
+
+
+@pytest.mark.parametrize("argv, least", [
+    (["sandwich", "--steps", "49"], "50"),
+    (["mnist-linear", "--steps", "10", "--limit", "800", "--deterministic"], "11"),
+])
+def test_runs_too_short_for_their_checks_exit_two(tmp_path, capsys, argv, least):
+    # The sandwich envelope is fitted on steps 10-50, and the mnist-linear
+    # monotonicity check needs two errors after step 10.
+    code, out, _ = run(tmp_path, *argv)
+    assert code == 2 and written(out) == set()
+    err = capsys.readouterr().err
+    assert f"--steps >= {least}" in err and "broadcast" not in err
+
+
+def test_shortest_sandwich_run_passes(tmp_path):
+    code, _, checks = run(tmp_path, "sandwich", "--steps", "50")
+    assert code == 0 and checks["pass"]
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--steps", "7"], "--steps"),
+    (["--eta=0.3"], "--eta"),
+    (["--steps", "500", "--eta", "0.1"], "--steps"),
+])
+def test_sweep_path_rejects_the_flags_the_record_fixes(tmp_path, capsys, extra, flag):
+    stored = tmp_path / "path.npz"
+    save_path(sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500), str(stored))
+    code, out, _ = run(tmp_path, "sweep", "--path", str(stored), *extra)
+    assert code == 2 and written(out) == set()
+    assert flag in capsys.readouterr().err
+
+
+def test_config_keys_a_mode_does_not_read_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "args": {"deterministic": True, "batch": 64}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "mnist-linear", "--out", str(out)]) == 2
+    assert written(out) == set() and "--batch" in capsys.readouterr().err

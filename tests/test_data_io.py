@@ -124,10 +124,6 @@ class TestSyntheticMnist:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_amplitude_bounds_validated(self):
-        with pytest.raises(ValueError, match="inside"):
-            synthetic_mnist(n=4, base=0.9, bit_amp=0.2)
-
 
 class TestReport:
     def make_report(self):

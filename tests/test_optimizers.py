@@ -346,6 +346,11 @@ class TestKernelRun:
             kernel_gd_run(self.make_kernel(), make_schedule(0.1), 5, lam=1.0,
                           lam_hat=0.5)
 
+    def test_generic_runs_refuse_kernels(self):
+        # Only kernel_gd_run steps a kernel problem; sgd_run points there.
+        with pytest.raises(ValueError, match="kernel_gd_run"):
+            sgd_run(self.make_kernel(), Regularizer.none(), make_schedule(0.1), 5)
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
