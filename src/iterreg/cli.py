@@ -28,6 +28,7 @@ import glob
 import json
 import operator
 import os
+import shutil
 import sys
 import time
 from functools import partial
@@ -365,7 +366,6 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
     sigma, delta = args.sigma, args.delta
     sched = make_schedule(eta, lam, bounds)
     gamma = sched.gamma(0)
-    mu = np.linalg.eigvalsh(prob.sigma)
     results = {}
     for kind in ("sgd", "psgd", "nsgd"):
         if kind == "sgd":
@@ -375,9 +375,9 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
             scheme = weights_sgd_adaptive(sched, lam, steps)
             run = partial(sgd_run, prob, Regularizer.none(), sched, steps)
         elif kind == "psgd":
-            q_norm = float(np.abs(mu).max())
+            # Q = Sigma, so ||Q||_2 is beta.
             eps = oracles.variance_epsilon("psgd", sigma, delta, gamma, lam,
-                                           bounds.alpha, bounds.beta, q_norm=q_norm)
+                                           bounds.alpha, bounds.beta, q_norm=bounds.beta)
             # lambda = 0 adds no penalty; the generalized penalty carries Q = Sigma.
             mean_rec = oracles.expectation_path(
                 prob, Regularizer.generalized_l2(0.0, prob.sigma), sched, steps, kind="pgd")
@@ -386,7 +386,7 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
         else:
             eps = oracles.variance_epsilon("nsgd", sigma, delta, gamma, lam,
                                            args.alpha, bounds.beta, eta=eta,
-                                           lam_min=float(mu.min()))
+                                           lam_min=bounds.alpha)
             mean_rec = oracles.expectation_path(prob, Regularizer.none(), sched,
                                                 steps, kind="ngd", alpha=args.alpha)
             scheme = weights_nsgd(eta, lam, args.alpha, steps)
@@ -641,18 +641,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags a command reads only without its mode flag: command -> (mode, flags).
-_UNREAD_IN_MODE = {"sweep": ("path", ("steps", "eta")),  # the stored path fixes both
-                   "mnist-linear": ("deterministic", ("batch",)),
-                   "mnist-logistic": ("deterministic", ("batch",))}
+# Flags a command does not read in a mode, one that all its mode flags set:
+# command -> ((mode flags, unread flags), ...).
+_MNIST_MODES = ((("deterministic",), ("batch",)),  # draws no batches
+                (("deterministic", "images", "labels"), ("seed",)))  # nor a stand-in
+_UNREAD_IN_MODE = {"sweep": ((("path",), ("steps", "eta")),),  # the stored path fixes both
+                   "mnist-linear": _MNIST_MODES, "mnist-logistic": _MNIST_MODES}
 
 
 def _check_mode_flags(args) -> None:
-    mode, unread = _UNREAD_IN_MODE.get(args.command, (None, ()))
-    for key in unread:
-        if getattr(args, mode) and key in args.given:
-            mode_flag, flag = _FLAGS[mode][0], _FLAGS[key][0]
-            raise ConfigError(f"{args.command} {mode_flag} does not read {flag}")
+    for mode, unread in _UNREAD_IN_MODE.get(args.command, ()):
+        for key in unread:
+            if key in args.given and all(getattr(args, m) for m in mode):
+                mode_flags = " ".join(_FLAGS[m][0] for m in mode)
+                raise ConfigError(f"{args.command} {mode_flags} does not read {_FLAGS[key][0]}")
 
 
 _COMMANDS = {
@@ -700,26 +702,31 @@ def _apply_config_file(argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    created = None  # the output directory, if this run made it
     try:
         args = parser.parse_args(_apply_config_file(argv))
         _check_mode_flags(args)
-        os.makedirs(args.out, exist_ok=True)
+        if not os.path.isdir(args.out):
+            os.makedirs(args.out)
+            created = args.out
         checks = Checks()
         _COMMANDS[args.command](args, checks, args.out)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:  # ConfigError included
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: {exc}"
     except OSError as exc:  # names the file: --config, --path, --images, ...
-        print(f"file error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"file error: {exc}"
     except RuntimeError as exc:  # DivergenceError included
         kind = "diverged" if isinstance(exc, DivergenceError) else "numerical failure"
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return 3
-    checks.dump(args.out)
-    return 0 if checks.all_pass else 1
+        code, message = 3, f"{kind}: {exc}"
+    else:
+        checks.dump(args.out)
+        return 0 if checks.all_pass else 1
+    print(message, file=sys.stderr)
+    if created is not None:  # a failed run leaves no directory of its own behind
+        shutil.rmtree(created)
+    return code
 
 
 if __name__ == "__main__":

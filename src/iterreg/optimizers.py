@@ -356,6 +356,23 @@ def nsgd_run(
                 noise_sigma, "nsgd", tau=tau, extras={"alpha": alpha, "tau": tau})
 
 
+def _diagonal_path(m, b, rates, steps, tau=0.0, first=0) -> np.ndarray:
+    """Rows z_0..z_K of the entry-wise recurrence behind every closed-form path.
+
+    From z_0 = 0: v = z + tau (z - z_prev), then z <- v - rates[k] (m v - b)
+    for k = first..K-1, so rows up to ``first`` stay zero.  A row of
+    ``rates`` is one number or one rate per entry.  In an eigenbasis this is
+    gradient (tau = 0) or Nesterov descent on a quadratic with curvatures m.
+    """
+    z = prev = np.zeros(np.broadcast(m, b).shape)
+    rows = np.zeros((steps + 1,) + z.shape)
+    for k in range(first, steps):
+        v = z + tau * (z - prev)
+        z, prev = v - rates[k] * (m * v - b), z
+        rows[k + 1] = z
+    return rows
+
+
 def kernel_gd_run(
     kernel: KernelProblem,
     schedule: LRSchedule,
@@ -374,19 +391,13 @@ def kernel_gd_run(
     if lam_hat is not None and lam_hat <= lam:
         raise ValueError("need lam_hat > lam for the coupled kernel run")
     mu = kernel.eigenvalues
-    u = kernel.basis
-    y_eig = u.T @ kernel.y
     strength = lam if lam_hat is None else lam_hat
     rates = schedule.etas_upto(steps)[:, None]
     if lam_hat is not None:
         rates = rates / (1.0 + (lam_hat - lam) * rates * mu)
-    coeff = np.zeros(kernel.n)
-    path = np.empty((steps + 1, kernel.n))
-    path[0] = 0.0
-    for k in range(steps):
-        grad_eig = (mu * mu + strength * mu) * coeff - mu * y_eig
-        coeff = coeff - rates[k] * grad_eig
-        path[k + 1] = u @ coeff
+    coeffs = _diagonal_path(mu * mu + strength * mu, mu * (kernel.basis.T @ kernel.y),
+                            rates, steps)
+    path = coeffs @ kernel.basis.T
     return PathRecord(
         iterates=path,
         tag="kernel-gd",

@@ -1,10 +1,11 @@
 """Closed-form solutions and independent checkers for every claimed identity.
 
-Everything in this module is a pure function of immutable inputs and is
-deliberately written through *different* algebra than the optimizer
-implementations (contraction-to-target recurrences, eigenbasis closed
-forms, direct linear solves), so a test that crosses the two code paths
-is a genuine two-route check.
+Everything in this module is a pure function of immutable inputs and
+never evaluates a gradient through the optimizers' step loop.  Mean paths
+step one scalar recurrence per eigendirection of the (regularized)
+system, the recurrence ``kernel_gd_run`` steps in the Gram eigenbasis;
+ridge solutions are direct linear solves.  A test that compares an oracle
+with sgd_run, psgd_run or nsgd_run is therefore a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -13,15 +14,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg
 
 from .averaging import WeightScheme, averaged_path, weights_general
-from .optimizers import LRSchedule, PathRecord, nesterov_momentum, problem_fingerprint
+from .optimizers import (LRSchedule, PathRecord, _diagonal_path, nesterov_momentum,
+                         problem_fingerprint)
 from .problems import (
     ConvexityBounds,
     KernelProblem,
     LogisticProblem,
     QuadraticProblem,
     Regularizer,
+    convexity_bounds,
     eval_loss_grad,
 )
 
@@ -118,66 +122,40 @@ def expectation_path(
 ) -> PathRecord:
     """Noise-free mean recurrence of a (preconditioned/accelerated) run.
 
-    Uses the contraction-to-target form E_{k+1} - target =
-    (I - rate * M)(E_k - target), which is algebraically independent of
-    the gradient-evaluation loop in the optimizers and coincides with it
-    on quadratics.
+    One eigendecomposition of the regularized system S (generalized, S v =
+    mu Q v, for PGD) turns the run into independent scalar recurrences
+    z <- v - rate (mu v - b) with b = V^T a, the Nesterov lookahead v
+    included; the path is V z.  This never evaluates a gradient, so it is
+    a second route to the optimizers' loop and coincides with it on
+    quadratics.
     """
     if not isinstance(problem, QuadraticProblem):
         raise ValueError("expectation paths are defined for quadratic problems")
     if kind not in ("gd", "pgd", "ngd"):
         raise ValueError(f"unknown expectation kind {kind!r}")
-    regularized = reg.lam > 0
-    system = _regularized_system(problem, reg)
-    a2 = problem._as_2d(problem.a)
-    target = np.linalg.solve(system, a2)
-    d, c = target.shape
-
+    rates = schedule.gammas_upto(steps) if reg.lam > 0 else schedule.etas_upto(steps)
+    tau, first = 0.0, 0
     if kind == "ngd":
         if alpha is None:
             raise ValueError("accelerated expectation needs alpha")
-        rate = schedule.gamma(0) if regularized else schedule.eta(0)
-        mu = alpha + reg.lam if regularized else alpha
-        tau = nesterov_momentum(rate, mu)
-        contraction = np.eye(d) - rate * system
-        prev = np.zeros((d, c))
-        curr = np.zeros((d, c))
-        path = np.zeros((steps + 1, d * c))
-        for k in range(1, steps):
-            nxt = (1 + tau) * (contraction @ curr) - tau * (contraction @ prev) + rate * a2
-            path[k + 1] = nxt.ravel()
-            prev, curr = curr, nxt
-        return PathRecord(
-            iterates=path,
-            tag="expectation-ngd",
-            schedule=schedule,
-            problem_fingerprint=problem_fingerprint(problem),
-            extras={"lam": reg.lam, "alpha": alpha},
-        )
-
-    if kind == "pgd":
-        if reg.kind == "generalized_l2":
-            q = reg.Q
-        elif reg.kind == "none":
-            raise ValueError("preconditioned expectation needs the preconditioner via reg.Q")
-        else:
-            raise ValueError("preconditioned runs pair with generalized_l2 penalties")
-        mat = np.linalg.solve(q, system)
-    else:
-        mat = system
-
-    rates = (schedule.gammas_upto(steps) if regularized else schedule.etas_upto(steps)).tolist()
-    path = np.zeros((steps + 1, d * c))
-    diff = -target
-    for k in range(steps):
-        diff = diff - rates[k] * (mat @ diff)
-        path[k + 1] = (diff + target).ravel()
+        rate = schedule.gamma(0) if reg.lam > 0 else schedule.eta(0)
+        rates = np.full(steps, rate)
+        tau, first = nesterov_momentum(rate, alpha + reg.lam), 1
+    if kind == "pgd" and reg.kind == "none":
+        raise ValueError("preconditioned expectation needs the preconditioner via reg.Q")
+    if kind == "pgd" and reg.kind != "generalized_l2":
+        raise ValueError("preconditioned runs pair with generalized_l2 penalties")
+    mu, vecs = scipy.linalg.eigh(_regularized_system(problem, reg),
+                                 reg.Q if kind == "pgd" else None)
+    # One row of eigencoordinates per output, so the rotation back is one GEMM.
+    rows = _diagonal_path(mu, problem._as_2d(problem.a).T @ vecs, rates, steps, tau, first)
+    path = (rows.reshape(-1, problem.d) @ vecs.T).reshape(rows.shape).swapaxes(1, 2)
     return PathRecord(
-        iterates=path,
+        iterates=path.reshape(steps + 1, -1),
         tag=f"expectation-{kind}",
         schedule=schedule,
         problem_fingerprint=problem_fingerprint(problem),
-        extras={"lam": reg.lam},
+        extras={"lam": reg.lam, "alpha": alpha} if kind == "ngd" else {"lam": reg.lam},
     )
 
 
@@ -425,18 +403,9 @@ def bounding_sequences(
     b = -eval_loss_grad(problem, Regularizer.none(), np.zeros(problem.param_dim))[1]
     b_orient = signs * b
 
-    def first_order(rate, slope):
-        seq = np.zeros((steps + 1, b.size))
-        x = np.zeros(b.size)
-        for k in range(steps):
-            x = x - rate * (slope * x - b_orient)
-            seq[k + 1] = x
-        return seq
-
-    upper = first_order(eta, alpha)
-    lower = first_order(eta, beta)
-    upper_hat = first_order(gamma, alpha + lam1)
-    lower_hat = first_order(gamma, beta + lam2)
+    pairs = ((eta, alpha), (eta, beta), (gamma, alpha + lam1), (gamma, beta + lam2))
+    upper, lower, upper_hat, lower_hat = (
+        _diagonal_path(slope, b_orient, np.full(steps, rate), steps) for rate, slope in pairs)
     scheme = weights_general(eta, gamma, steps)
     upper_avg = averaged_path(upper, scheme)
     lower_avg = averaged_path(lower, scheme)
@@ -547,7 +516,7 @@ def l1_prox_solution(problem: QuadraticProblem, lam: float, tol: float = 1e-10) 
         raise ValueError("lam must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    beta = float(np.linalg.eigvalsh(problem.sigma).max())
+    beta = convexity_bounds(problem).beta
     step = 1.0 / beta
     w = np.zeros(problem.param_dim)
     for _ in range(200_000):

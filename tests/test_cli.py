@@ -29,11 +29,8 @@ def run(tmp_path, *argv):
 
 
 def written(out):
-    """Names of the files a run wrote to its --out directory.
-
-    A run stopped by the argument parser never creates the directory.
-    """
-    return {p.name for p in out.iterdir()} if out.exists() else set()
+    """Names of the files a run wrote to its --out directory."""
+    return {p.name for p in out.iterdir()}
 
 
 DEMO2D_FILES = {"demo2d_gd.csv", "demo2d_pgd.csv", "demo2d_ngd.csv",
@@ -76,7 +73,7 @@ def test_kernel_demo_size_cap(tmp_path):
     code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "200")
     assert code == 0 and checks["pass"]
     code, out, _ = run(tmp_path / "big", "kernel-demo", "--kernel-n", "1001")
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
 
 
 def test_report_clocks_do_not_overlap(tmp_path):
@@ -206,7 +203,7 @@ def test_sweep_rejects_truncated_path(tmp_path, capsys):
     save_path(rec, str(stored))
     stored.write_bytes(stored.read_bytes()[:4000])
     code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     assert str(stored) in capsys.readouterr().err
 
 
@@ -216,7 +213,7 @@ def test_sweep_rejects_path_without_fingerprint(tmp_path, capsys):
     stored = tmp_path / "path.npz"
     save_path(dataclasses.replace(rec, problem_fingerprint=""), str(stored))
     code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     assert str(stored) in capsys.readouterr().err
 
 
@@ -225,7 +222,7 @@ def test_sweep_rejects_penalized_path(tmp_path, capsys):
     stored = tmp_path / "path.npz"
     save_path(rec, str(stored))
     code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert str(stored) in err and "penalty" in err
 
@@ -233,7 +230,7 @@ def test_sweep_rejects_penalized_path(tmp_path, capsys):
 def test_unreadable_input_files_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.npz"
     code, out, _ = run(tmp_path, "sweep", "--path", str(missing))
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     assert str(missing) in capsys.readouterr().err
     config = tmp_path / "missing.json"
     assert main(["--config", str(config), "demo2d", "--out", str(tmp_path / "c")]) == 2
@@ -243,7 +240,7 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
 def test_divergence_exits_three(tmp_path, capsys):
     code, out, checks = run(tmp_path, "l1-hull", "--eta", "5", "--steps", "100")
     assert code == 3 and checks is None
-    assert written(out) == set()
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("diverged: ") and "step 14" in err
     assert err.count("\n") == 1
@@ -255,8 +252,20 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setitem(cli._COMMANDS, "demo2d", fail)
     code, out, checks = run(tmp_path, "demo2d")
-    assert code == 3 and checks is None
+    assert code == 3 and checks is None and not out.exists()
     assert capsys.readouterr().err == "numerical failure: x\n"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["sandwich", "--steps", "49"], 2),
+    (["l1-hull", "--eta", "5", "--steps", "100"], 3),
+])
+def test_failed_run_keeps_an_out_directory_it_did_not_make(tmp_path, argv, exit_code):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+    assert main(argv + ["--out", str(out)]) == exit_code
+    assert written(out) == {"earlier.txt"}
 
 
 def test_avg_geometric(tmp_path):
@@ -376,7 +385,7 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
 ])
 def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys, argv, flag):
     code, out, _ = run(tmp_path, *argv)
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     assert flag in capsys.readouterr().err
 
 
@@ -385,7 +394,7 @@ def test_config_keys_a_command_does_not_read_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"version": 1, "args": {"batch": 7}}))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "demo2d", "--out", str(out)]) == 2
-    assert written(out) == set() and "--batch" in capsys.readouterr().err
+    assert not out.exists() and "--batch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -398,7 +407,7 @@ def test_config_keys_a_command_does_not_read_exit_two(tmp_path, capsys):
 ])
 def test_counts_out_of_range_exit_two(tmp_path, capsys, argv, flag):
     code, out, _ = run(tmp_path, *argv)
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     assert flag in capsys.readouterr().err
 
 
@@ -410,7 +419,7 @@ def test_counts_out_of_range_exit_two(tmp_path, capsys, argv, flag):
 def test_runs_too_short_for_the_decay_slope_exit_two(tmp_path, capsys, argv):
     # A slope fitted to no points must not pass as -inf.
     code, out, _ = run(tmp_path, *argv)
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "--steps" in err and "69" in err
 
@@ -439,13 +448,13 @@ def test_avg_geometric_rejects_mixed_checkpoints(tmp_path, capsys):
         save_path(sgd_run(other, Regularizer.none(), sched, 32), str(odd))
         code, out, _ = run(tmp_path / f"out-{label}", "avg-geometric",
                            "--checkpoints", str(ckpts))
-        assert code == 2 and written(out) == set()
+        assert code == 2 and not out.exists()
         assert str(odd) in capsys.readouterr().err
 
 
 def test_avg_geometric_needs_checkpoints(tmp_path, capsys):
     code, out, _ = run(tmp_path, "avg-geometric")
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     assert "--checkpoints" in capsys.readouterr().err
 
 
@@ -467,7 +476,7 @@ def test_runs_too_short_for_their_checks_exit_two(tmp_path, capsys, argv, least)
     # The sandwich envelope is fitted on steps 10-50, and the mnist-linear
     # monotonicity check needs two errors after step 10.
     code, out, _ = run(tmp_path, *argv)
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert f"--steps >= {least}" in err and "broadcast" not in err
 
@@ -486,8 +495,28 @@ def test_sweep_path_rejects_the_flags_the_record_fixes(tmp_path, capsys, extra, 
     stored = tmp_path / "path.npz"
     save_path(sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500), str(stored))
     code, out, _ = run(tmp_path, "sweep", "--path", str(stored), *extra)
-    assert code == 2 and written(out) == set()
+    assert code == 2 and not out.exists()
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mnist-linear", "mnist-logistic"])
+def test_deterministic_idx_runs_refuse_seed(tmp_path, capsys, command):
+    # IDX files replace the seeded stand-in, and a deterministic run draws no
+    # batches, so nothing reads --seed; without the files it draws the stand-in.
+    from iterreg.data_io import synthetic_mnist, write_idx_images, write_idx_labels
+
+    images, labels = synthetic_mnist(n=800, seed=1)
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx_images(ip, images)
+    write_idx_labels(lp, labels)
+    short = [command, "--limit", "800", "--steps", "20", "--deterministic"]
+    code, out, _ = run(tmp_path / "idx", *short, "--images", ip, "--labels", lp, "--seed", "5")
+    assert code == 2 and not out.exists()
+    assert f"{command} --deterministic --images --labels does not read --seed" \
+        in capsys.readouterr().err
+    for label, extra in (("idx-no-seed", ["--images", ip, "--labels", lp]),
+                         ("stand-in", ["--seed", "5"])):
+        assert run(tmp_path / label, *short, *extra)[2] is not None
 
 
 def test_config_keys_a_mode_does_not_read_exit_two(tmp_path, capsys):
@@ -495,4 +524,4 @@ def test_config_keys_a_mode_does_not_read_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"version": 1, "args": {"deterministic": True, "batch": 64}}))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "mnist-linear", "--out", str(out)]) == 2
-    assert written(out) == set() and "--batch" in capsys.readouterr().err
+    assert not out.exists() and "--batch" in capsys.readouterr().err

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from iterreg import optimizers, problems
 from iterreg.averaging import WeightScheme, averaged_path, weights_general
-from iterreg.optimizers import make_schedule, nsgd_run, sgd_run
+from iterreg.optimizers import make_schedule, nsgd_run, psgd_run, sgd_run
 from iterreg.oracles import (
     bounding_sequences,
     convex_hull,
@@ -111,6 +112,54 @@ class TestExpectationPath:
         mean = expectation_path(prob, Regularizer.l2(0.1), sched, 150,
                                 kind="ngd", alpha=0.05)
         assert np.abs(rec.iterates - mean.iterates).max() <= 1e-11
+
+    @pytest.mark.parametrize("kind, lam, etas, wide", [
+        ("pgd", 0.3, 0.1, False),   # a Q that is neither Sigma nor I
+        ("pgd", 0.0, 0.1, False),
+        ("gd", 0.2, [0.1, 1.5], False),  # alternating rates
+        ("ngd", 0.0, 0.1, False),
+        ("gd", 0.01, 0.05, True),   # d = 24, three outputs, condition number ~1e4
+        ("pgd", 0.01, 0.05, True),
+    ])
+    def test_matches_gradient_loop(self, kind, lam, etas, wide):
+        rng = np.random.default_rng(5)
+        if wide:
+            x = rng.standard_normal((200, 24)) * np.logspace(-1.5, 0.5, 24)
+            prob = QuadraticProblem.from_data(x, rng.standard_normal((200, 3)))
+            assert np.linalg.cond(prob.sigma) > 5e3
+        else:
+            prob = toy_problem()
+        m = rng.standard_normal((prob.d, prob.d))
+        q = m @ m.T / prob.d + np.eye(prob.d)
+        reg = Regularizer.generalized_l2(lam, q) if kind == "pgd" \
+            else Regularizer.l2(lam) if lam > 0 else Regularizer.none()
+        sched = make_schedule(etas, lam=lam)
+        steps = 300
+        if kind == "gd":
+            rec = sgd_run(prob, reg, sched, steps)
+        elif kind == "pgd":
+            rec = psgd_run(prob, reg, sched, steps, Q=q)
+        else:
+            rec = nsgd_run(prob, reg, sched, steps, alpha=0.05)
+        mean = expectation_path(prob, reg, sched, steps, kind=kind, alpha=0.05)
+        scale = np.abs(rec.iterates).max()
+        assert np.abs(rec.iterates - mean.iterates).max() <= 1e-12 * scale
+
+    def test_never_reaches_the_gradient_loop(self, monkeypatch):
+        # The oracle is the second route to every optimizer's path.
+        def refuse(*args, **kwargs):
+            raise AssertionError("expectation_path reached the gradient loop")
+
+        for module, name in ((problems, "_full_grad"), (problems, "_batch_grad"),
+                             (optimizers, "_full_grad"), (optimizers, "_batch_grad"),
+                             (optimizers, "_run")):
+            monkeypatch.setattr(module, name, refuse)
+        prob = toy_problem()
+        sched = make_schedule(0.1, lam=0.2)
+        for kind, reg in (("gd", Regularizer.l2(0.2)), ("ngd", Regularizer.l2(0.2)),
+                          ("pgd", Regularizer.generalized_l2(0.2, prob.sigma))):
+            mean = expectation_path(prob, reg, sched, 50, kind=kind, alpha=0.05)
+            assert np.all(np.isfinite(mean.iterates)) and np.abs(mean.final).max() > 0
 
     def test_long_run_reaches_ridge_limit(self):
         prob = toy_problem()
