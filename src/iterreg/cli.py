@@ -393,10 +393,9 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
             run = partial(nsgd_run, prob, Regularizer.none(), sched, steps, alpha=args.alpha)
         p_last = scheme.cumulative[steps]
         target = averaged_path(mean_rec, scheme)[-1]
-        deviations = []
-        for seed in range(args.seed, args.seed + args.mc_seeds):
-            final = averaged_path(run(seed=seed, noise_sigma=sigma), scheme)[-1]
-            deviations.append(float(np.linalg.norm(p_last * final - p_last * target)))
+        runs = run(seed=range(args.seed, args.seed + args.mc_seeds), noise_sigma=sigma)
+        finals = [averaged_path(rec, scheme)[-1] for rec in runs]
+        deviations = [float(np.linalg.norm(p_last * f - p_last * target)) for f in finals]
         freq = float(np.mean(np.asarray(deviations) > eps.epsilon))
         results[kind] = {"epsilon": eps.epsilon, "frequency": freq,
                          "max_deviation": max(deviations)}

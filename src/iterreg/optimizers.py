@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .problems import (
     ConvexityBounds,
@@ -181,11 +182,15 @@ def _sphere_noise_matrix(seed: int, steps: int, dim: int, sigma: float) -> np.nd
     return mat
 
 
-def _guard(w: np.ndarray, limit: float, step: int, tag: str) -> None:
-    # NaN fails the comparison too; the norm is only needed for the message.
+def _guard(w: np.ndarray, limit: float, step: int, tag: str, seeds: list, d: int) -> None:
+    # NaN fails the comparisons too.  Norms per seed (column blocks of the
+    # state, see _run) are only taken once the whole state is past the limit.
     if not w.dot(w) <= limit * limit:
-        raise DivergenceError(f"{tag} diverged at step {step}: "
-                              f"||w|| = {np.linalg.norm(w):.3e} (rate too large?)")
+        for seed, norm in zip(seeds, np.linalg.norm(w.reshape(d, len(seeds), -1), axis=(0, 2))):
+            if not norm <= limit:
+                who = f" (seed {seed})" if len(seeds) > 1 else ""
+                raise DivergenceError(f"{tag} diverged at step {step}{who}: "
+                                      f"||w|| = {norm:.3e} (rate too large?)")
 
 
 def _guard_limit(problem) -> float:
@@ -211,7 +216,7 @@ def _validate_run_args(reg, schedule, batch_size, seed, deterministic, noisy):
 
 
 def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
-         noise_sigma, name, solve=None, tau=None, extras=None) -> PathRecord:
+         noise_sigma, name, solve=None, tau=None, extras=None):
     """The one step loop behind sgd_run, psgd_run and nsgd_run.
 
     Rates, gradient route and noise are fixed before the loop.  Mini-batches
@@ -219,12 +224,19 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
     ``solve`` maps a gradient to the step direction (the preconditioned
     solve), and injected noise is subtracted from that direction.  ``tau``
     turns on Nesterov lookahead from w_0 = w_1 = 0, so w_2 is the first step.
+    A sequence of seeds (full-gradient quadratic runs only) gives one record
+    per seed: seed i's (d, outputs) matrix is column block i of one state, so
+    a step reads Sigma and solves once for all seeds, each with its own noise.
     """
+    stacked = np.ndim(seed) == 1
+    seeds = list(seed) if stacked else [seed]
+    if stacked and not (seeds and deterministic and isinstance(problem, QuadraticProblem)):
+        raise ValueError("a seed sequence must be nonempty and run a full-gradient quadratic")
     noisy = noise_sigma is not None and noise_sigma > 0
     _validate_run_args(reg, schedule, batch_size, seed, deterministic, noisy)
     dim = problem.param_dim
-    w = prev = np.zeros(dim)
-    path = np.zeros((steps + 1, dim))
+    w = prev = np.zeros(dim * len(seeds))
+    path = np.zeros((steps + 1, w.size))
     limit = _guard_limit(problem)
     rates = (schedule.gammas_upto(steps) if reg.lam > 0 else schedule.etas_upto(steps)).tolist()
     part = None if deterministic else _batch_grad(problem, reg)
@@ -234,7 +246,9 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
     else:
         n = problem.n_samples
         grad = lambda v, k: part(v, _step_rng(seed, k).integers(0, n, size=batch_size))
-    noise = _sphere_noise_matrix(seed, steps, dim, noise_sigma) if noisy else None
+    d = problem.d  # kernel problems, which have none, were refused above
+    noise = np.stack([_sphere_noise_matrix(s, steps, dim, noise_sigma).reshape(-1, d, dim // d)
+                      for s in seeds], axis=2).reshape(max(steps, 1), -1) if noisy else None
     for k in range(0 if tau is None else 1, steps):
         v = w if tau is None else w + tau * (w - prev)
         step_dir = grad(v, k)
@@ -243,17 +257,18 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
         if noise is not None:
             step_dir = step_dir - noise[k]
         w, prev = v - rates[k] * step_dir, w
-        _guard(w, limit, k, name)
+        _guard(w, limit, k, name, seeds, d)
         path[k + 1] = w
-    return PathRecord(
-        iterates=path,
+    records = [PathRecord(
+        iterates=block.reshape(steps + 1, dim),
         # full-gradient, noise-free runs drop the "s": gd, pgd, ngd
         tag=name if (not deterministic or noise_sigma) else name.replace("sgd", "gd"),
-        seed=seed,
+        seed=s,
         schedule=schedule,
         problem_fingerprint=problem_fingerprint(problem),
         extras={"lam": reg.lam, "reg": reg.kind, **(extras or {})},
-    )
+    ) for s, block in zip(seeds, np.moveaxis(path.reshape(steps + 1, d, len(seeds), -1), 2, 0))]
+    return records if stacked else records[0]
 
 
 def sgd_run(
@@ -262,16 +277,16 @@ def sgd_run(
     schedule: LRSchedule,
     steps: int,
     batch_size: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: Union[int, Sequence[int], None] = None,
     deterministic: bool = True,
     noise_sigma: Optional[float] = None,
-) -> PathRecord:
+) -> Union[PathRecord, list[PathRecord]]:
     """(Stochastic) gradient descent; regularized runs use the coupled rate.
 
-    With ``noise_sigma`` set, noise drawn uniformly on a sphere of that
-    radius (mean zero, variance exactly noise_sigma**2) is subtracted from
-    every gradient estimate, full or mini-batch, which keeps
-    bounded-variance assumptions tight.
+    With ``noise_sigma`` set, noise uniform on a sphere of that radius
+    (mean zero, variance exactly noise_sigma**2, so bounded-variance
+    assumptions are tight) is subtracted from every gradient estimate,
+    full or mini-batch.  A sequence of seeds gives one record per seed.
     """
     return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
                 noise_sigma, "sgd")
@@ -284,10 +299,10 @@ def psgd_run(
     steps: int,
     Q: Optional[np.ndarray] = None,
     batch_size: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: Union[int, Sequence[int], None] = None,
     deterministic: bool = True,
     noise_sigma: Optional[float] = None,
-) -> PathRecord:
+) -> Union[PathRecord, list[PathRecord]]:
     """Preconditioned (stochastic) gradient descent.
 
     The preconditioner is applied through a cached Cholesky factorization.
@@ -306,13 +321,16 @@ def psgd_run(
         raise ValueError("explicit Q disagrees with the regularizer's Q")
     Q = np.asarray(Q, dtype=np.float64)
     try:
-        factor = cho_factor(Q)
+        factor, lower = cho_factor(Q)
     except np.linalg.LinAlgError as exc:
         raise ValueError("Q must be positive definite") from exc
-    shape = (problem.d, problem.param_dim // problem.d)
+    def solve(g):  # LAPACK on the factor: cho_solve re-checks its arguments every step
+        x, info = dpotrs(factor, g.reshape(problem.d, -1), lower=lower)
+        if info:
+            raise RuntimeError(f"preconditioned solve failed (LAPACK info {info})")
+        return x.ravel()
     return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
-                noise_sigma, "psgd",
-                solve=lambda g: cho_solve(factor, g.reshape(shape)).ravel())
+                noise_sigma, "psgd", solve=solve)
 
 
 def nesterov_momentum(rate: float, strong_convexity: float) -> float:
@@ -330,10 +348,10 @@ def nsgd_run(
     steps: int,
     alpha: float,
     batch_size: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: Union[int, Sequence[int], None] = None,
     deterministic: bool = True,
     noise_sigma: Optional[float] = None,
-) -> PathRecord:
+) -> Union[PathRecord, list[PathRecord]]:
     """Nesterov-accelerated (stochastic) gradient descent at a constant rate.
 
     Iterates are indexed from zero with w_0 = w_1 = 0; the first gradient

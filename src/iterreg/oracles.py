@@ -122,11 +122,11 @@ def expectation_path(
 ) -> PathRecord:
     """Noise-free mean recurrence of a (preconditioned/accelerated) run.
 
-    One eigendecomposition of the regularized system S (generalized, S v =
-    mu Q v, for PGD) turns the run into independent scalar recurrences
-    z <- v - rate (mu v - b) with b = V^T a, the Nesterov lookahead v
-    included; the path is V z.  This never evaluates a gradient, so it is
-    a second route to the optimizers' loop and coincides with it on
+    One divide-and-conquer eigendecomposition of the regularized system S
+    (generalized, S v = mu Q v, for PGD) turns the run into independent
+    scalar recurrences z <- v - rate (mu v - b) with b = V^T a, the Nesterov
+    lookahead v included; the path is V z.  This never evaluates a gradient,
+    so it is a second route to the optimizers' loop and coincides with it on
     quadratics.
     """
     if not isinstance(problem, QuadraticProblem):
@@ -146,7 +146,8 @@ def expectation_path(
     if kind == "pgd" and reg.kind != "generalized_l2":
         raise ValueError("preconditioned runs pair with generalized_l2 penalties")
     mu, vecs = scipy.linalg.eigh(_regularized_system(problem, reg),
-                                 reg.Q if kind == "pgd" else None)
+                                 reg.Q if kind == "pgd" else None,
+                                 driver="gvd" if kind == "pgd" else "evd")
     # One row of eigencoordinates per output, so the rotation back is one GEMM.
     rows = _diagonal_path(mu, problem._as_2d(problem.a).T @ vecs, rates, steps, tau, first)
     path = (rows.reshape(-1, problem.d) @ vecs.T).reshape(rows.shape).swapaxes(1, 2)

@@ -187,11 +187,8 @@ class QuadraticProblem:
     def n_samples(self) -> Optional[int]:
         return None if self.X is None else self.X.shape[0]
 
-    def _mat(self, w: np.ndarray) -> np.ndarray:
-        return w.reshape(self.d, self.n_outputs)
-
     def loss(self, w: np.ndarray) -> float:
-        mat = self._mat(w)
+        mat = w.reshape(self.d, self.n_outputs)
         a2 = self._as_2d(self.a)
         value = 0.5 * np.sum(mat * (self.sigma @ mat)) - np.sum(mat * a2)
         if self.Y is not None:
@@ -200,8 +197,9 @@ class QuadraticProblem:
         return float(value)
 
     def grad(self, w: np.ndarray) -> np.ndarray:
-        mat = self._mat(w)
-        return (self.sigma @ mat - self._as_2d(self.a)).ravel()
+        """Gradient at w; w may also flatten (d, outputs) matrices side by side."""
+        g = (self.sigma @ w.reshape(self.d, -1)).reshape(self.d, -1, self.n_outputs)
+        return (g - self._as_2d(self.a)[:, None]).ravel()
 
     def minimizer(self) -> np.ndarray:
         """Unregularized minimizer Sigma^{-1} a as a flat vector."""
@@ -358,6 +356,8 @@ def _full_grad(problem, reg: Regularizer):
     if isinstance(problem, KernelProblem):
         raise ValueError("kernel problems run through optimizers.kernel_gd_run, "
                          "which steps in the Gram eigenbasis")
+    if reg.kind == "none" or reg.lam == 0.0:  # no zero vector to add at every step
+        return problem.grad
     return lambda w: problem.grad(w) + reg.grad(w, problem.d)
 
 
@@ -367,6 +367,7 @@ def _batch_grad(problem, reg: Regularizer):
         raise ValueError("problem carries no raw data; stochastic gradients unavailable")
     y2 = problem.Y if problem.Y.ndim == 2 else problem.Y[:, None]
     quadratic = isinstance(problem, QuadraticProblem)
+    penalized = reg.kind != "none" and reg.lam != 0.0
 
     def grad(w, batch):
         mat = w.reshape(problem.d, problem.n_outputs)
@@ -376,7 +377,7 @@ def _batch_grad(problem, reg: Regularizer):
         else:
             probs = problem._softmax(xb @ mat)
             g = xb.T @ (probs - y2[batch]) / batch.size + problem.base_ridge * mat
-        return g.ravel() + reg.grad(w, problem.d)
+        return g.ravel() + reg.grad(w, problem.d) if penalized else g.ravel()
     return grad
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from iterreg import cli, oracles
-from iterreg.averaging import averaged_path, weights_sgd_adaptive
+from iterreg.averaging import averaged_path, weights_nsgd, weights_sgd_adaptive
 from iterreg.cli import main
 from iterreg.data_io import read_report
-from iterreg.optimizers import make_schedule, save_path, sgd_run
+from iterreg.optimizers import make_schedule, nsgd_run, psgd_run, save_path, sgd_run
 from iterreg.problems import (
     QuadraticProblem,
     Regularizer,
@@ -146,6 +146,37 @@ def test_variance_mc_follows_seed(tmp_path):
         payload = json.loads((out / "variance_mc.json").read_text())
         deviations.append([payload[k]["max_deviation"] for k in ("sgd", "psgd", "nsgd")])
     assert all(a != b for a, b in zip(*deviations))
+
+
+def test_variance_mc_matches_single_seed_runs(tmp_path):
+    # variance-mc steps all its seeds as one stack; each deviation is that
+    # of the seed's own run up to round-off.
+    code, out, _ = run(tmp_path, "variance-mc", "--mc-seeds", "24", "--seed", "5")
+    assert code == 0
+    payload = json.loads((out / "variance_mc.json").read_text())
+    args = cli.build_parser().parse_args(["variance-mc", "--out", str(tmp_path)])
+    prob, none, steps = toy_problem(), Regularizer.none(), args.steps
+    sched = make_schedule(args.eta, args.lam)
+    adaptive = weights_sgd_adaptive(sched, args.lam, steps)
+    cases = {
+        "sgd": (lambda s: sgd_run(prob, none, sched, steps, seed=s, noise_sigma=args.sigma),
+                oracles.expectation_path(prob, none, sched, steps), adaptive),
+        "psgd": (lambda s: psgd_run(prob, none, sched, steps, Q=prob.sigma, seed=s,
+                                    noise_sigma=args.sigma),
+                 oracles.expectation_path(prob, Regularizer.generalized_l2(0.0, prob.sigma),
+                                          sched, steps, kind="pgd"), adaptive),
+        "nsgd": (lambda s: nsgd_run(prob, none, sched, steps, alpha=args.alpha, seed=s,
+                                    noise_sigma=args.sigma),
+                 oracles.expectation_path(prob, none, sched, steps, kind="ngd",
+                                          alpha=args.alpha),
+                 weights_nsgd(args.eta, args.lam, args.alpha, steps)),
+    }
+    for kind, (run_one, mean, scheme) in cases.items():
+        p_last = scheme.cumulative[steps]
+        target = averaged_path(mean, scheme)[-1]
+        ref = max(np.linalg.norm(p_last * averaged_path(run_one(seed), scheme)[-1]
+                                 - p_last * target) for seed in range(5, 29))
+        assert abs(payload[kind]["max_deviation"] - ref) <= 1e-12 * ref
 
 
 def test_sandwich(tmp_path):

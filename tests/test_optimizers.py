@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from iterreg.optimizers import (
     DivergenceError,
@@ -19,6 +20,7 @@ from iterreg.optimizers import (
 )
 from iterreg.problems import (
     KernelProblem,
+    LogisticProblem,
     QuadraticProblem,
     Regularizer,
     convexity_bounds,
@@ -180,6 +182,18 @@ class TestPsgdRun:
             psgd_run(toy_problem(), Regularizer.l2(0.1), make_schedule(0.1, 0.1), 3,
                      Q=np.eye(2))
 
+    def test_step_solves_like_cho_solve(self):
+        # One step from zero is -eta Q^{-1}(-a): the LAPACK call on the cached
+        # factor gives the bits of scipy's checked wrapper.
+        rng = np.random.default_rng(4)
+        prob = QuadraticProblem.from_data(rng.standard_normal((30, 4)),
+                                          rng.standard_normal((30, 3)))
+        m = rng.standard_normal((4, 4))
+        q = m @ m.T + np.eye(4)
+        rec = psgd_run(prob, Regularizer.none(), make_schedule(0.1), 1, Q=q)
+        step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(q), -prob.a).ravel()
+        assert rec.iterates[1].tobytes() == (0.0 - 0.1 * step).tobytes()
+
 
 class TestNsgdRun:
     def test_first_iterates_are_zero(self):
@@ -308,6 +322,74 @@ class TestNoisePlacement:
             v = w + tau * (w - prev)
             prev, w = w, v - self.eta * (self.batch_grad(prob, v, k) - noise[k])
             np.testing.assert_allclose(rec.iterates[k + 1], w, rtol=0, atol=1e-15)
+
+
+def _noisy_runs(prob):
+    """The three noisy runs of the deviation gate, as functions of the seed."""
+    sched = make_schedule(0.1, lam=0.1)
+    q = prob.sigma + np.eye(prob.d)
+    return {
+        "sgd": lambda seed: sgd_run(prob, Regularizer.none(), sched, 200, seed=seed,
+                                    noise_sigma=0.5),
+        "psgd": lambda seed: psgd_run(prob, Regularizer.none(), sched, 200, Q=q, seed=seed,
+                                      noise_sigma=0.5),
+        "nsgd": lambda seed: nsgd_run(prob, Regularizer.l2(0.1), sched, 200, alpha=0.05,
+                                      seed=seed, noise_sigma=0.5),
+    }
+
+
+def _multi_output():
+    rng = np.random.default_rng(8)
+    return QuadraticProblem(sigma=np.diag([0.2, 0.5, 1.0]), a=rng.standard_normal((3, 2)))
+
+
+class TestSeedStack:
+    @pytest.mark.parametrize("kind", ["sgd", "psgd", "nsgd"])
+    @pytest.mark.parametrize("make", [toy_problem, _multi_output])
+    def test_each_seed_matches_its_single_run(self, kind, make):
+        run = _noisy_runs(make())[kind]
+        seeds = [1, 3, 5]
+        stack = run(seeds)
+        assert [rec.seed for rec in stack] == seeds
+        for rec, seed in zip(stack, seeds):
+            single = run(seed)
+            assert rec.tag == single.tag and rec.iterates.shape == single.iterates.shape
+            scale = np.abs(single.iterates).max()
+            assert np.abs(rec.iterates - single.iterates).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["sgd", "psgd", "nsgd"])
+    def test_stack_of_one_is_the_single_run(self, kind):
+        run = _noisy_runs(toy_problem())[kind]
+        [rec] = run([3])
+        assert rec.iterates.tobytes() == run(3).iterates.tobytes()
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="seed sequence"):
+            _noisy_runs(toy_problem())["sgd"]([])
+
+    def test_minibatch_and_logistic_stacks_rejected(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((12, 3))
+        quad = QuadraticProblem.from_data(x, rng.standard_normal((12, 2)))
+        with pytest.raises(ValueError, match="seed sequence"):
+            sgd_run(quad, Regularizer.none(), make_schedule(0.05), 5, batch_size=3,
+                    seed=[1, 2], deterministic=False)
+        logistic = LogisticProblem(x, np.eye(2)[rng.integers(0, 2, 12)], base_ridge=0.1)
+        with pytest.raises(ValueError, match="seed sequence"):
+            sgd_run(logistic, Regularizer.none(), make_schedule(0.05), 5, seed=[1, 2],
+                    noise_sigma=0.1)
+
+    def test_divergence_names_the_seed(self):
+        def run(seed):
+            return sgd_run(toy_problem(), Regularizer.none(), make_schedule(25.0), 200,
+                           seed=seed, noise_sigma=0.5)
+        # The first seed past the guard is named; its step and norm are those
+        # of its own run.
+        with pytest.raises(DivergenceError) as stacked:
+            run([7, 2])
+        with pytest.raises(DivergenceError) as single:
+            run(7)
+        assert str(stacked.value) == str(single.value).replace(":", " (seed 7):", 1)
 
 
 class TestKernelRun:

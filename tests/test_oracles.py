@@ -161,6 +161,26 @@ class TestExpectationPath:
             mean = expectation_path(prob, reg, sched, 50, kind=kind, alpha=0.05)
             assert np.all(np.isfinite(mean.iterates)) and np.abs(mean.final).max() > 0
 
+    def test_basis_orthonormal_at_mnist_size(self, monkeypatch):
+        # The divide-and-conquer eigensolver keeps V^T V = I to ~3e-15 on the
+        # MNIST stand-in; eigh's default solver ("evr") misses it at 6.2e-13.
+        from iterreg.data_io import one_hot, synthetic_mnist
+        images, labels = synthetic_mnist(n=2000, seed=7)
+        x = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+        prob = QuadraticProblem.from_data(x, one_hot(labels, 10))
+        bases = []
+        eigh = scipy.linalg.eigh
+
+        def spy(*args, **kwargs):
+            mu, vecs = eigh(*args, **kwargs)
+            bases.append(vecs)
+            return mu, vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        expectation_path(prob, Regularizer.l2(1e-4), make_schedule(0.01, lam=1e-4), 2)
+        [vecs] = bases
+        assert np.abs(vecs.T @ vecs - np.eye(prob.d)).max() <= 1e-13
+
     def test_long_run_reaches_ridge_limit(self):
         prob = toy_problem()
         sched = make_schedule(0.1, lam=0.5)
