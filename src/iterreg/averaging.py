@@ -51,20 +51,29 @@ class DegenerateSchemeError(ValueError):
     """The requested scheme has (numerically) no weight to distribute."""
 
 
+def _increments(p_cum: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """p_0 = P_0 and p_k = P_k - P_{k-1} along axis 0, into ``out`` if given:
+    the bytes of np.diff with a prepended zero, without its copy of P."""
+    out = np.empty_like(p_cum) if out is None else out
+    out[:1] = p_cum[:1]
+    np.subtract(p_cum[1:], p_cum[:-1], out=out[1:])
+    return out
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Cumulative weights P_k (scalar, or per-eigenvalue for kernels).
 
     ``cumulative`` has shape (K+1,) for scalar schemes and (K+1, m) for
     kernel schemes, where m is the number of Gram eigenvalues and
-    ``basis`` holds the corresponding orthonormal eigenvectors.
+    ``basis`` holds the corresponding orthonormal (m, m) eigenvectors.
+    Only P is stored; the increments p_k are derived from it when read.
     """
 
     kind: str
     cumulative: np.ndarray
     basis: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
-    increments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p_cum = np.asarray(self.cumulative, dtype=np.float64)
@@ -72,13 +81,19 @@ class WeightScheme:
             raise ValueError("cumulative weights must be 1-D or 2-D")
         if (self.basis is not None) != (p_cum.ndim == 2):
             raise ValueError("basis must be given exactly for per-eigenvalue schemes")
+        m = p_cum.shape[-1]
+        if p_cum.ndim == 2 and np.shape(self.basis) != (m, m):
+            raise ValueError(f"a scheme over {m} eigenvalues needs an ({m}, {m}) basis, "
+                             f"got {np.shape(self.basis)}")
         if p_cum.min() < -1e-12 or p_cum.max() > 1.0 + 1e-12:
             raise ValueError("cumulative weights must lie in [0, 1]")
-        incr = np.diff(p_cum, axis=0, prepend=np.zeros_like(p_cum[:1]))
-        if incr.min() < -1e-12:
+        if (p_cum[1:] - p_cum[:-1]).min(initial=0.0) < -1e-12:
             raise ValueError("cumulative weights must be nondecreasing")
         object.__setattr__(self, "cumulative", p_cum)
-        object.__setattr__(self, "increments", incr)
+
+    @property
+    def increments(self) -> np.ndarray:
+        return _increments(self.cumulative)
 
     @property
     def horizon(self) -> int:
@@ -89,7 +104,7 @@ class WeightScheme:
         return self.cumulative.ndim == 2
 
     def p(self, k: int):
-        return self.increments[k]
+        return self.cumulative[k] - self.cumulative[k - 1] if k else self.cumulative[0]
 
     def P(self, k: int):
         return self.cumulative[k]
@@ -111,13 +126,19 @@ def _require_positive_lam(lam: float) -> None:
 def _cumulative(log_ratios: np.ndarray) -> np.ndarray:
     """P_k = 1 - prod_{i<=k} r_i from log r_i, to a relative error near K * eps
     even for r_i within 1e-13 of one, where 1 - cumprod(r) keeps few digits.
-    ``0.0 -`` makes P_k = +0.0, not -0.0, where the product is exactly one."""
-    return 0.0 - np.expm1(np.cumsum(log_ratios, axis=0))
+    ``0.0 -`` makes P_k = +0.0, not -0.0, where the product is exactly one.
+    Overwrites ``log_ratios`` with P and returns it."""
+    np.cumsum(log_ratios, axis=0, out=log_ratios)
+    np.expm1(log_ratios, out=log_ratios)
+    return np.subtract(0.0, log_ratios, out=log_ratios)
 
 
-def _rates_upto(schedule, steps: int) -> np.ndarray:
-    schedule = schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule)
-    return schedule.etas_upto(steps)
+def _per_step(schedule, per_rate, steps: int) -> np.ndarray:
+    """Rows 0..steps-1 of ``per_rate(etas)``, taken once per distinct rate of the
+    schedule and repeated cyclically, as LRSchedule.etas_upto repeats the rates."""
+    etas = (schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule)).etas
+    rows = per_rate(etas)
+    return rows[np.arange(steps) % len(rows)]
 
 
 def weights_sgd_adaptive(
@@ -138,7 +159,7 @@ def weights_sgd_adaptive(
             f"schedule was coupled at lambda={schedule.lam}, scheme wants {lam}"
         )
     # gamma_i / eta_i = 1 / (1 + lam * eta_i)
-    p_cum = _cumulative(-np.log1p(lam * _rates_upto(schedule, K + 1)))
+    p_cum = _cumulative(_per_step(schedule, lambda etas: -np.log1p(lam * etas), K + 1))
     return WeightScheme("sgd-adaptive", p_cum, params={"lam": lam})
 
 
@@ -193,15 +214,16 @@ def weights_kernel(
         P_k^(j) = 1 - prod_{i<=k} 1 / (1 + (lam_hat - lam) * eta_i * mu_j),
     the matrix P_k being diagonal in the Gram eigenbasis.  Eigenvalue
     zero never accumulates weight: the null space of K is untouched by
-    both the optimizer and the regularizer.
+    both the optimizer and the regularizer.  The log ratios are taken
+    once per distinct rate, and the scheme allocates one (K+1, m) array, P.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if lam_hat <= lam:
         raise ValueError(f"need lam_hat > lam, got ({lam_hat}, {lam})")
-    etas = _rates_upto(schedule, K + 1)
     mu = kernel.eigenvalues
-    p_cum = _cumulative(-np.log1p((lam_hat - lam) * etas[:, None] * mu[None, :]))
+    p_cum = _cumulative(_per_step(
+        schedule, lambda etas: -np.log1p((lam_hat - lam) * etas[:, None] * mu), K + 1))
     return WeightScheme(
         "kernel", p_cum, basis=kernel.basis, params={"lam": lam, "lam_hat": lam_hat}
     )
@@ -257,7 +279,7 @@ class RunningAverage:
         if not np.any(live):
             raise ValueError("cumulative weight is zero; average undefined")
         avg = np.where(live, self._sum / np.where(live, p_cum, 1.0), 0.0)
-        return _out_of_basis(self.scheme, avg)
+        return avg if self.scheme.basis is None else avg @ self.scheme.basis.T
 
 
 def _into_basis(scheme: WeightScheme, x: np.ndarray) -> np.ndarray:
@@ -265,28 +287,39 @@ def _into_basis(scheme: WeightScheme, x: np.ndarray) -> np.ndarray:
     return x if scheme.basis is None else x @ scheme.basis
 
 
-def _out_of_basis(scheme: WeightScheme, x: np.ndarray) -> np.ndarray:
-    return x if scheme.basis is None else x @ scheme.basis.T
-
-
 def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> np.ndarray:
     """All running averages wavg_0..wavg_K of a stored path, as one array.
 
     Indices where the cumulative weight is still zero (e.g. the first
     entry of an accelerated scheme) yield the zero vector, consistent
-    with zero-initialized paths.
+    with zero-initialized paths.  A per-eigenvalue scheme reads a record
+    through ``PathRecord.in_basis``, so a record averaged under many
+    schemes of one eigenbasis is rotated once; the call then allocates
+    one (2, K+1, m) block, for the weighted sums and the output.
     """
-    iterates = path.iterates if isinstance(path, PathRecord) else np.asarray(path, float)
-    if iterates.ndim == 1:
-        iterates = iterates[:, None]
+    if isinstance(path, PathRecord):
+        iterates = path.iterates if scheme.basis is None else path.in_basis(scheme.basis)
+    else:
+        iterates = np.asarray(path, float)
+        iterates = _into_basis(scheme, iterates[:, None] if iterates.ndim == 1 else iterates)
     steps = iterates.shape[0] - 1
     if scheme.horizon < steps:
         raise ValueError(f"scheme horizon {scheme.horizon} shorter than path ({steps})")
     # Columns: (K+1, 1) for scalar schemes, (K+1, m) per eigenvalue.
     p_cum = scheme.cumulative[: steps + 1].reshape(steps + 1, -1)
-    p_inc = scheme.increments[: steps + 1].reshape(steps + 1, -1)
     # One fresh buffer, updated in place; the caller's path is never written.
-    avg = p_inc * _into_basis(scheme, iterates)
+    if scheme.basis is None:
+        block, avg = None, _increments(p_cum) * iterates
+    else:
+        # The increments, then the weighted sums, fill the first half of one
+        # allocation and the output the second.  A sweep then frees three
+        # (K+1, m) arrays per lambda (this block and the last scheme's P), less
+        # than glibc's dynamic trim threshold of twice the largest freed block;
+        # freeing four let malloc trim the heap and fault it back in on every
+        # call (about 370 page faults at 501 x 200).
+        block = np.empty((2,) + iterates.shape)
+        avg = _increments(p_cum, out=block[0])
+        avg *= iterates
     if avg.shape[1] >= _ROW_LOOP_MIN_WIDTH:
         # np.cumsum along axis 0 walks each column with a row-length stride;
         # adding whole rows does the same additions in the same order.
@@ -294,29 +327,31 @@ def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> 
             np.add(avg[k - 1], avg[k], out=avg[k])
     else:
         np.cumsum(avg, axis=0, out=avg)
-    live = p_cum > 0
-    avg /= np.where(live, p_cum, 1.0)
-    # Only rows with a zero-weight entry are touched: none, for most scalar
-    # schemes, where a full pass would add 10-30% to the call on a wide path.
-    rows = ~live.all(axis=1)
-    avg[rows] = np.where(live[rows], avg[rows], 0.0)
-    return _out_of_basis(scheme, avg)
+    if p_cum.min() > 0:
+        avg /= p_cum
+    else:
+        live = p_cum > 0
+        avg /= np.where(live, p_cum, 1.0)
+        # Only rows with a zero-weight entry are touched: a full pass would
+        # add 10-30% to the call on a wide path.
+        rows = ~live.all(axis=1)
+        avg[rows] = np.where(live[rows], avg[rows], 0.0)
+    return avg if block is None else np.matmul(avg, scheme.basis.T, out=block[1])
 
 
 def scheme_to_csv(scheme: WeightScheme, path: str) -> None:
     """Audit export: (k, p_k, P_k) rows; kernel schemes in long format."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
+        incr = scheme.increments
         if scheme.is_matrix:
             writer.writerow(["k", "eig_index", "p_k", "P_k"])
             for k in range(scheme.horizon + 1):
                 for j in range(scheme.cumulative.shape[1]):
                     writer.writerow(
-                        [k, j, repr(float(scheme.increments[k, j])),
-                         repr(float(scheme.cumulative[k, j]))]
+                        [k, j, repr(float(incr[k, j])), repr(float(scheme.cumulative[k, j]))]
                     )
         else:
             writer.writerow(["k", "p_k", "P_k"])
             for k in range(scheme.horizon + 1):
-                writer.writerow([k, repr(float(scheme.increments[k])),
-                                 repr(float(scheme.cumulative[k]))])
+                writer.writerow([k, repr(float(incr[k])), repr(float(scheme.cumulative[k]))])

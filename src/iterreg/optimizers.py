@@ -117,7 +117,13 @@ def make_schedule(
 
 @dataclass(frozen=True)
 class PathRecord:
-    """An ordered list of iterates plus the metadata needed to replay it."""
+    """An ordered list of iterates plus the metadata needed to replay it.
+
+    ``iterates`` is a read-only view of the array given, which its owner
+    must not write afterwards: a record keeps its rotation into the last
+    read-only eigenbasis asked for (``in_basis``), so that re-weighting one
+    path for many kernel schemes rotates it once.
+    """
 
     iterates: np.ndarray  # (steps+1, dim), iterates[0] == 0
     tag: str
@@ -125,6 +131,7 @@ class PathRecord:
     schedule: Optional[LRSchedule] = None
     problem_fingerprint: str = ""
     extras: dict = field(default_factory=dict)
+    _rotation: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.iterates, dtype=np.float64)
@@ -132,7 +139,21 @@ class PathRecord:
             raise ValueError("iterates must be a (steps+1, dim) array")
         if arr.shape[0] >= 1 and np.any(arr[0] != 0.0):
             raise ValueError("paths must start at zero")
-        object.__setattr__(self, "iterates", arr)
+        view = arr.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "iterates", view)
+
+    def in_basis(self, basis: np.ndarray) -> np.ndarray:
+        """``iterates @ basis``, kept (read-only) while ``basis`` is the last
+        read-only basis asked for; a writable basis is multiplied every call."""
+        kept = self._rotation
+        if kept is not None and kept[0] is basis:
+            return kept[1]
+        rotated = self.iterates @ basis
+        if not basis.flags.writeable:
+            rotated.flags.writeable = False
+            object.__setattr__(self, "_rotation", (basis, rotated))
+        return rotated
 
     def __len__(self) -> int:
         return self.iterates.shape[0]

@@ -450,15 +450,18 @@ def identity_check(
 
     This is an exact algebraic identity for coupled deterministic runs;
     kernel schemes are evaluated in their eigenbasis, where the matrix
-    weights are diagonal.
+    weights are diagonal.  A plain path given as a record is rotated
+    there once, by ``PathRecord.in_basis``, for the average and the check.
     """
     plain = _stack(path_plain)
     reg = _stack(path_reg)
     if plain.shape != reg.shape:
         raise ValueError(f"path shapes differ: {plain.shape} vs {reg.shape}")
-    avg = averaged_path(plain, scheme)
+    avg = averaged_path(path_plain, scheme)
     if scheme.basis is not None:
-        plain, reg, avg = plain @ scheme.basis, reg @ scheme.basis, avg @ scheme.basis
+        plain = (path_plain.in_basis(scheme.basis) if isinstance(path_plain, PathRecord)
+                 else plain @ scheme.basis)
+        reg, avg = reg @ scheme.basis, avg @ scheme.basis
     p_cum = scheme.cumulative[: len(plain)].reshape(len(plain), -1)
     residual = p_cum * avg - (reg - (1.0 - p_cum) * plain)
     return float(np.abs(residual).max())

@@ -311,6 +311,8 @@ class KernelProblem:
             raise RuntimeError("eigendecomposition failed to reconstruct K")
         if np.abs(u.T @ u - np.eye(len(mu))).max() > 1e-12:
             raise RuntimeError("eigendecomposition basis is not orthonormal")
+        # Read-only, so that a path record may keep its rotation into the basis.
+        mu.flags.writeable = u.flags.writeable = False
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "eigenvalues", mu)

@@ -16,7 +16,7 @@ from iterreg.averaging import (
     weights_nsgd,
     weights_sgd_adaptive,
 )
-from iterreg.optimizers import make_schedule, sgd_run
+from iterreg.optimizers import LRSchedule, kernel_gd_run, make_schedule, sgd_run
 from iterreg.problems import KernelProblem, Regularizer, toy_problem
 
 
@@ -341,6 +341,95 @@ class TestAveragedPathKernel:
         assert avg.shape == (41, 1)
         assert _same_bits(avg, _averaged_path_reference(x[:, None], scheme))
         assert np.array_equal(x, before)
+
+
+def _random_kernel(n, seed):
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gram = basis @ np.diag(rng.uniform(0.5, 2.0, n)) @ basis.T
+    return KernelProblem(K=0.5 * (gram + gram.T), y=rng.standard_normal(n))
+
+
+def _expanded_log_cumulative(log_ratios_of, schedule, K):
+    """P and p from the log ratios of every step's rate, each row taken apart:
+    the formula the scheme builders evaluate once per distinct rate."""
+    etas = (schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule))
+    p_cum = 0.0 - np.expm1(np.cumsum(log_ratios_of(etas.etas_upto(K + 1)), axis=0))
+    return p_cum, np.diff(p_cum, axis=0, prepend=np.zeros_like(p_cum[:1]))
+
+
+SCHEDULES = {"float": 0.2, "constant": make_schedule(0.15), "cyclic": [0.2, 0.1, 0.05]}
+
+
+class TestSchemeBytes:
+    """Scheme builders take each log ratio once per distinct rate and repeat
+    the rows; P and p keep the bytes of the per-step formula."""
+
+    @pytest.mark.parametrize("sched", sorted(SCHEDULES))
+    @pytest.mark.parametrize("make", [_random_kernel, _null_eigen_kernel])
+    def test_kernel_matches_per_step_formula(self, sched, make):
+        kern, lam, lam_hat, K = make(60, 4), 0.3, 7.0, 250
+        scheme = weights_kernel(kern, SCHEDULES[sched], lam, lam_hat, K)
+        mu = kern.eigenvalues
+        p_cum, p_inc = _expanded_log_cumulative(
+            lambda etas: -np.log1p((lam_hat - lam) * etas[:, None] * mu[None, :]),
+            SCHEDULES[sched], K)
+        assert _same_bits(scheme.cumulative, p_cum)
+        assert _same_bits(scheme.increments, p_inc)
+        if make is _null_eigen_kernel:  # the null column is +0.0, not -0.0
+            dead = (scheme.cumulative == 0.0).all(axis=0)
+            assert dead.sum() == 1
+            assert not np.signbit(scheme.cumulative[:, dead]).any()
+            assert not np.signbit(scheme.increments[:, dead]).any()
+
+    @pytest.mark.parametrize("sched", sorted(SCHEDULES))
+    @pytest.mark.parametrize("lam", [1e-9, 0.3, 1e3])
+    def test_sgd_adaptive_matches_per_step_formula(self, sched, lam):
+        scheme = weights_sgd_adaptive(SCHEDULES[sched], lam, 400)
+        p_cum, p_inc = _expanded_log_cumulative(lambda etas: -np.log1p(lam * etas),
+                                                SCHEDULES[sched], 400)
+        assert _same_bits(scheme.cumulative, p_cum)
+        assert _same_bits(scheme.increments, p_inc)
+
+    @pytest.mark.parametrize("shape", [(50,), (50, 7)])
+    def test_increments_are_np_diff(self, shape):
+        p_cum = np.sort(np.random.default_rng(2).uniform(0, 1, size=shape), axis=0)
+        p_cum[:3] = -0.0
+        basis = np.eye(7) if len(shape) == 2 else None
+        scheme = WeightScheme.from_cumulative(p_cum, basis=basis)
+        expected = np.diff(p_cum, axis=0, prepend=np.zeros_like(p_cum[:1]))
+        assert _same_bits(scheme.increments, expected)
+        for k in (0, 1, 3, 49):  # RunningAverage's single rows
+            assert _same_bits(np.asarray(scheme.p(k)), np.asarray(expected[k]))
+
+    def test_basis_must_be_square_over_the_eigenvalues(self):
+        m = 4
+        p_cum = np.sort(np.random.default_rng(1).uniform(0, 1, size=(6, m)), axis=0)
+        for basis in (np.eye(m + 1)[:, :m], np.eye(m + 1), np.eye(m)[:, :m - 1]):
+            with pytest.raises(ValueError, match="basis"):
+                WeightScheme.from_cumulative(p_cum, basis=basis)
+        WeightScheme.from_cumulative(p_cum, basis=np.eye(m))
+
+
+class TestAveragedRecord:
+    """A record averages to the bytes of its iterates, rotated once per basis."""
+
+    @pytest.mark.parametrize("make", [_random_kernel, _null_eigen_kernel])
+    def test_kernel_record_matches_array(self, make):
+        kern = make(40, 6)
+        sched = make_schedule(0.2)
+        rec = kernel_gd_run(kern, sched, 120)
+        for lam_hat in (0.5, 3.0):
+            scheme = weights_kernel(kern, [0.2, 0.1], 0.0, lam_hat, 120)
+            assert _same_bits(averaged_path(rec, scheme), averaged_path(rec.iterates, scheme))
+        assert rec.in_basis(kern.basis) is rec.in_basis(kern.basis)
+
+    def test_scalar_record_matches_array_and_keeps_no_rotation(self):
+        prob = toy_problem()
+        rec = sgd_run(prob, Regularizer.none(), make_schedule(0.1), 60)
+        for scheme in (weights_sgd_adaptive(0.1, 0.3, 60), weights_nsgd(0.1, 0.3, 0.2, 60)):
+            assert _same_bits(averaged_path(rec, scheme), averaged_path(rec.iterates, scheme))
+        assert rec._rotation is None
 
 
 class TestMixingIdentityProperty:

@@ -9,6 +9,7 @@ from iterreg.optimizers import (
     _sphere_noise_matrix,
     _step_rng,
     LRSchedule,
+    PathRecord,
     kernel_gd_run,
     load_path,
     make_schedule,
@@ -432,6 +433,58 @@ class TestKernelRun:
         # Only kernel_gd_run steps a kernel problem; sgd_run points there.
         with pytest.raises(ValueError, match="kernel_gd_run"):
             sgd_run(self.make_kernel(), Regularizer.none(), make_schedule(0.1), 5)
+
+
+class TestPathRecord:
+    def make_record(self):
+        rng = np.random.default_rng(8)
+        x = np.vstack([np.zeros(6), rng.standard_normal((30, 6))])
+        return PathRecord(iterates=x, tag="test"), rng
+
+    @staticmethod
+    def read_only(a):
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+
+    def test_iterates_are_read_only(self):
+        rec, _ = self.make_record()
+        with pytest.raises(ValueError, match="read-only"):
+            rec.iterates[1, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            rec.final[:] = 0.0
+
+    def test_rotation_kept_for_the_last_read_only_basis(self):
+        rec, rng = self.make_record()
+        first = self.read_only(np.linalg.qr(rng.standard_normal((6, 6)))[0])
+        second = self.read_only(np.linalg.qr(rng.standard_normal((6, 6)))[0])
+        rotated = rec.in_basis(first)
+        assert rec.in_basis(first) is rotated
+        assert rotated.tobytes() == (rec.iterates @ first).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rotated[0, 0] = 1.0
+        other = rec.in_basis(second)
+        assert other.tobytes() == (rec.iterates @ second).tobytes()
+        assert rec.in_basis(second) is other
+        assert rec.in_basis(first) is not rotated  # replaced, so computed again
+
+    def test_writable_basis_is_multiplied_every_call(self):
+        rec, rng = self.make_record()
+        basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        once = rec.in_basis(basis)
+        assert once.tobytes() == (rec.iterates @ basis).tobytes()
+        basis[0, 0] += 1.0  # a writable basis may change between calls
+        again = rec.in_basis(basis)
+        assert again is not once
+        assert again.tobytes() == (rec.iterates @ basis).tobytes()
+        assert rec._rotation is None
+
+    def test_kernel_basis_and_eigenvalues_are_read_only(self):
+        kern = TestKernelRun().make_kernel()
+        assert not kern.basis.flags.writeable
+        assert not kern.eigenvalues.flags.writeable
+        rec = kernel_gd_run(kern, make_schedule(0.1), 10)
+        assert rec.in_basis(kern.basis) is rec.in_basis(kern.basis)
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from iterreg import optimizers, problems
-from iterreg.averaging import WeightScheme, averaged_path, weights_general
+from iterreg.averaging import WeightScheme, averaged_path, weights_general, weights_kernel
 from iterreg.optimizers import make_schedule, nsgd_run, psgd_run, sgd_run
 from iterreg.oracles import (
     bounding_sequences,
@@ -353,6 +353,19 @@ class TestIdentityCheck:
 
         scheme = weights_sgd_adaptive(sched, 0.1, 500)
         assert identity_check(plain, reg, scheme) <= 1e-10
+
+    def test_kernel_record_and_array_give_the_same_residual(self):
+        rng = np.random.default_rng(11)
+        basis, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        gram = basis @ np.diag(rng.uniform(0.5, 2.0, 30)) @ basis.T
+        kern = KernelProblem(K=0.5 * (gram + gram.T), y=rng.standard_normal(30))
+        sched = make_schedule(0.2)
+        plain = optimizers.kernel_gd_run(kern, sched, 200)
+        reg = optimizers.kernel_gd_run(kern, sched, 200, lam=0.0, lam_hat=2.0)
+        scheme = weights_kernel(kern, sched, 0.0, 2.0, 200)
+        residual = identity_check(plain, reg, scheme)
+        assert residual <= 1e-10
+        assert residual == identity_check(plain.iterates, reg.iterates, scheme)
 
     def test_length_mismatch_rejected(self):
         scheme = WeightScheme.from_cumulative([0.5, 1.0])
