@@ -10,7 +10,9 @@ and each scheme is built so that this average of an *unregularized*
 path reproduces the *regularized* solution at an adjustable strength.
 Kernel schemes carry one cumulative sequence per Gram-matrix eigenvalue
 and act diagonally in the cached eigenbasis; they are never materialized
-as dense matrices.
+as dense matrices.  ``_average`` is the one averaging kernel: it works on
+rows in a scheme's coordinates (a per-eigenvalue scheme's eigenbasis), for
+``averaged_path``, ``RunningAverage`` and ``oracles.identity_check``.
 
 Indexing note: P_k consumes rate ratios for steps 0..k, one past the
 rate that produced iterate k, mirroring the increment relation
@@ -102,9 +104,6 @@ class WeightScheme:
     @property
     def is_matrix(self) -> bool:
         return self.cumulative.ndim == 2
-
-    def p(self, k: int):
-        return self.cumulative[k] - self.cumulative[k - 1] if k else self.cumulative[0]
 
     def P(self, k: int):
         return self.cumulative[k]
@@ -246,80 +245,58 @@ def weights_geometric(p_success: float, K: int) -> WeightScheme:
 
 
 class RunningAverage:
-    """Single-writer streaming accumulator S_k = sum p_i w_i, P_k = sum p_i.
+    """Single-writer accumulator of a path fed one iterate at a time.
 
-    Updates must be fed in index order starting at zero; kernel schemes
-    accumulate in the Gram eigenbasis and transform back on finalize.
+    Updates must be fed in index order starting at zero.  The fed rows are
+    kept (O(K d) memory), and ``finalize`` returns the last row of
+    ``averaged_path`` over them, bit for bit.
     """
 
     def __init__(self, scheme: WeightScheme):
         self.scheme = scheme
-        self._next = 0
-        self._sum: Optional[np.ndarray] = None
+        self._rows: list = []
 
     @property
     def count(self) -> int:
-        return self._next
+        return len(self._rows)
 
     def update(self, w: np.ndarray, k: Optional[int] = None) -> "RunningAverage":
-        if k is not None and k != self._next:
-            raise ValueError(f"out-of-order update: expected index {self._next}, got {k}")
-        if self._next > self.scheme.horizon:
+        if k is not None and k != self.count:
+            raise ValueError(f"out-of-order update: expected index {self.count}, got {k}")
+        if self.count > self.scheme.horizon:
             raise ValueError("more updates than the scheme's horizon")
-        term = self.scheme.p(self._next) * _into_basis(self.scheme, np.asarray(w, float))
-        self._sum = term if self._sum is None else self._sum + term
-        self._next += 1
+        self._rows.append(np.array(w, dtype=float))
         return self
 
     def finalize(self) -> np.ndarray:
-        if self._next == 0:
+        if not self._rows:
             raise ValueError("no updates consumed")
-        p_cum = self.scheme.P(self._next - 1)
-        live = p_cum > 0
-        if not np.any(live):
+        if not np.any(self.scheme.P(self.count - 1) > 0):
             raise ValueError("cumulative weight is zero; average undefined")
-        avg = np.where(live, self._sum / np.where(live, p_cum, 1.0), 0.0)
-        return avg if self.scheme.basis is None else avg @ self.scheme.basis.T
+        return averaged_path(np.array(self._rows), self.scheme)[-1]
 
 
-def _into_basis(scheme: WeightScheme, x: np.ndarray) -> np.ndarray:
-    """Rows of x in the scheme's eigenbasis, where its weights act diagonally."""
-    return x if scheme.basis is None else x @ scheme.basis
-
-
-def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> np.ndarray:
-    """All running averages wavg_0..wavg_K of a stored path, as one array.
-
-    Indices where the cumulative weight is still zero (e.g. the first
-    entry of an accelerated scheme) yield the zero vector, consistent
-    with zero-initialized paths.  A per-eigenvalue scheme reads a record
-    through ``PathRecord.in_basis``, so a record averaged under many
-    schemes of one eigenbasis is rotated once; the call then allocates
-    one (2, K+1, m) block, for the weighted sums and the output.
-    """
+def _coordinates(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> np.ndarray:
+    """A path's rows, 2-D, in the scheme's coordinates: for a per-eigenvalue
+    scheme its eigenbasis, reached once per record through ``in_basis``."""
     if isinstance(path, PathRecord):
-        iterates = path.iterates if scheme.basis is None else path.in_basis(scheme.basis)
-    else:
-        iterates = np.asarray(path, float)
-        iterates = _into_basis(scheme, iterates[:, None] if iterates.ndim == 1 else iterates)
-    steps = iterates.shape[0] - 1
+        return path.iterates if scheme.basis is None else path.in_basis(scheme.basis)
+    rows = np.asarray(path, float)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    return rows if scheme.basis is None else rows @ scheme.basis
+
+
+def _average(rows: np.ndarray, scheme: WeightScheme,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """wavg_0..wavg_K of rows in the scheme's coordinates, 0 where P_k = 0, into
+    ``out`` (of the rows' shape, per eigenvalue) if given; rows are not written."""
+    steps = rows.shape[0] - 1
     if scheme.horizon < steps:
         raise ValueError(f"scheme horizon {scheme.horizon} shorter than path ({steps})")
     # Columns: (K+1, 1) for scalar schemes, (K+1, m) per eigenvalue.
     p_cum = scheme.cumulative[: steps + 1].reshape(steps + 1, -1)
-    # One fresh buffer, updated in place; the caller's path is never written.
-    if scheme.basis is None:
-        block, avg = None, _increments(p_cum) * iterates
-    else:
-        # The increments, then the weighted sums, fill the first half of one
-        # allocation and the output the second.  A sweep then frees three
-        # (K+1, m) arrays per lambda (this block and the last scheme's P), less
-        # than glibc's dynamic trim threshold of twice the largest freed block;
-        # freeing four let malloc trim the heap and fault it back in on every
-        # call (about 370 page faults at 501 x 200).
-        block = np.empty((2,) + iterates.shape)
-        avg = _increments(p_cum, out=block[0])
-        avg *= iterates
+    avg = _increments(p_cum, out=out)
+    avg = np.multiply(avg, rows, out=avg if avg.shape == rows.shape else None)
     if avg.shape[1] >= _ROW_LOOP_MIN_WIDTH:
         # np.cumsum along axis 0 walks each column with a row-length stride;
         # adding whole rows does the same additions in the same order.
@@ -334,9 +311,31 @@ def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> 
         avg /= np.where(live, p_cum, 1.0)
         # Only rows with a zero-weight entry are touched: a full pass would
         # add 10-30% to the call on a wide path.
-        rows = ~live.all(axis=1)
-        avg[rows] = np.where(live[rows], avg[rows], 0.0)
-    return avg if block is None else np.matmul(avg, scheme.basis.T, out=block[1])
+        dead = ~live.all(axis=1)
+        avg[dead] = np.where(live[dead], avg[dead], 0.0)
+    return avg
+
+
+def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> np.ndarray:
+    """All running averages wavg_0..wavg_K of a stored path, as one array.
+
+    Indices where the cumulative weight is still zero (e.g. the first
+    entry of an accelerated scheme) yield the zero vector, consistent
+    with zero-initialized paths.  A per-eigenvalue scheme averages in its
+    eigenbasis and rotates the result out once; the call then allocates
+    one (2, K+1, m) block, for the weighted sums and the output.
+    """
+    rows = _coordinates(path, scheme)
+    if scheme.basis is None:
+        return _average(rows, scheme)
+    # The increments, then the weighted sums, fill the first half of one
+    # allocation and the output the second.  A sweep then frees three
+    # (K+1, m) arrays per lambda (this block and the last scheme's P), less
+    # than glibc's dynamic trim threshold of twice the largest freed block;
+    # freeing four let malloc trim the heap and fault it back in on every
+    # call (about 370 page faults at 501 x 200).
+    block = np.empty((2,) + rows.shape)
+    return np.matmul(_average(rows, scheme, out=block[0]), scheme.basis.T, out=block[1])
 
 
 def scheme_to_csv(scheme: WeightScheme, path: str) -> None:

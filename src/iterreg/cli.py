@@ -297,7 +297,8 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     _need_steps(steps, 11, "the monotonicity check after step 10")
     data = _mnist_dataset(args)
     prob = QuadraticProblem.from_data(data.X, data.Y)
-    sched = make_schedule(eta, lam)
+    # The accelerated scheme assumes eta < 1/beta; an eta above it exits 2.
+    sched = make_schedule(eta, lam, convexity_bounds(prob) if args.optimizer == "ngd" else None)
     t0 = time.perf_counter()
 
     plain, reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
@@ -333,7 +334,8 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     data = _mnist_dataset(args)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
     gamma = 1.0 / (lam + 1.0 / eta)
-    sched_eta = make_schedule(eta)
+    bounds = convexity_bounds(prob) if args.optimizer == "ngd" else None  # as mnist-linear
+    sched_eta = make_schedule(eta, bounds=bounds)
     sched_gamma = make_schedule(gamma)
     q = None
     if args.optimizer == "pgd":
@@ -490,7 +492,7 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
         plain = sgd_run(prob, Regularizer.none(), sched, steps)
     optimize_s = time.perf_counter() - t0
 
-    etas = sched.etas_upto(steps + 1)
+    etas = sched.etas  # not sched: a stored path's schedule may be coupled at another lambda
     points = []
     for lam in args.lams:
         t1 = time.perf_counter()

@@ -16,7 +16,8 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .averaging import WeightScheme, averaged_path, weights_general
+from .averaging import (WeightScheme, _average, _coordinates, averaged_path,
+                        weights_general)
 from .optimizers import (LRSchedule, PathRecord, _diagonal_path, nesterov_momentum,
                          problem_fingerprint)
 from .problems import (
@@ -436,11 +437,6 @@ def bounding_sequences(
 # Checkers
 
 
-def _stack(path: Union[PathRecord, np.ndarray]) -> np.ndarray:
-    arr = path.iterates if isinstance(path, PathRecord) else np.asarray(path, float)
-    return arr if arr.ndim == 2 else arr[:, None]
-
-
 def identity_check(
     path_plain: Union[PathRecord, np.ndarray],
     path_reg: Union[PathRecord, np.ndarray],
@@ -448,20 +444,19 @@ def identity_check(
 ) -> float:
     """Max over k of || P_k wavg_k - (what_k - (1 - P_k) w_k) ||_inf.
 
-    This is an exact algebraic identity for coupled deterministic runs;
-    kernel schemes are evaluated in their eigenbasis, where the matrix
-    weights are diagonal.  A plain path given as a record is rotated
-    there once, by ``PathRecord.in_basis``, for the average and the check.
+    This is an exact algebraic identity for coupled deterministic runs.
+    Both paths are read in the scheme's coordinates, which for a kernel
+    scheme is the Gram eigenbasis where the matrix weights are diagonal;
+    the average and the residual are formed there, so no path is rotated
+    back out (a record's rotation comes from ``PathRecord.in_basis``).
     """
-    plain = _stack(path_plain)
-    reg = _stack(path_reg)
-    if plain.shape != reg.shape:
-        raise ValueError(f"path shapes differ: {plain.shape} vs {reg.shape}")
-    avg = averaged_path(path_plain, scheme)
-    if scheme.basis is not None:
-        plain = (path_plain.in_basis(scheme.basis) if isinstance(path_plain, PathRecord)
-                 else plain @ scheme.basis)
-        reg, avg = reg @ scheme.basis, avg @ scheme.basis
+    # Compared before rotating: paths of different widths would fail in matmul.
+    shapes = [np.shape(p.iterates if isinstance(p, PathRecord) else p)
+              for p in (path_plain, path_reg)]
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"path shapes differ: {shapes[0]} vs {shapes[1]}")
+    plain, reg = _coordinates(path_plain, scheme), _coordinates(path_reg, scheme)
+    avg = _average(plain, scheme)
     p_cum = scheme.cumulative[: len(plain)].reshape(len(plain), -1)
     residual = p_cum * avg - (reg - (1.0 - p_cum) * plain)
     return float(np.abs(residual).max())
@@ -483,9 +478,9 @@ def sandwich_check(
     checked at every k on unmasked coordinates; the return value is the
     smallest (worst) slack across both sides.
     """
-    avg = _stack(averaged)
-    reg1 = _stack(reg_path_lam1)
-    reg2 = _stack(reg_path_lam2)
+    avg = _coordinates(averaged, scheme)
+    reg1 = _coordinates(reg_path_lam1, scheme)
+    reg2 = _coordinates(reg_path_lam2, scheme)
     steps = avg.shape[0] - 1
     p_cum = scheme.cumulative[: steps + 1][:, None]
     signs = bounding.signs[None, :]

@@ -100,6 +100,13 @@ def test_mnist_linear_desk_scale(tmp_path):
     assert written(out) == {"mnist_linear_det.csv", "mnist_linear_stoch.csv", "checks.json"}
 
 
+def test_mnist_linear_ngd_above_the_rate_bound_exits_two(tmp_path, capsys):
+    # The stand-in has beta = 159.3, so the default eta = 0.01 breaks eta < 1/beta.
+    code, out, _ = run(tmp_path, "mnist-linear", "--optimizer", "ngd")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == "config error: learning rate 0.01 >= 1/beta = 0.00627815\n"
+
+
 def test_mnist_linear_from_idx_files(tmp_path):
     from iterreg.data_io import synthetic_mnist, write_idx_images, write_idx_labels
 

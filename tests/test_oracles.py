@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from iterreg import optimizers, problems
-from iterreg.averaging import WeightScheme, averaged_path, weights_general, weights_kernel
+from iterreg import optimizers, oracles, problems
+from iterreg.averaging import (
+    WeightScheme,
+    averaged_path,
+    weights_general,
+    weights_kernel,
+    weights_sgd_adaptive,
+)
 from iterreg.optimizers import make_schedule, nsgd_run, psgd_run, sgd_run
 from iterreg.oracles import (
     bounding_sequences,
@@ -339,38 +345,68 @@ class TestBoundingSequences:
         assert seq.mask[0] and not seq.mask[1]
 
 
+def _gd_pair():
+    """Coupled plain and l2 GD runs on the toy problem, their scheme and bound."""
+    prob = toy_problem()
+    sched = make_schedule(0.1, lam=0.1)
+    plain = sgd_run(prob, Regularizer.none(), sched, 500)
+    reg = sgd_run(prob, Regularizer.l2(0.1), sched, 500)
+    return plain, reg, weights_sgd_adaptive(sched, 0.1, 500), 1e-10
+
+
+def _kernel_pair():
+    """Plain and lam_hat = 2 kernel GD runs, their scheme and bound."""
+    rng = np.random.default_rng(11)
+    basis, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    gram = basis @ np.diag(rng.uniform(0.5, 2.0, 30)) @ basis.T
+    kern = KernelProblem(K=0.5 * (gram + gram.T), y=rng.standard_normal(30))
+    sched = make_schedule(0.2)
+    plain = optimizers.kernel_gd_run(kern, sched, 200)
+    reg = optimizers.kernel_gd_run(kern, sched, 200, lam=0.0, lam_hat=2.0)
+    return plain, reg, weights_kernel(kern, sched, 0.0, 2.0, 200), 1e-9
+
+
 class TestIdentityCheck:
     def test_single_point_paths(self):
         scheme = WeightScheme.from_cumulative([0.5])
         assert identity_check(np.zeros((1, 2)), np.zeros((1, 2)), scheme) == 0.0
 
     def test_coupled_toy_paths(self):
-        prob = toy_problem()
-        sched = make_schedule(0.1, lam=0.1)
-        plain = sgd_run(prob, Regularizer.none(), sched, 500)
-        reg = sgd_run(prob, Regularizer.l2(0.1), sched, 500)
-        from iterreg.averaging import weights_sgd_adaptive
-
-        scheme = weights_sgd_adaptive(sched, 0.1, 500)
+        plain, reg, scheme, _ = _gd_pair()
         assert identity_check(plain, reg, scheme) <= 1e-10
 
     def test_kernel_record_and_array_give_the_same_residual(self):
-        rng = np.random.default_rng(11)
-        basis, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-        gram = basis @ np.diag(rng.uniform(0.5, 2.0, 30)) @ basis.T
-        kern = KernelProblem(K=0.5 * (gram + gram.T), y=rng.standard_normal(30))
-        sched = make_schedule(0.2)
-        plain = optimizers.kernel_gd_run(kern, sched, 200)
-        reg = optimizers.kernel_gd_run(kern, sched, 200, lam=0.0, lam_hat=2.0)
-        scheme = weights_kernel(kern, sched, 0.0, 2.0, 200)
+        plain, reg, scheme, _ = _kernel_pair()
         residual = identity_check(plain, reg, scheme)
         assert residual <= 1e-10
         assert residual == identity_check(plain.iterates, reg.iterates, scheme)
+
+    @pytest.mark.parametrize("pair", [_gd_pair, _kernel_pair])
+    def test_scheme_shifted_by_one_step_fails(self, pair):
+        plain, reg, scheme, bound = pair()
+        assert identity_check(plain, reg, scheme) <= bound
+        p_cum = scheme.cumulative
+        shifted = WeightScheme.from_cumulative(
+            np.concatenate([np.zeros_like(p_cum[:1]), p_cum[:-1]]), basis=scheme.basis)
+        assert identity_check(plain, reg, shifted) > bound
+
+    @pytest.mark.parametrize("pair", [_gd_pair, _kernel_pair])
+    def test_average_blended_with_regularized_path_fails(self, pair, monkeypatch):
+        plain, reg, scheme, bound = pair()
+        reg_rows = reg.iterates if scheme.basis is None else reg.iterates @ scheme.basis
+        average = oracles._average
+        monkeypatch.setattr(oracles, "_average",
+                            lambda rows, s, out=None: 0.5 * (average(rows, s) + reg_rows))
+        assert identity_check(plain, reg, scheme) > bound
 
     def test_length_mismatch_rejected(self):
         scheme = WeightScheme.from_cumulative([0.5, 1.0])
         with pytest.raises(ValueError, match="shapes"):
             identity_check(np.zeros((2, 1)), np.zeros((3, 1)), scheme)
+        kernel = weights_kernel(KernelProblem(K=2.0 * np.eye(5), y=np.ones(5)), 0.1, 0.0,
+                                1.0, 10)
+        with pytest.raises(ValueError, match="shapes"):
+            identity_check(np.zeros((11, 5)), np.zeros((11, 4)), kernel)
 
 
 class TestSandwich:
