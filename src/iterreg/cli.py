@@ -137,17 +137,25 @@ def _need_steps(steps: int, least: int, what: str) -> None:
                           f"which needs --steps >= {least}")
 
 
-def _fit_slope(values: np.ndarray, floor: float) -> float:
+_SLOPE_SLACK = 1e-3  # a decay-slope check passes a log10 slope up to log10(rate) + this
+
+
+def _fit_slope(values: np.ndarray, floor: float, rate: float) -> float:
     """Least-squares slope of log10(values) against the iteration index.
 
-    The fit starts at step max(50, K // 2) (early steps carry a transient)
-    and stops where the values sink below ``floor``, the round-off plateau;
-    fewer than 20 live points there mean the decay outran any measurable
-    rate, -inf.  A run too short to hold 20 points is a ConfigError.
+    The values are rate^k times a gap between two paths from zero, which,
+    rising like 1 - rate^k, tilts the slope by |log10 rate| rate^k / (1 - rate^k).
+    The fit starts at step max(k0, K // 2), k0 the first step where that tilt
+    is within _SLOPE_SLACK, and stops where the values sink below ``floor``,
+    the round-off plateau; fewer than 20 live points there mean the decay
+    outran any measurable rate, -inf.  A run too short to hold 20 points
+    from k0 is a ConfigError.
     """
     steps = values.size - 1
-    start = max(50, steps // 2)
-    _need_steps(steps, 50 + 20 - 1, "the decay-slope fit")
+    tilt = _SLOPE_SLACK / -np.log10(rate)  # rate^k <= tilt / (1 + tilt) from k0 on
+    k0 = int(np.ceil(np.log(tilt / (1.0 + tilt)) / np.log(rate)))
+    start = max(k0, steps // 2)
+    _need_steps(steps, k0 + 20 - 1, "the decay-slope fit")
     live = np.nonzero(values > floor)[0]
     end = int(live.max()) + 1 if live.size else 0
     if end - start < 20:
@@ -177,8 +185,8 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
         avg = averaged_path(p, scheme)
         err = np.linalg.norm(avg - r.iterates, axis=1)
         rate = scheme.params["decay"] if name == "ngd" else 1.0 - lam * gamma
-        slope = _fit_slope(err, floor=1e-13)
-        checks.add(f"demo2d/decay-slope/{name}", slope, np.log10(rate) + 1e-3,
+        slope = _fit_slope(err, 1e-13, rate)
+        checks.add(f"demo2d/decay-slope/{name}", slope, np.log10(rate) + _SLOPE_SLACK,
                    {"rate": rate})
         # The mixing identity pins the end gap at (1 - P_K) * ||w_K - wavg_K||;
         # verify the realized gap agrees with that exact prediction.
@@ -241,10 +249,10 @@ def cmd_kernel_demo(args, checks: Checks, out_dir: str):
         checks.add(f"kernel/limit/lam_hat={lam_hat}",
                    np.abs(avg[-1] - target).max(), 1e-6)
         err = np.linalg.norm(avg - reg.iterates, axis=1)
-        slope = _fit_slope(err, floor=1e-12)
         rate = 1.0 / (1.0 + lam_hat * eta * mu.min())
+        slope = _fit_slope(err, 1e-12, rate)
         checks.add(f"kernel/decay-slope/lam_hat={lam_hat}", slope,
-                   np.log10(rate) + 1e-3, {"rate": rate})
+                   np.log10(rate) + _SLOPE_SLACK, {"rate": rate})
         _write_report(args, out_dir, f"kernel_{lam_hat}", f"kernel-{lam_hat}", plain, reg,
                       avg, scheme,
                       {"n": kernel.n, "eta": eta, "lam_hat": lam_hat, "seed": args.seed}, t0)
@@ -292,13 +300,23 @@ def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None,
     return plain, regp, scheme
 
 
+def _eta_schedule(prob, args, lam: float = 0.0):
+    """The plain run's schedule.  The accelerated scheme assumes eta < 1/beta
+    and --alpha <= alpha, the problem's own curvature; either breach exits 2."""
+    bounds = convexity_bounds(prob) if args.optimizer == "ngd" else None
+    sched = make_schedule(args.eta, lam, bounds)
+    if bounds is not None and args.alpha > bounds.alpha:
+        raise ConfigError(f"--alpha {args.alpha:g} > alpha = {bounds.alpha:.6g}, "
+                          "the problem's strong convexity")
+    return sched
+
+
 def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     eta, lam, steps = args.eta, args.lam, args.steps
     _need_steps(steps, 11, "the monotonicity check after step 10")
     data = _mnist_dataset(args)
     prob = QuadraticProblem.from_data(data.X, data.Y)
-    # The accelerated scheme assumes eta < 1/beta; an eta above it exits 2.
-    sched = make_schedule(eta, lam, convexity_bounds(prob) if args.optimizer == "ngd" else None)
+    sched = _eta_schedule(prob, args, lam)
     t0 = time.perf_counter()
 
     plain, reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
@@ -334,8 +352,7 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     data = _mnist_dataset(args)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
     gamma = 1.0 / (lam + 1.0 / eta)
-    bounds = convexity_bounds(prob) if args.optimizer == "ngd" else None  # as mnist-linear
-    sched_eta = make_schedule(eta, bounds=bounds)
+    sched_eta = _eta_schedule(prob, args)
     sched_gamma = make_schedule(gamma)
     q = None
     if args.optimizer == "pgd":

@@ -362,6 +362,15 @@ def nesterov_momentum(rate: float, strong_convexity: float) -> float:
     return (1.0 - root) / (1.0 + root)
 
 
+def _accelerated_only(schedule: LRSchedule, reg: Regularizer) -> None:
+    """Refuse what an accelerated run cannot take: its rate is constant and
+    its penalty none or l2."""
+    if not schedule.is_constant:
+        raise ValueError("accelerated runs support constant learning rates only")
+    if reg.kind not in ("none", "l2"):
+        raise ValueError("accelerated runs support none/l2 regularizers only")
+
+
 def nsgd_run(
     problem,
     reg: Regularizer,
@@ -383,14 +392,9 @@ def nsgd_run(
     Injected noise is subtracted from the gradient estimate at the
     lookahead point.
     """
-    if not schedule.is_constant:
-        raise ValueError("accelerated runs support constant learning rates only")
-    if reg.kind not in ("none", "l2"):
-        raise ValueError("accelerated runs support none/l2 regularizers only")
-    regularized = reg.lam > 0
-    rate = schedule.gamma(0) if regularized else schedule.eta(0)
-    mu = alpha + reg.lam if regularized else alpha
-    tau = nesterov_momentum(rate, mu)
+    _accelerated_only(schedule, reg)
+    rate = schedule.gamma(0) if reg.lam > 0 else schedule.eta(0)
+    tau = nesterov_momentum(rate, alpha + reg.lam)
     return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
                 noise_sigma, "nsgd", tau=tau, extras={"alpha": alpha, "tau": tau})
 

@@ -18,8 +18,8 @@ import scipy.linalg
 
 from .averaging import (WeightScheme, _average, _coordinates, averaged_path,
                         weights_general)
-from .optimizers import (LRSchedule, PathRecord, _diagonal_path, nesterov_momentum,
-                         problem_fingerprint)
+from .optimizers import (LRSchedule, PathRecord, _accelerated_only, _diagonal_path,
+                         nesterov_momentum, problem_fingerprint)
 from .problems import (
     ConvexityBounds,
     KernelProblem,
@@ -76,13 +76,12 @@ def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution
     generalized penalty.  This doubles as the limit oracle for every
     averaging test."""
     system = _regularized_system(problem, reg)
-    a2 = problem._as_2d(problem.a)
     try:
-        w = np.linalg.solve(system, a2)
+        w = np.linalg.solve(system, problem.a)
     except np.linalg.LinAlgError as exc:
         raise ValueError("regularized system is singular") from exc
-    residual = np.abs(system @ w - a2).max()
-    if residual > 1e-10 * max(1.0, np.abs(a2).max()):
+    residual = np.abs(system @ w - problem.a).max()
+    if residual > 1e-10 * max(1.0, np.abs(problem.a).max()):
         raise RuntimeError(f"linear solve residual too large: {residual:.3e}")
     kind = "generalized_l2" if reg.kind == "generalized_l2" else "l2"
     return RidgeSolution(w_hat=w.ravel(), lam=reg.lam, kind=kind)
@@ -139,8 +138,8 @@ def expectation_path(
     if kind == "ngd":
         if alpha is None:
             raise ValueError("accelerated expectation needs alpha")
+        _accelerated_only(schedule, reg)
         rate = schedule.gamma(0) if reg.lam > 0 else schedule.eta(0)
-        rates = np.full(steps, rate)
         tau, first = nesterov_momentum(rate, alpha + reg.lam), 1
     if kind == "pgd" and reg.kind == "none":
         raise ValueError("preconditioned expectation needs the preconditioner via reg.Q")
@@ -150,7 +149,7 @@ def expectation_path(
                                  reg.Q if kind == "pgd" else None,
                                  driver="gvd" if kind == "pgd" else "evd")
     # One row of eigencoordinates per output, so the rotation back is one GEMM.
-    rows = _diagonal_path(mu, problem._as_2d(problem.a).T @ vecs, rates, steps, tau, first)
+    rows = _diagonal_path(mu, problem.a.T @ vecs, rates, steps, tau, first)
     path = (rows.reshape(-1, problem.d) @ vecs.T).reshape(rows.shape).swapaxes(1, 2)
     return PathRecord(
         iterates=path.reshape(steps + 1, -1),
@@ -528,7 +527,7 @@ def l1_prox_solution(problem: QuadraticProblem, lam: float, tol: float = 1e-10) 
     else:
         raise RuntimeError("proximal gradient did not converge in 200000 iterations")
     grad = problem.grad(w)
-    scale = max(1.0, float(np.abs(problem._as_2d(problem.a)).max()))
+    scale = max(1.0, float(np.abs(problem.a).max()))
     on = w != 0
     if np.any(np.abs(grad[on] + lam * np.sign(w[on])) > 50 * tol * beta * scale):
         raise RuntimeError("first-order optimality violated on the support")
@@ -538,39 +537,24 @@ def l1_prox_solution(problem: QuadraticProblem, lam: float, tol: float = 1e-10) 
 
 
 # ---------------------------------------------------------------------------
-# Planar hull geometry
+# Planar hull geometry: Qhull (scipy.spatial) builds the hull, and membership
+# is an orientation test against its counter-clockwise edges.
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull of 2-D points, counter-clockwise,
-    without repeated endpoints.  Collinear inputs return the extreme
-    segment endpoints."""
+    """Vertices of the convex hull of 2-D points from Qhull, counter-clockwise,
+    without repeats.  Fewer than three distinct points, or collinear ones,
+    return the extreme segment endpoints (one point returns itself)."""
+    # Imported here, so that no other command pays for the cold import (~0.3-0.7 s).
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (n, 2)")
-    if pts.shape[0] <= 2:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] < 3:
-        # All points collinear: keep the two extremes.
-        return np.array([pts[0], pts[-1]])
-    return hull
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except QhullError:  # rows are sorted, so the first and last are the extremes
+        return pts[[0, -1]] if pts.shape[0] > 1 else pts
 
 
 def _on_segment(a: np.ndarray, b: np.ndarray, q: np.ndarray, tol: float) -> bool:

@@ -3,8 +3,8 @@
 Three problem families are supported:
 
 * quadratic least squares, parameterized by the second-moment matrix
-  ``sigma`` and the cross-moment ``a`` (optionally backed by raw (X, Y)
-  data for mini-batch gradients),
+  ``sigma`` and the (d, c) cross-moment ``a``, c = 1 for one output
+  (optionally backed by raw (X, Y) data for mini-batch gradients),
 * multi-class softmax regression with a built-in ridge term that makes
   the objective strongly convex,
 * kernel regression in its dual form, parameterized by a Gram matrix,
@@ -121,7 +121,8 @@ class QuadraticProblem:
     Up to a constant this is (1/2) tr(W^T Sigma W) - tr(W^T a) with
     Sigma = X^T X / n and a = X^T Y / n, so only those moments are
     required.  Raw (X, Y) data is optional and only needed for
-    mini-batch gradients.
+    mini-batch gradients.  ``a`` is stored (d, c) and ``Y`` (n, c); a
+    single output is one column, c = 1, also when given 1-D.
     """
 
     sigma: np.ndarray
@@ -137,6 +138,7 @@ class QuadraticProblem:
             raise ValueError(
                 f"a has {a.shape[0]} rows but sigma is {sigma.shape[0]}x{sigma.shape[0]}"
             )
+        a = a.reshape(a.shape[0], -1)  # (d, c): one column per output
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
         if (self.X is None) != (self.Y is None):
@@ -144,25 +146,18 @@ class QuadraticProblem:
         if self.X is not None:
             x = np.asarray(self.X, dtype=np.float64)
             y = np.asarray(self.Y, dtype=np.float64)
-            if y.ndim == 1:
-                y = y[:, None] if a.ndim == 2 else y
+            y = y.reshape(y.shape[0], -1)
             n = x.shape[0]
             if y.shape[0] != n:
                 raise ValueError("X and Y row counts differ")
             scale = max(1.0, float(np.abs(sigma).max()))
             if np.abs(x.T @ x / n - sigma).max() > 1e-10 * scale:
                 raise ValueError("sigma does not match X^T X / n")
-            a2 = self._as_2d(a)
-            y2 = y if y.ndim == 2 else y[:, None]
-            ascale = max(1.0, float(np.abs(a2).max()))
-            if np.abs(x.T @ y2 / n - a2).max() > 1e-10 * ascale:
+            ascale = max(1.0, float(np.abs(a).max()))
+            if np.abs(x.T @ y / n - a).max() > 1e-10 * ascale:
                 raise ValueError("a does not match X^T Y / n")
             object.__setattr__(self, "X", x)
             object.__setattr__(self, "Y", y)
-
-    @staticmethod
-    def _as_2d(a: np.ndarray) -> np.ndarray:
-        return a if a.ndim == 2 else a[:, None]
 
     @classmethod
     def from_data(cls, X: np.ndarray, Y: np.ndarray) -> "QuadraticProblem":
@@ -177,7 +172,7 @@ class QuadraticProblem:
 
     @property
     def n_outputs(self) -> int:
-        return 1 if self.a.ndim == 1 else self.a.shape[1]
+        return self.a.shape[1]
 
     @property
     def param_dim(self) -> int:
@@ -189,21 +184,19 @@ class QuadraticProblem:
 
     def loss(self, w: np.ndarray) -> float:
         mat = w.reshape(self.d, self.n_outputs)
-        a2 = self._as_2d(self.a)
-        value = 0.5 * np.sum(mat * (self.sigma @ mat)) - np.sum(mat * a2)
+        value = 0.5 * np.sum(mat * (self.sigma @ mat)) - np.sum(mat * self.a)
         if self.Y is not None:
-            y2 = self.Y if self.Y.ndim == 2 else self.Y[:, None]
-            value += 0.5 * np.sum(y2 * y2) / self.X.shape[0]
+            value += 0.5 * np.sum(self.Y * self.Y) / self.X.shape[0]
         return float(value)
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         """Gradient at w; w may also flatten (d, outputs) matrices side by side."""
         g = (self.sigma @ w.reshape(self.d, -1)).reshape(self.d, -1, self.n_outputs)
-        return (g - self._as_2d(self.a)[:, None]).ravel()
+        return (g - self.a[:, None]).ravel()
 
     def minimizer(self) -> np.ndarray:
         """Unregularized minimizer Sigma^{-1} a as a flat vector."""
-        return np.linalg.solve(self.sigma, self._as_2d(self.a)).ravel()
+        return np.linalg.solve(self.sigma, self.a).ravel()
 
 
 @dataclass(frozen=True)
@@ -367,7 +360,6 @@ def _batch_grad(problem, reg: Regularizer):
     """The mini-batch gradient as a function of (w, indices in [0, n)), checked once here."""
     if getattr(problem, "X", None) is None:
         raise ValueError("problem carries no raw data; stochastic gradients unavailable")
-    y2 = problem.Y if problem.Y.ndim == 2 else problem.Y[:, None]
     quadratic = isinstance(problem, QuadraticProblem)
     penalized = reg.kind != "none" and reg.lam != 0.0
 
@@ -375,10 +367,10 @@ def _batch_grad(problem, reg: Regularizer):
         mat = w.reshape(problem.d, problem.n_outputs)
         xb = problem.X[batch]
         if quadratic:
-            g = xb.T @ (xb @ mat - y2[batch]) / batch.size
+            g = xb.T @ (xb @ mat - problem.Y[batch]) / batch.size
         else:
             probs = problem._softmax(xb @ mat)
-            g = xb.T @ (probs - y2[batch]) / batch.size + problem.base_ridge * mat
+            g = xb.T @ (probs - problem.Y[batch]) / batch.size + problem.base_ridge * mat
         return g.ravel() + reg.grad(w, problem.d) if penalized else g.ravel()
     return grad
 

@@ -107,6 +107,15 @@ def test_mnist_linear_ngd_above_the_rate_bound_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: learning rate 0.01 >= 1/beta = 0.00627815\n"
 
 
+def test_mnist_linear_ngd_alpha_above_the_problem_exits_two(tmp_path, capsys):
+    # eta = 0.005 is below 1/beta, but the stand-in's alpha is 4.25e-5, not 1.
+    code, out, _ = run(tmp_path, "mnist-linear", "--optimizer", "ngd", "--eta", "0.005",
+                       "--deterministic")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == \
+        "config error: --alpha 1 > alpha = 4.25377e-05, the problem's strong convexity\n"
+
+
 def test_mnist_linear_from_idx_files(tmp_path):
     from iterreg.data_io import synthetic_mnist, write_idx_images, write_idx_labels
 
@@ -451,23 +460,31 @@ def test_counts_out_of_range_exit_two(tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize("argv", [
     ["demo2d", "--steps", "30"],
-    ["demo2d", "--steps", "68"],
+    ["demo2d", "--steps", "187"],
     ["kernel-demo", "--kernel-n", "8", "--steps", "60"],
+    ["demo2d", "--steps", "150"],
 ])
 def test_runs_too_short_for_the_decay_slope_exit_two(tmp_path, capsys, argv):
     # A slope fitted to no points must not pass as -inf.
     code, out, _ = run(tmp_path, *argv)
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
-    assert "--steps" in err and "69" in err
+    assert "--steps" in err and {"demo2d": "188", "kernel-demo": "72"}[argv[0]] in err
 
 
 def test_shortest_run_with_a_decay_slope_fits_it(tmp_path):
-    # 69 steps leave exactly 20 points from step 50; the slopes are real
-    # numbers, whether or not the early transient lets them pass.
-    code, _, checks = run(tmp_path, "demo2d", "--steps", "69")
+    # 188 steps leave exactly 20 points from step 169, where GD's gap
+    # transient at rate 1 - lam * gamma has died down to the 1e-3 allowance.
+    code, _, checks = run(tmp_path, "demo2d", "--steps", "188")
     slopes = [c["residual"] for c in checks["checks"] if "/decay-slope/" in c["check"]]
     assert code in (0, 1) and len(slopes) == 3 and np.all(np.isfinite(slopes))
+
+
+@pytest.mark.parametrize("steps", ["188", "227", "228", "500"])
+def test_demo2d_decay_slopes_pass_from_the_shortest_fit(tmp_path, steps):
+    # 227 failed gd's slope (-3.31e-3 against -3.32e-3) while the fit started at K // 2.
+    code, _, checks = run(tmp_path, "demo2d", "--steps", steps)
+    assert code == 0 and checks["pass"]
 
 
 def test_avg_geometric_rejects_mixed_checkpoints(tmp_path, capsys):

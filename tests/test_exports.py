@@ -4,6 +4,9 @@ stale entry would lose its per-layer span silently."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,3 +30,12 @@ def test_package_reexports_only_listed_names():
             listed = importlib.import_module(f"iterreg.{node.module}").__all__
             unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
     assert unlisted == []
+
+
+def test_cli_start_does_not_import_qhull():
+    # convex_hull imports scipy.spatial itself, so only l1-hull pays for it.
+    src = os.path.dirname(os.path.dirname(iterreg.__file__))
+    code = "import sys, iterreg, iterreg.cli; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"

@@ -134,7 +134,7 @@ class TestSgdRun:
         lam = 0.1
         sched = make_schedule(0.1, lam=lam)
         rec = sgd_run(prob, Regularizer.l2(lam), sched, 300)
-        target = np.linalg.solve(prob.sigma + lam * np.eye(2), prob.a)
+        target = np.linalg.solve(prob.sigma + lam * np.eye(2), prob.a).ravel()
         bounds = convexity_bounds(prob)
         rate = 1.0 - sched.gamma(0) * (bounds.alpha + lam)
         norms = np.linalg.norm(rec.iterates - target, axis=1)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,7 @@ from iterreg.problems import (
     QuadraticProblem,
     Regularizer,
     eval_loss_grad,
+    make_rotated_quadratic,
     toy_problem,
 )
 
@@ -150,6 +153,18 @@ class TestExpectationPath:
         mean = expectation_path(prob, reg, sched, steps, kind=kind, alpha=0.05)
         scale = np.abs(rec.iterates).max()
         assert np.abs(rec.iterates - mean.iterates).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("sched, reg, message", [
+        (make_schedule([0.1, 0.5]), Regularizer.none(), "constant learning rates only"),
+        (make_schedule(0.1, lam=0.2), Regularizer.generalized_l2(0.2, np.diag([2.0, 1.0])),
+         "none/l2 regularizers only"),
+    ])
+    def test_accelerated_refuses_what_nsgd_run_refuses(self, sched, reg, message):
+        prob = toy_problem()
+        for route in (partial(nsgd_run, prob, reg, sched, 20, alpha=0.05),
+                      partial(expectation_path, prob, reg, sched, 20, kind="ngd", alpha=0.05)):
+            with pytest.raises(ValueError, match=message):
+                route()
 
     def test_never_reaches_the_gradient_loop(self, monkeypatch):
         # The oracle is the second route to every optimizer's path.
@@ -532,6 +547,46 @@ class TestHull:
         pts = np.vstack([self.square, cloud])
         hull = convex_hull(pts)
         assert hull.shape == (4, 2)
+
+
+def _angular_gap_inside(points, query):
+    """Reference membership: a query off the points is inside their hull iff
+    the directions to them leave no angular gap of pi or more."""
+    rel = points - query
+    if np.any(np.all(rel == 0, axis=1)):
+        return True
+    angles = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
+    return np.diff(np.append(angles, angles[0] + 2 * np.pi)).max() < np.pi
+
+
+class TestHullAroundPaths:
+    """hull_contains on a fixed grid around two 500-step GD paths: the toy
+    path at eta = 0.1 (Qhull keeps 272 of the 327 vertices a monotone chain
+    keeps) and a path that is a segment after its first step (3 of 8)."""
+
+    @pytest.mark.parametrize("prob, eta, inside", [
+        (toy_problem(), 0.1, 64),
+        (make_rotated_quadratic((0.3, 2.0), 0.7, (-1.0, 2.0)), 0.5, 52),
+    ])
+    def test_grid_membership(self, prob, eta, inside):
+        pts = sgd_run(prob, Regularizer.none(), make_schedule(eta), 500).iterates
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        pad = 0.1 * (hi - lo)
+        axes = [np.linspace(lo[i] - pad[i], hi[i] + pad[i], 21) for i in range(2)]
+        grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 2)
+        got = [hull_contains(pts, q) for q in grid]
+        assert got == [_angular_gap_inside(pts, q) for q in grid]
+        assert sum(got) == inside  # the count of the monotone chain it replaced
+        on_path = np.vstack([pts, 0.5 * (pts[1:] + pts[:-1])])[::25]
+        assert all(hull_contains(pts, q) for q in on_path)
+
+    def test_vertices_counter_clockwise(self):
+        pts = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500).iterates
+        hull = convex_hull(pts)
+        edge = np.roll(hull, -1, axis=0) - hull
+        turn = edge[:, 0] * np.roll(edge[:, 1], -1) - edge[:, 1] * np.roll(edge[:, 0], -1)
+        assert turn.min() > 0
+        assert np.isin(hull.view("f8,f8"), pts.view("f8,f8")).all()
 
 
 class TestMinimizeObjective:

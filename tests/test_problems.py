@@ -54,7 +54,7 @@ class TestQuadratic:
 
     def test_gradient_vanishes_at_ridge_solution(self):
         prob = diag_problem()
-        w_hat = np.linalg.solve(prob.sigma + 0.1 * np.eye(2), prob.a)
+        w_hat = np.linalg.solve(prob.sigma + 0.1 * np.eye(2), prob.a).ravel()
         # The rounded value from a hand solve stays within 1e-6.
         np.testing.assert_allclose(w_hat, [0.5, 0.909091], atol=5e-7)
         _, g = eval_loss_grad(prob, Regularizer.l2(0.1), np.array([0.5, 0.909091]))
