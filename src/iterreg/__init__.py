@@ -32,7 +32,6 @@ from .averaging import (
     averaged_path,
     scheme_to_csv,
     weights_general,
-    weights_geometric,
     weights_kernel,
     weights_nsgd,
     weights_sgd_adaptive,

@@ -38,7 +38,6 @@ __all__ = [
     "weights_nsgd",
     "weights_general",
     "weights_kernel",
-    "weights_geometric",
     "averaged_path",
     "scheme_to_csv",
 ]
@@ -72,7 +71,6 @@ class WeightScheme:
     Only P is stored; the increments p_k are derived from it when read.
     """
 
-    kind: str
     cumulative: np.ndarray
     basis: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
@@ -110,8 +108,7 @@ class WeightScheme:
 
     @classmethod
     def from_cumulative(cls, cumulative, basis=None):
-        return cls(kind="custom", cumulative=np.asarray(cumulative, dtype=np.float64),
-                   basis=basis)
+        return cls(cumulative, basis)
 
 
 def _require_positive_lam(lam: float) -> None:
@@ -159,7 +156,7 @@ def weights_sgd_adaptive(
         )
     # gamma_i / eta_i = 1 / (1 + lam * eta_i)
     p_cum = _cumulative(_per_step(schedule, lambda etas: -np.log1p(lam * etas), K + 1))
-    return WeightScheme("sgd-adaptive", p_cum, params={"lam": lam})
+    return WeightScheme(p_cum, params={"lam": lam})
 
 
 def weights_nsgd(eta: float, lam: float, alpha: float, K: int) -> WeightScheme:
@@ -181,9 +178,7 @@ def weights_nsgd(eta: float, lam: float, alpha: float, K: int) -> WeightScheme:
     # r = 1 (w_0 = w_1 = 0), gamma / eta, decay, decay, ...
     log_ratios[:2] = [0.0, -np.log1p(lam * eta)][: K + 1]
     p_cum = _cumulative(log_ratios)
-    return WeightScheme(
-        "nsgd", p_cum, params={"eta": eta, "lam": lam, "alpha": alpha, "decay": decay}
-    )
+    return WeightScheme(p_cum, params={"eta": eta, "lam": lam, "alpha": alpha, "decay": decay})
 
 
 def weights_general(eta: float, gamma: float, K: int) -> WeightScheme:
@@ -197,7 +192,7 @@ def weights_general(eta: float, gamma: float, K: int) -> WeightScheme:
             f"gamma/eta = {gamma / eta:.8g} leaves P_K = {p_cum[-1]:.3e} < 1e-6; "
             "the average is numerically ill-conditioned"
         )
-    return WeightScheme("general-gd", p_cum, params={"eta": eta, "gamma": gamma})
+    return WeightScheme(p_cum, params={"eta": eta, "gamma": gamma})
 
 
 def weights_kernel(
@@ -223,21 +218,7 @@ def weights_kernel(
     mu = kernel.eigenvalues
     p_cum = _cumulative(_per_step(
         schedule, lambda etas: -np.log1p((lam_hat - lam) * etas[:, None] * mu), K + 1))
-    return WeightScheme(
-        "kernel", p_cum, basis=kernel.basis, params={"lam": lam, "lam_hat": lam_hat}
-    )
-
-
-def weights_geometric(p_success: float, K: int) -> WeightScheme:
-    """Truncated geometric weights p_k proportional to p (1-p)^k, renormalized.
-
-    This is the checkpoint-averaging scheme: with K+1 stored checkpoints
-    the raw geometric tail is folded back so that P_K = 1 exactly.
-    """
-    if not (0.0 < p_success < 1.0):
-        raise ValueError(f"success probability must be in (0, 1), got {p_success}")
-    p_raw = _cumulative(np.full(K + 1, np.log1p(-p_success)))
-    return WeightScheme("geometric", p_raw / p_raw[-1], params={"p": p_success})
+    return WeightScheme(p_cum, basis=kernel.basis, params={"lam": lam, "lam_hat": lam_hat})
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,11 @@ Subcommands:
     sandwich        entry-wise bracket for a general strongly convex loss
     l1-hull         l1 solutions escape the hull of the descent path
     sweep           one stored path re-averaged across a lambda grid
-    avg-geometric   geometric checkpoint averaging over stored paths
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import operator
 import os
@@ -40,7 +38,6 @@ from .averaging import (
     averaged_path,
     scheme_to_csv,
     weights_general,
-    weights_geometric,
     weights_kernel,
     weights_nsgd,
     weights_sgd_adaptive,
@@ -315,6 +312,10 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     eta, lam, steps = args.eta, args.lam, args.steps
     _need_steps(steps, 11, "the monotonicity check after step 10")
     data = _mnist_dataset(args)
+    n, d = data.X.shape
+    if n < d:  # Sigma = X^T X / n then has rank at most n
+        raise ConfigError(f"--limit {args.limit} loaded n = {n} rows for d = {d} features; "
+                          "least squares needs n >= d")
     prob = QuadraticProblem.from_data(data.X, data.Y)
     sched = _eta_schedule(prob, args, lam)
     t0 = time.perf_counter()
@@ -533,26 +534,6 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
     _write_json(out_dir, "sweep.json", {"optimize_s": optimize_s, "points": points})
 
 
-def cmd_avg_geometric(args, checks: Checks, out_dir: str):
-    files = sorted(glob.glob(os.path.join(args.checkpoints, "*.npz")))
-    if not files:
-        raise ConfigError(f"no *.npz path records under {args.checkpoints}")
-    records = [load_path(f) for f in files]
-    for f, rec in zip(files, records):
-        if (rec.problem_fingerprint, rec.final.shape) != \
-                (records[0].problem_fingerprint, records[0].final.shape):
-            raise ConfigError(f"{f}: problem fingerprint or dimension differs from {files[0]}")
-    stack = np.array([rec.final for rec in records])
-    scheme = weights_geometric(args.p_success, stack.shape[0] - 1)
-    checks.add("avg-geometric/weights-normalized",
-               abs(float(scheme.cumulative[-1]) - 1.0), 1e-12,
-               {"p": args.p_success, "checkpoints": len(files)})
-    average = averaged_path(stack, scheme)[-1]
-    _write_json(out_dir, "avg_geometric.json", {"p_success": args.p_success,
-                                                "checkpoints": files,
-                                                "average": [float(v) for v in average]})
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
@@ -613,9 +594,6 @@ _FLAGS = {
     "mc_seeds": ("--mc-seeds", dict(type=_count, default=200)),
     "gamma": ("--gamma", dict(type=float, default=0.25)),
     "path": ("--path", dict(help="stored path record (.npz)")),
-    "checkpoints": ("--checkpoints", dict(required=True,
-                                          help="directory of stored path records")),
-    "p_success": ("--p-success", dict(type=float, default=0.99)),
 }
 
 
@@ -654,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("out", "steps", "lams", "eta"), lams=[0.01, 0.03, 0.1, 0.3, 1.0, 3.0])
     command("sweep", "many lambdas from one stored path",
             ("out", "steps", "lams", "eta", "path"), lams=[0.01, 0.1, 1.0, 10.0])
-    command("avg-geometric", "geometric checkpoint averaging",
-            ("out", "checkpoints", "p_success"))
     return parser
 
 
@@ -685,7 +661,6 @@ _COMMANDS = {
     "sandwich": cmd_sandwich,
     "l1-hull": cmd_l1_hull,
     "sweep": cmd_sweep,
-    "avg-geometric": cmd_avg_geometric,
 }
 
 

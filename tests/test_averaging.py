@@ -11,7 +11,6 @@ from iterreg.averaging import (
     averaged_path,
     scheme_to_csv,
     weights_general,
-    weights_geometric,
     weights_kernel,
     weights_nsgd,
     weights_sgd_adaptive,
@@ -159,24 +158,29 @@ class TestKernelScheme:
 
 
 class TestGeometricScheme:
+    """Checkpoint weights p (1-p)^k are weights_sgd_adaptive's at
+    lambda = p / ((1-p) eta), whose ratio 1 / (1 + lambda eta) is then 1 - p;
+    the final average divides by P_K, so it is the truncated geometric mean."""
+
     def test_renormalized_weights(self):
-        scheme = weights_geometric(0.5, 2)
-        np.testing.assert_allclose(scheme.increments, [4 / 7, 2 / 7, 1 / 7],
-                                   atol=1e-15)
-        assert abs(scheme.P(2) - 1.0) < 1e-15
+        K = 30
+        x = np.random.default_rng(0).standard_normal((K + 1, 5))
+        for p in (0.5, 0.9, 0.99, 0.9999, 1 - 1e-12):
+            for etas in ([0.1], [0.1, 0.05, 0.2]):
+                lam = p / ((1 - p) * etas[0])
+                if len(etas) == 1:
+                    weights = p * (1 - p) ** np.arange(K + 1)
+                else:  # the ratio follows each rate
+                    r = 1 / (1 + lam * np.resize(etas, K + 1))
+                    weights = np.cumprod(np.r_[1.0, r[:-1]]) * (1 - r)
+                direct = weights @ x / weights.sum()
+                final = averaged_path(x, weights_sgd_adaptive(etas, lam, K))[-1]
+                assert np.abs(final - direct).max() <= 2e-15 * np.abs(direct).max()
 
     def test_success_probability_one_limit(self):
-        scheme = weights_geometric(1 - 1e-12, 5)
-        assert scheme.increments[0] > 1 - 1e-11
-
-    def test_checkpoint_grid_values_accepted(self):
-        for p in (0.9999, 0.999, 0.99, 0.9):
-            weights_geometric(p, 239)
-
-    def test_out_of_range_rejected(self):
-        for p in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                weights_geometric(p, 5)
+        p, eta = 1 - 1e-12, 0.1
+        scheme = weights_sgd_adaptive(eta, p / ((1 - p) * eta), 5)
+        assert scheme.increments[0] / scheme.P(5) > 1 - 1e-11
 
 
 class TestSchemeTails:

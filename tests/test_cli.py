@@ -12,12 +12,7 @@ from iterreg.averaging import averaged_path, weights_nsgd, weights_sgd_adaptive
 from iterreg.cli import main
 from iterreg.data_io import read_report
 from iterreg.optimizers import make_schedule, nsgd_run, psgd_run, save_path, sgd_run
-from iterreg.problems import (
-    QuadraticProblem,
-    Regularizer,
-    make_rotated_quadratic,
-    toy_problem,
-)
+from iterreg.problems import Regularizer, make_rotated_quadratic, toy_problem
 
 
 def run(tmp_path, *argv):
@@ -315,21 +310,6 @@ def test_failed_run_keeps_an_out_directory_it_did_not_make(tmp_path, argv, exit_
     assert written(out) == {"earlier.txt"}
 
 
-def test_avg_geometric(tmp_path):
-    ckpts = tmp_path / "ckpts"
-    ckpts.mkdir()
-    prob = toy_problem()
-    for i in range(4):
-        rec = sgd_run(prob, Regularizer.none(), make_schedule(0.1), 30 + i)
-        save_path(rec, str(ckpts / f"c{i:02d}.npz"))
-    code, out, checks = run(tmp_path, "avg-geometric", "--checkpoints",
-                            str(ckpts), "--p-success", "0.9")
-    assert code == 0 and checks["pass"]
-    assert written(out) == {"avg_geometric.json", "checks.json"}
-    payload = json.loads((out / "avg_geometric.json").read_text())
-    assert len(payload["average"]) == 2
-
-
 def test_reports_are_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -406,27 +386,40 @@ ACCEPTED_FLAGS = {
     "sandwich": {"--out", "--seed", "--steps", "--eta", "--gamma"},
     "l1-hull": {"--out", "--steps", "--lambda", "--eta"},
     "sweep": {"--out", "--steps", "--lambda", "--eta", "--path"},
-    "avg-geometric": {"--out", "--checkpoints", "--p-success"},
 }
+
+
+def _subparsers(parser):
+    """Subcommand name -> its parser, in the order they were added."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     parser = cli.build_parser()
     assert {o for a in parser._actions for o in a.option_strings} == {"-h", "--help",
                                                                        "--config"}
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
     accepted = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
-                for name, sub in subparsers.choices.items()}
+                for name, sub in _subparsers(parser).items()}
     assert accepted == ACCEPTED_FLAGS
-    assert sum(len(flags) for flags in accepted.values()) == 74
+    assert sum(len(flags) for flags in accepted.values()) == 71
+
+
+def test_command_lists_in_the_docs_match_the_parser():
+    commands = list(_subparsers(cli.build_parser()))
+    listed = cli.__doc__.split("Subcommands:\n")[1].splitlines()
+    assert [line.split()[0] for line in listed if line.strip()] == commands
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("| subcommand | flags |\n|---|---|\n")[1]
+    rows = table[: table.index("\n\n")].splitlines()
+    assert [row.split("`")[1] for row in rows] == commands
 
 
 @pytest.mark.parametrize("argv, flag", [
     (["kernel-demo", "--kernel-n", "8", "--eta", "0.05"], "--eta"),
     (["sweep", "--seed", "4"], "--seed"),
     (["variance-mc", "--mc-seeds", "2", "--format", "json"], "--format"),
-    (["avg-geometric", "--checkpoints", "ckpts", "--steps", "5"], "--steps"),
     (["mnist-linear", "--deterministic", "--batch", "500"], "--batch"),
     (["mnist-logistic", "--deterministic", "--batch", "500"], "--batch"),
 ])
@@ -458,6 +451,23 @@ def test_counts_out_of_range_exit_two(tmp_path, capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+def test_mnist_linear_with_fewer_rows_than_features_exits_two(tmp_path, capsys):
+    # Sigma = X^T X / n has rank at most n < d = 784; IDX files may also hold
+    # fewer images than --limit asks for.
+    from iterreg.data_io import synthetic_mnist, write_idx_images, write_idx_labels
+
+    images, labels = synthetic_mnist(n=600, seed=1)
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx_images(ip, images)
+    write_idx_labels(lp, labels)
+    for label, extra in (("stand-in", ["--limit", "600"]),
+                         ("idx", ["--images", ip, "--labels", lp])):
+        code, out, _ = run(tmp_path / label, "mnist-linear", *extra)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "--limit" in err and "n = 600" in err and "d = 784" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["demo2d", "--steps", "30"],
     ["demo2d", "--steps", "187"],
@@ -485,32 +495,6 @@ def test_demo2d_decay_slopes_pass_from_the_shortest_fit(tmp_path, steps):
     # 227 failed gd's slope (-3.31e-3 against -3.32e-3) while the fit started at K // 2.
     code, _, checks = run(tmp_path, "demo2d", "--steps", steps)
     assert code == 0 and checks["pass"]
-
-
-def test_avg_geometric_rejects_mixed_checkpoints(tmp_path, capsys):
-    sched = make_schedule(0.1)
-    others = {
-        "other-problem": make_rotated_quadratic((0.5, 2.0), 0.3, (-1.0, 2.0)),
-        "other-dimension": QuadraticProblem(sigma=np.diag([0.5, 1.0, 2.0]), a=np.ones(3)),
-    }
-    for label, other in others.items():
-        ckpts = tmp_path / label
-        ckpts.mkdir()
-        for i in range(2):
-            rec = sgd_run(toy_problem(), Regularizer.none(), sched, 30 + i)
-            save_path(rec, str(ckpts / f"c{i:02d}.npz"))
-        odd = ckpts / "c02.npz"
-        save_path(sgd_run(other, Regularizer.none(), sched, 32), str(odd))
-        code, out, _ = run(tmp_path / f"out-{label}", "avg-geometric",
-                           "--checkpoints", str(ckpts))
-        assert code == 2 and not out.exists()
-        assert str(odd) in capsys.readouterr().err
-
-
-def test_avg_geometric_needs_checkpoints(tmp_path, capsys):
-    code, out, _ = run(tmp_path, "avg-geometric")
-    assert code == 2 and not out.exists()
-    assert "--checkpoints" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("explicit", [["--steps", "300"], ["--steps=300"]])
