@@ -177,6 +177,16 @@ class TestGeometricScheme:
                 final = averaged_path(x, weights_sgd_adaptive(etas, lam, K))[-1]
                 assert np.abs(final - direct).max() <= 2e-15 * np.abs(direct).max()
 
+    def test_checkpoint_grid_values_accepted(self):
+        K, eta = 239, 0.1
+        for p in (0.9999, 0.999, 0.99, 0.9):
+            scheme = weights_sgd_adaptive(eta, p / ((1 - p) * eta), K)
+            final = scheme.increments / scheme.P(K)
+            expected = (1 - p) ** np.arange(K + 1)
+            # increments are differences of P, so each is exact to roundoff of 1
+            assert np.isfinite(final).all() and abs(final.sum() - 1) <= 1e-14
+            np.testing.assert_allclose(final, expected / expected.sum(), rtol=0, atol=2e-15)
+
     def test_success_probability_one_limit(self):
         p, eta = 1 - 1e-12, 0.1
         scheme = weights_sgd_adaptive(eta, p / ((1 - p) * eta), 5)

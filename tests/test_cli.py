@@ -420,6 +420,7 @@ def test_command_lists_in_the_docs_match_the_parser():
     (["kernel-demo", "--kernel-n", "8", "--eta", "0.05"], "--eta"),
     (["sweep", "--seed", "4"], "--seed"),
     (["variance-mc", "--mc-seeds", "2", "--format", "json"], "--format"),
+    (["l1-hull", "--seed", "3"], "--seed"),
     (["mnist-linear", "--deterministic", "--batch", "500"], "--batch"),
     (["mnist-logistic", "--deterministic", "--batch", "500"], "--batch"),
 ])
