@@ -10,7 +10,6 @@ converge).
 
 Subcommands:
     demo2d          2-D quadratic demo: identities, decay rates, limits
-    verify-identity exact mixing identity for GD / PGD / NGD / kernel GD
     kernel-demo     dual kernel paths vs (K + lam_hat I)^{-1} y
     mnist-linear    least squares on IDX data (or a seeded stand-in)
     mnist-logistic  softmax-with-ridge variant of the same
@@ -198,22 +197,7 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
             scheme_to_csv(scheme, os.path.join(out_dir, "demo2d_gd_scheme.csv"))
 
 
-# Step size of both kernel commands, and their largest Gram matrix.
-_KERNEL_ETA = 0.2
-_KERNEL_MAX_N = 1000
-
-
-def cmd_verify_identity(args, checks: Checks, out_dir: str):
-    cmd_demo2d(args, checks, out_dir)
-    # Kernel identity on a seeded well-conditioned Gram matrix.
-    kernel = _random_kernel(args.kernel_n, args.seed)
-    sched = make_schedule(_KERNEL_ETA)
-    plain = kernel_gd_run(kernel, sched, args.steps, lam=0.0)
-    reg = kernel_gd_run(kernel, sched, args.steps, lam=0.0, lam_hat=args.lam_hat)
-    scheme = weights_kernel(kernel, sched, 0.0, args.lam_hat, args.steps)
-    residual = oracles.identity_check(plain, reg, scheme)
-    checks.add("verify-identity/kernel", residual, 1e-9,
-               {"n": kernel.n, "lam_hat": args.lam_hat, "eta": _KERNEL_ETA})
+_KERNEL_MAX_N = 1000  # kernel-demo's largest Gram matrix
 
 
 def _random_kernel(n: int, seed: int):
@@ -228,7 +212,7 @@ def _random_kernel(n: int, seed: int):
 
 def cmd_kernel_demo(args, checks: Checks, out_dir: str):
     kernel = _random_kernel(args.kernel_n, args.seed)
-    eta = _KERNEL_ETA
+    eta = 0.2
     mu = kernel.eigenvalues
     # Plain GD is stable, eta mu^2 <= 0.2 * 2^2 < 1 on _random_kernel's spectrum,
     # and so is the regularized run: its factor (eta mu^2 + lam_hat eta mu) /
@@ -268,33 +252,34 @@ def _mnist_dataset(args) -> Dataset:
     )
 
 
+def _optimizer(prob, name, alpha, q=None):
+    """Runner, penalty of the regularized run (a function of lambda) and scheme
+    constructor (schedule, lambda, steps) of gd, pgd (preconditioned with q, by
+    default the quadratic's Sigma) or ngd (momentum for strong convexity alpha)."""
+    if name == "gd":
+        return sgd_run, Regularizer.l2, weights_sgd_adaptive
+    if name == "pgd":
+        q = prob.sigma if q is None else q
+        return (partial(psgd_run, Q=q), partial(Regularizer.generalized_l2, Q=q),
+                weights_sgd_adaptive)
+    return (partial(nsgd_run, alpha=alpha), Regularizer.l2,  # ngd, the parser admits no other
+            lambda sched, lam, steps: weights_nsgd(sched.eta(0), lam, alpha, steps))
+
+
 def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None,
               deterministic=True, reg_sched=None, q=None, scheme=None):
     """Plain and lambda-regularized runs of one optimizer, and their scheme.
 
-    By default the regularized run takes the coupled rates of ``sched``,
-    PGD preconditions with the quadratic's Sigma, and the scheme follows
-    from the optimizer; a general loss passes its own regularized
-    schedule, preconditioner and scheme.
+    By default the regularized run takes the coupled rates of ``sched`` and
+    the scheme follows from the optimizer; a general loss passes its own
+    regularized schedule, preconditioner and scheme.
     """
-    reg_sched = sched if reg_sched is None else reg_sched
+    run, penalty, make_scheme = _optimizer(prob, optimizer, alpha, q)
     kwargs = dict(batch_size=None if deterministic else batch, seed=seed,
                   deterministic=deterministic)
-    if optimizer == "gd":
-        plain = sgd_run(prob, Regularizer.none(), sched, steps, **kwargs)
-        regp = sgd_run(prob, Regularizer.l2(lam), reg_sched, steps, **kwargs)
-    elif optimizer == "pgd":
-        q = prob.sigma if q is None else q
-        plain = psgd_run(prob, Regularizer.none(), sched, steps, Q=q, **kwargs)
-        regp = psgd_run(prob, Regularizer.generalized_l2(lam, q), reg_sched, steps,
-                        Q=q, **kwargs)
-    else:  # ngd, the parser admits no other
-        plain = nsgd_run(prob, Regularizer.none(), sched, steps, alpha=alpha, **kwargs)
-        regp = nsgd_run(prob, Regularizer.l2(lam), reg_sched, steps, alpha=alpha, **kwargs)
-    if scheme is None:
-        scheme = weights_nsgd(sched.eta(0), lam, alpha, steps) if optimizer == "ngd" \
-            else weights_sgd_adaptive(sched, lam, steps)
-    return plain, regp, scheme
+    plain = run(prob, Regularizer.none(), sched, steps, **kwargs)
+    regp = run(prob, penalty(lam), reg_sched or sched, steps, **kwargs)
+    return plain, regp, make_scheme(sched, lam, steps) if scheme is None else scheme
 
 
 def _eta_schedule(prob, args, lam: float = 0.0):
@@ -387,33 +372,20 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
     sched = make_schedule(eta, lam, bounds)
     gamma = sched.gamma(0)
     results = {}
-    for kind in ("sgd", "psgd", "nsgd"):
-        if kind == "sgd":
-            eps = oracles.variance_epsilon("sgd", sigma, delta, gamma, lam,
-                                           bounds.alpha, bounds.beta)
-            mean_rec = oracles.expectation_path(prob, Regularizer.none(), sched, steps)
-            scheme = weights_sgd_adaptive(sched, lam, steps)
-            run = partial(sgd_run, prob, Regularizer.none(), sched, steps)
-        elif kind == "psgd":
-            # Q = Sigma, so ||Q||_2 is beta.
-            eps = oracles.variance_epsilon("psgd", sigma, delta, gamma, lam,
-                                           bounds.alpha, bounds.beta, q_norm=bounds.beta)
-            # lambda = 0 adds no penalty; the generalized penalty carries Q = Sigma.
-            mean_rec = oracles.expectation_path(
-                prob, Regularizer.generalized_l2(0.0, prob.sigma), sched, steps, kind="pgd")
-            scheme = weights_sgd_adaptive(sched, lam, steps)
-            run = partial(psgd_run, prob, Regularizer.none(), sched, steps, Q=prob.sigma)
-        else:
-            eps = oracles.variance_epsilon("nsgd", sigma, delta, gamma, lam,
-                                           args.alpha, bounds.beta, eta=eta,
-                                           lam_min=bounds.alpha)
-            mean_rec = oracles.expectation_path(prob, Regularizer.none(), sched,
-                                                steps, kind="ngd", alpha=args.alpha)
-            scheme = weights_nsgd(eta, lam, args.alpha, steps)
-            run = partial(nsgd_run, prob, Regularizer.none(), sched, steps, alpha=args.alpha)
+    for name, kind in (("gd", "sgd"), ("pgd", "psgd"), ("ngd", "nsgd")):
+        run, penalty, make_scheme = _optimizer(prob, name, args.alpha)
+        # NGD's bound takes the momentum's alpha; PSGD's has Q = Sigma, ||Q||_2 = beta.
+        eps = oracles.variance_epsilon(kind, sigma, delta, gamma, lam,
+                                       args.alpha if name == "ngd" else bounds.alpha, bounds.beta,
+                                       eta=eta, lam_min=bounds.alpha, q_norm=bounds.beta)
+        # The penalty at lambda = 0 adds nothing; for PGD it carries Q.
+        mean_rec = oracles.expectation_path(prob, penalty(0.0), sched, steps, kind=name,
+                                            alpha=args.alpha)
+        scheme = make_scheme(sched, lam, steps)
         p_last = scheme.cumulative[steps]
         target = averaged_path(mean_rec, scheme)[-1]
-        runs = run(seed=range(args.seed, args.seed + args.mc_seeds), noise_sigma=sigma)
+        runs = run(prob, Regularizer.none(), sched, steps,
+                   seed=range(args.seed, args.seed + args.mc_seeds), noise_sigma=sigma)
         finals = [averaged_path(rec, scheme)[-1] for rec in runs]
         deviations = [float(np.linalg.norm(p_last * f - p_last * target)) for f in finals]
         freq = float(np.mean(np.asarray(deviations) > eps.epsilon))
@@ -583,7 +555,6 @@ _FLAGS = {
     "limit": ("--limit", dict(type=_count, default=2000)),
     "format": ("--format", dict(choices=("csv", "json"), default="csv")),
     "kernel_n": ("--kernel-n", dict(type=partial(_count, most=_KERNEL_MAX_N))),
-    "lam_hat": ("--lam-hats", dict(dest="lam_hat", type=float, default=1.0)),
     "lam_hats": ("--lam-hats", dict(type=_parse_lams, default=[0.5, 1.0, 2.0])),
     "images": ("--images", {}),
     "labels": ("--labels", {}),
@@ -613,12 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(option, **{"action": _Given, **kwargs})
         p.set_defaults(given=frozenset(), **defaults)
 
-    demo2d = ("out", "steps", "lam", "eta", "alpha", "format")
     mnist = ("out", "seed", "steps", "lam", "eta", "alpha", "batch", "deterministic", "limit",
              "format", "images", "labels", "optimizer")
-    command("demo2d", "2-D quadratic demo (identities, rates)", demo2d)
-    command("verify-identity", "exact identity for all optimizers",
-            demo2d + ("seed", "kernel_n", "lam_hat"), kernel_n=20)
+    command("demo2d", "2-D quadratic demo (identities, rates)",
+            ("out", "steps", "lam", "eta", "alpha", "format"))
     command("kernel-demo", "kernel dual paths vs closed form",
             ("out", "seed", "steps", "format", "kernel_n", "lam_hats"), kernel_n=40)
     for name, extra in (("mnist-linear", ()), ("mnist-logistic", ("base_ridge",))):
@@ -653,7 +622,6 @@ def _check_mode_flags(args) -> None:
 
 _COMMANDS = {
     "demo2d": cmd_demo2d,
-    "verify-identity": cmd_verify_identity,
     "kernel-demo": cmd_kernel_demo,
     "mnist-linear": cmd_mnist_linear,
     "mnist-logistic": cmd_mnist_logistic,
@@ -675,11 +643,12 @@ def _apply_config_file(argv):
         raise ConfigError("--config needs a file argument")
     with open(cfg_path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
-    if payload.get("version") != 1:
-        raise ConfigError(f"unsupported config version {payload.get('version')!r}")
+    settings = payload.get("args", {}) if isinstance(payload, dict) else None
+    if not isinstance(settings, dict) or payload.get("version") != 1:
+        raise ConfigError(f'{cfg_path}: expected {{"version": 1, "args": {{...}}}}')
     rest = argv[:idx] + argv[idx + 2:]
     extra = []
-    for key, value in payload.get("args", {}).items():
+    for key, value in settings.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:

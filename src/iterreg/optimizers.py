@@ -477,6 +477,22 @@ def save_path(record: PathRecord, path: str) -> None:
                  iterates=record.iterates)
 
 
+# Header key -> the test its value must pass (``type(v) is int`` refuses a bool).
+_HEADER_KEYS = {"steps": lambda v: type(v) is int, "dim": lambda v: type(v) is int,
+                "tag": lambda v: isinstance(v, str), "seed": lambda v: v is None or type(v) is int,
+                "extras": lambda v: isinstance(v, dict)}
+_SCHEDULE_KEYS = {"etas": lambda v: isinstance(v, list) and all(type(e) in (int, float) for e in v),
+                  "lam": lambda v: type(v) in (int, float)}
+
+
+def _checked(path: str, table, tests: dict) -> list:
+    """``table``'s values of ``tests``' keys; a bad one is a ValueError naming file and key."""
+    for key, ok in tests.items():
+        if not isinstance(table, dict) or key not in table or not ok(table[key]):
+            raise ValueError(f"{path}: header key {key!r} is missing or malformed")
+    return [table[key] for key in tests]
+
+
 def load_path(path: str) -> PathRecord:
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
@@ -493,19 +509,20 @@ def load_path(path: str) -> PathRecord:
         raise ValueError(f"{path}: not a path record")
     if header.get("version") != _PATH_VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    expected = (header["steps"] + 1, header["dim"])
+    steps, dim, tag, seed, extras = _checked(path, header, _HEADER_KEYS)
+    expected = (steps + 1, dim)
     if iterates.dtype != np.float64 or iterates.shape != expected:
         raise ValueError(f"{path}: expected float64 iterates of shape {expected}, "
                          f"got {iterates.dtype} {iterates.shape}")
     sched = header.get("schedule")
-    schedule = None if sched is None else LRSchedule(np.asarray(sched["etas"]), sched["lam"])
+    schedule = None if sched is None else LRSchedule(*_checked(path, sched, _SCHEDULE_KEYS))
     return PathRecord(
         iterates=iterates,
-        tag=header["tag"],
-        seed=header["seed"],
+        tag=tag,
+        seed=seed,
         schedule=schedule,
         problem_fingerprint=header.get("problem", ""),
-        extras=header.get("extras", {}),
+        extras=extras,
     )
 
 

@@ -369,13 +369,10 @@ class BoundingSequences:
     lower_avg: np.ndarray
     upper_hat: np.ndarray
     lower_hat: np.ndarray
-    b: np.ndarray
     signs: np.ndarray
     mask: np.ndarray
     center: np.ndarray
     halfgap: np.ndarray
-    lam1: float
-    lam2: float
 
 
 def bounding_sequences(
@@ -422,13 +419,10 @@ def bounding_sequences(
         lower_avg=lower_avg,
         upper_hat=upper_hat,
         lower_hat=lower_hat,
-        b=b,
         signs=signs,
         mask=mask,
         center=center,
         halfgap=halfgap,
-        lam1=lam1,
-        lam2=lam2,
     )
 
 

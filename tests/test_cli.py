@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from iterreg import cli, oracles
-from iterreg.averaging import averaged_path, weights_nsgd, weights_sgd_adaptive
+from iterreg.averaging import (WeightScheme, averaged_path, weights_kernel, weights_nsgd,
+                               weights_sgd_adaptive)
 from iterreg.cli import main
 from iterreg.data_io import read_report
 from iterreg.optimizers import make_schedule, nsgd_run, psgd_run, save_path, sgd_run
@@ -47,14 +48,6 @@ def test_demo2d_all_checks_pass(tmp_path):
         assert (a.iters, a.err_plain, a.err_avg, a.p_cumulative) == \
             (b.iters, b.err_plain, b.err_avg, b.p_cumulative)
         assert b.experiment == f"demo2d-{name}" and len(b.iters) == 501
-
-
-def test_verify_identity(tmp_path):
-    code, out, checks = run(tmp_path, "verify-identity", "--kernel-n", "12")
-    assert code == 0
-    assert written(out) == DEMO2D_FILES
-    names = {c["check"] for c in checks["checks"]}
-    assert "verify-identity/kernel" in names
 
 
 def test_kernel_demo(tmp_path):
@@ -239,6 +232,37 @@ def test_sweep_check_fails_on_corrupted_average(tmp_path, monkeypatch):
     assert [c["pass"] for c in checks["checks"]] == [False, False]
 
 
+def _passes(checks, family):
+    """Pass flags of the checks whose names start with ``family``, in order."""
+    return [c["pass"] for c in checks["checks"] if c["check"].startswith(family)]
+
+
+def test_kernel_identity_check_fails_on_shifted_scheme(tmp_path, monkeypatch):
+    # Weights one step ahead of the path: P_{k+1} stands where P_k belongs.
+    def shifted(kernel, sched, lam, lam_hat, steps):
+        ahead = weights_kernel(kernel, sched, lam, lam_hat, steps + 1)
+        return WeightScheme(ahead.cumulative[1:], basis=ahead.basis)
+
+    monkeypatch.setattr(cli, "weights_kernel", shifted)
+    code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
+    assert code == 1
+    assert _passes(checks, "kernel/identity/") == [False, False, False]
+
+
+def test_kernel_limit_check_fails_on_corrupted_average(tmp_path, monkeypatch):
+    # Blend each average halfway toward the plain path's last iterate, the
+    # unpenalized solution: the identity, checked by the oracle's own
+    # averaging, still holds, and only the limit check sees the fault.
+    def blended(path, scheme):
+        return 0.5 * (averaged_path(path, scheme) + path.iterates[-1])
+
+    monkeypatch.setattr(cli, "averaged_path", blended)
+    code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
+    assert code == 1
+    assert _passes(checks, "kernel/limit/") == [False, False, False]
+    assert _passes(checks, "kernel/identity/") == [True, True, True]
+
+
 def test_sweep_rejects_truncated_path(tmp_path, capsys):
     rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500)
     stored = tmp_path / "path.npz"
@@ -267,6 +291,24 @@ def test_sweep_rejects_penalized_path(tmp_path, capsys):
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert str(stored) in err and "penalty" in err
+
+
+def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
+    rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500)
+    stored = tmp_path / "path.npz"
+    save_path(rec, str(stored))
+    with np.load(stored) as archive:
+        header = json.loads(archive["header"].tobytes())
+    bare = {"format": header["format"], "version": 2}
+    no_lam = dict(header, schedule={"etas": header["schedule"]["etas"]})
+    for label, bad, key in (("bare", bare, "steps"), ("no-lam", no_lam, "lam")):
+        path = tmp_path / f"{label}.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.bytes_(json.dumps(bad)), iterates=rec.iterates)
+        code, out, _ = run(tmp_path / label, "sweep", "--path", str(path))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
 
 
 def test_unreadable_input_files_exit_two(tmp_path, capsys):
@@ -335,7 +377,7 @@ def test_config_file_defaults(tmp_path):
     assert checks["checks"][0]["params"]["lam"] == 0.2
 
 
-def test_invalid_configs_exit_two(tmp_path):
+def test_invalid_configs_exit_two(tmp_path, capsys):
     # rate above the curvature limit, named in the message
     assert main(["sandwich", "--eta", "0.6", "--out", str(tmp_path / "x")]) == 2
     # admissibility window violation
@@ -350,17 +392,25 @@ def test_invalid_configs_exit_two(tmp_path):
     # kernel scheme needs lam_hat > lam
     assert main(["kernel-demo", "--kernel-n", "8", "--lam-hats", "0",
                  "--out", str(tmp_path / "k")]) == 2
+    # config files that are not {"version": 1, "args": {...}}, named in the message
+    for label, payload in (("list", [1]), ("args-list", {"version": 1, "args": [1]})):
+        cfg = tmp_path / f"{label}.json"
+        cfg.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "demo2d", "--out", str(tmp_path / label)]) == 2
+        assert str(cfg) in capsys.readouterr().err and not (tmp_path / label).exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
     (["demo2d", "--lambda", "0.1,1.0"], "--lambda"),
-    (["verify-identity", "--lam-hats", "1.0,2.0"], "--lam-hats"),
+    (["demo2d", "--lambda", "0.1 1.0"], "--lambda"),
     (["mnist-linear", "--lambda", "1,4", "--limit", "50", "--steps", "20"], "--lambda"),
     (["mnist-logistic", "--lambda", "1,4", "--limit", "50", "--steps", "20"], "--lambda"),
     (["variance-mc", "--lambda", "0.1,0.2", "--mc-seeds", "2", "--steps", "20"], "--lambda"),
 ])
 def test_single_lambda_commands_reject_lists(tmp_path, capsys, argv, flag):
-    # These commands run one lambda; a longer list must not be cut to its head.
+    # These commands run one lambda; a longer list, comma- or space-separated,
+    # must not be cut to its head.
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert flag in capsys.readouterr().err
 
@@ -371,13 +421,11 @@ def test_images_without_labels_rejected(tmp_path):
 
 
 # The flags each subcommand reads, and so the only ones it accepts.
-_DEMO2D_FLAGS = {"--out", "--steps", "--lambda", "--eta", "--alpha", "--format"}
 _MNIST_FLAGS = {"--out", "--seed", "--steps", "--lambda", "--eta", "--alpha", "--batch",
                 "--deterministic", "--limit", "--format", "--images", "--labels",
                 "--optimizer"}
 ACCEPTED_FLAGS = {
-    "demo2d": _DEMO2D_FLAGS,
-    "verify-identity": _DEMO2D_FLAGS | {"--seed", "--kernel-n", "--lam-hats"},
+    "demo2d": {"--out", "--steps", "--lambda", "--eta", "--alpha", "--format"},
     "kernel-demo": {"--out", "--seed", "--steps", "--format", "--kernel-n", "--lam-hats"},
     "mnist-linear": _MNIST_FLAGS,
     "mnist-logistic": _MNIST_FLAGS | {"--base-ridge"},
@@ -402,7 +450,7 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     accepted = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
                 for name, sub in _subparsers(parser).items()}
     assert accepted == ACCEPTED_FLAGS
-    assert sum(len(flags) for flags in accepted.values()) == 71
+    assert sum(len(flags) for flags in accepted.values()) == 62
 
 
 def test_command_lists_in_the_docs_match_the_parser():
@@ -411,9 +459,12 @@ def test_command_lists_in_the_docs_match_the_parser():
     assert [line.split()[0] for line in listed if line.strip()] == commands
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        table = fh.read().split("| subcommand | flags |\n|---|---|\n")[1]
+        text = fh.read()
+    table = text.split("| subcommand | flags |\n|---|---|\n")[1]
     rows = table[: table.index("\n\n")].splitlines()
     assert [row.split("`")[1] for row in rows] == commands
+    usage = text.split("## CLI\n")[1].split("```\n")[1]
+    assert [line.split()[1] for line in usage.splitlines()] == commands
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -442,7 +493,7 @@ def test_config_keys_a_command_does_not_read_exit_two(tmp_path, capsys):
     (["demo2d", "--steps", "0"], "--steps"),
     (["variance-mc", "--mc-seeds", "0"], "--mc-seeds"),
     (["kernel-demo", "--kernel-n", "0"], "--kernel-n"),
-    (["verify-identity", "--kernel-n", "1001"], "--kernel-n"),
+    (["kernel-demo", "--kernel-n", "1001"], "--kernel-n"),
     (["mnist-linear", "--batch", "0", "--limit", "50", "--steps", "20"], "--batch"),
     (["mnist-linear", "--limit", "0", "--steps", "20"], "--limit"),
 ])

@@ -547,6 +547,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"unsupported version {version}"):
             load_path(str(tmp_path / "v"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "40"), ("dim", True), ("tag", 3), ("seed", 1.5), ("etas", ["0.1"]),
+        ("etas", 0.1), ("lam", None), ("extras", [1]),
+    ])
+    def test_malformed_header_keys_rejected(self, tmp_path, key, value):
+        rec, header = self._header(tmp_path)
+        (header["schedule"] if key in ("etas", "lam") else header)[key] = value
+        self._write_archive(tmp_path / "m", header, rec.iterates)
+        with pytest.raises(ValueError, match=f"key '{key}' is missing or malformed") as err:
+            load_path(str(tmp_path / "m"))
+        assert str(tmp_path / "m") in str(err.value)
+
     def test_dim_mismatch_rejected(self, tmp_path):
         rec, header = self._header(tmp_path)
         header["dim"] += 1
