@@ -28,6 +28,7 @@ from .problems import (
     QuadraticProblem,
     Regularizer,
     _batch_grad,
+    _check_symmetric,
     _full_grad,
 )
 
@@ -341,6 +342,7 @@ def psgd_run(
     elif reg.Q is not None and not np.array_equal(Q, reg.Q):
         raise ValueError("explicit Q disagrees with the regularizer's Q")
     Q = np.asarray(Q, dtype=np.float64)
+    _check_symmetric(Q, "Q")  # cho_factor reads one triangle; it refuses what is not definite
     try:
         factor, lower = cho_factor(Q)
     except np.linalg.LinAlgError as exc:
@@ -477,12 +479,14 @@ def save_path(record: PathRecord, path: str) -> None:
                  iterates=record.iterates)
 
 
-# Header key -> the test its value must pass (``type(v) is int`` refuses a bool).
+# Header key -> the test its value must pass (``type(v) is int`` refuses a bool); a
+# schedule must also be in LRSchedule's range, which a NaN is not.
 _HEADER_KEYS = {"steps": lambda v: type(v) is int, "dim": lambda v: type(v) is int,
                 "tag": lambda v: isinstance(v, str), "seed": lambda v: v is None or type(v) is int,
                 "extras": lambda v: isinstance(v, dict)}
-_SCHEDULE_KEYS = {"etas": lambda v: isinstance(v, list) and all(type(e) in (int, float) for e in v),
-                  "lam": lambda v: type(v) in (int, float)}
+_SCHEDULE_KEYS = {"etas": lambda v: isinstance(v, list) and v != []
+                  and all(type(e) in (int, float) and e > 0 for e in v),
+                  "lam": lambda v: type(v) in (int, float) and v >= 0}
 
 
 def _checked(path: str, table, tests: dict) -> list:

@@ -103,12 +103,16 @@ class Regularizer:
 # Problems
 
 
-def _check_spd(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
+def _check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be square, got shape {matrix.shape}")
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.T).max() > tol * scale:
         raise ValueError(f"{name} must be symmetric to {tol} relative")
+
+
+def _check_spd(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
+    _check_symmetric(matrix, name, tol)
     eigvals = np.linalg.eigvalsh(matrix)
     if eigvals.min() <= 0:
         raise ValueError(f"{name} must be positive definite (min eig {eigvals.min():.3e})")

@@ -133,6 +133,18 @@ def test_mnist_logistic(tmp_path):
                                 "mnist_logistic_stochastic.csv", "checks.json"}
 
 
+def test_mnist_logistic_ngd_averages_with_its_own_scheme(tmp_path):
+    # The accelerated path is averaged with weights_nsgd, whose P_0 is zero
+    # (w_0 = w_1 = 0), not with plain GD's ratio.
+    code, out, checks = run(tmp_path, "mnist-logistic", "--limit", "300", "--steps", "150",
+                            "--batch", "100", "--optimizer", "ngd")
+    assert code == 0 and checks["pass"]
+    expected = weights_nsgd(0.01, 4.0, 1.0, 150).cumulative.tolist()
+    for mode in ("deterministic", "stochastic"):
+        report = read_report(str(out / f"mnist_logistic_{mode}.csv"), "csv")
+        assert report.p_cumulative == expected and report.p_cumulative[0] == 0.0
+
+
 def test_variance_mc_small(tmp_path):
     code, out, checks = run(tmp_path, "variance-mc", "--mc-seeds", "24")
     assert code == 0 and checks["pass"]
@@ -212,6 +224,53 @@ def test_sweep_reuses_stored_path(tmp_path):
     assert first["P_K"] < 0.5 and first["certificate"] > 0.1 and first["ridge_gap"] > 0.1
 
 
+def _stored_ngd(tmp_path, alpha=0.05, name="ngd.npz"):
+    """A 500-step toy NGD record run at alpha = 0.05, stored with ``alpha``."""
+    rec = nsgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500, alpha=0.05)
+    stored = tmp_path / name
+    save_path(dataclasses.replace(rec, extras=dict(rec.extras, alpha=alpha)), str(stored))
+    return stored
+
+
+_SWEEP_GRID = ",".join(repr(float(lam)) for lam in np.logspace(-3, 3, 50))
+
+
+def test_sweep_reweights_a_stored_ngd_record(tmp_path):
+    # Re-weighted with weights_nsgd at the stored alpha; its decay ratio lies
+    # in (0, 1) at every lambda > 0, so the whole grid is covered.
+    code, out, checks = run(tmp_path, "sweep", "--path", str(_stored_ngd(tmp_path)),
+                            "--lambda", _SWEEP_GRID)
+    assert code == 0 and checks["pass"]
+    residuals = [c["residual"] for c in checks["checks"]]
+    assert len(residuals) == 50 and max(residuals) <= 1e-10
+
+
+def test_sweep_check_fails_on_a_wrong_ngd_alpha(tmp_path):
+    stored = _stored_ngd(tmp_path, alpha=0.06)
+    code, _, checks = run(tmp_path, "sweep", "--path", str(stored), "--lambda", _SWEEP_GRID)
+    assert code == 1 and not all(_passes(checks, "sweep/mixing-identity-at-K/"))
+
+
+def test_sweep_refuses_records_it_cannot_reweight(tmp_path, capsys):
+    # A pgd record lacks its Q; a noisy or mini-batch path meets the identity
+    # at K only in mean; an ngd record needs a numeric alpha.
+    prob, none, sched = toy_problem(), Regularizer.none(), make_schedule(0.1)
+    cases = {"pgd": psgd_run(prob, none, sched, 500, Q=prob.sigma),
+             "sgd": sgd_run(prob, none, sched, 500, seed=1, noise_sigma=0.5)}
+    for tag, rec in cases.items():
+        stored = tmp_path / f"{tag}.npz"
+        save_path(rec, str(stored))
+        code, out, _ = run(tmp_path / tag, "sweep", "--path", str(stored))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert str(stored) in err and repr(tag) in err
+    for label, alpha in (("text", "0.05"), ("none", None), ("bool", True)):
+        stored = _stored_ngd(tmp_path, alpha=alpha, name=f"{label}.npz")
+        code, out, _ = run(tmp_path / label, "sweep", "--path", str(stored))
+        assert code == 2 and not out.exists()
+        assert str(stored) in capsys.readouterr().err
+
+
 def test_sweep_check_fails_on_corrupted_average(tmp_path, monkeypatch):
     # Blend each average halfway toward its ridge solution: the mixing
     # identity at step K no longer holds where the sweep has not converged.
@@ -237,26 +296,47 @@ def _passes(checks, family):
     return [c["pass"] for c in checks["checks"] if c["check"].startswith(family)]
 
 
-def test_kernel_identity_check_fails_on_shifted_scheme(tmp_path, monkeypatch):
-    # Weights one step ahead of the path: P_{k+1} stands where P_k belongs.
-    def shifted(kernel, sched, lam, lam_hat, steps):
-        ahead = weights_kernel(kernel, sched, lam, lam_hat, steps + 1)
-        return WeightScheme(ahead.cumulative[1:], basis=ahead.basis)
+def _shifted(build):
+    """``build``'s scheme one step ahead of the path: P_{k+1} stands where P_k
+    belongs.  Every scheme constructor takes the horizon K last."""
+    def shifted(*args):
+        ahead = build(*args[:-1], args[-1] + 1)
+        return WeightScheme(ahead.cumulative[1:], basis=ahead.basis, params=ahead.params)
+    return shifted
 
-    monkeypatch.setattr(cli, "weights_kernel", shifted)
+
+def test_kernel_identity_check_fails_on_shifted_scheme(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "weights_kernel", _shifted(weights_kernel))
     code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
     assert code == 1
     assert _passes(checks, "kernel/identity/") == [False, False, False]
+
+
+def test_demo2d_identity_checks_fail_on_shifted_scheme(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "weights_sgd_adaptive", _shifted(weights_sgd_adaptive))
+    monkeypatch.setattr(cli, "weights_nsgd", _shifted(weights_nsgd))
+    code, _, checks = run(tmp_path, "demo2d")
+    assert code == 1
+    assert _passes(checks, "demo2d/identity/") == [False, False, False]
+
+
+def _blended(path, scheme):
+    """The average blended halfway toward the plain path's last iterate."""
+    return 0.5 * (averaged_path(path, scheme) + path.iterates[-1])
+
+
+def test_mnist_linear_final_error_check_fails_on_corrupted_average(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "averaged_path", _blended)
+    code, _, checks = run(tmp_path, "mnist-linear", "--limit", "1000", "--deterministic")
+    assert code == 1
+    assert _passes(checks, "mnist-linear/deterministic-final-error") == [False]
 
 
 def test_kernel_limit_check_fails_on_corrupted_average(tmp_path, monkeypatch):
     # Blend each average halfway toward the plain path's last iterate, the
     # unpenalized solution: the identity, checked by the oracle's own
     # averaging, still holds, and only the limit check sees the fault.
-    def blended(path, scheme):
-        return 0.5 * (averaged_path(path, scheme) + path.iterates[-1])
-
-    monkeypatch.setattr(cli, "averaged_path", blended)
+    monkeypatch.setattr(cli, "averaged_path", _blended)
     code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
     assert code == 1
     assert _passes(checks, "kernel/limit/") == [False, False, False]
@@ -392,10 +472,14 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
     # kernel scheme needs lam_hat > lam
     assert main(["kernel-demo", "--kernel-n", "8", "--lam-hats", "0",
                  "--out", str(tmp_path / "k")]) == 2
-    # config files that are not {"version": 1, "args": {...}}, named in the message
-    for label, payload in (("list", [1]), ("args-list", {"version": 1, "args": [1]})):
+    # config files that are not {"version": 1, "args": {...}}, or not ASCII JSON at all,
+    # named in the message
+    for label, payload in (("list", json.dumps([1]).encode()),
+                           ("args-list", json.dumps({"version": 1, "args": [1]}).encode()),
+                           ("truncated", b'{"version": 1, "args": {\n'),
+                           ("binary", bytes(range(256)))):
         cfg = tmp_path / f"{label}.json"
-        cfg.write_text(json.dumps(payload))
+        cfg.write_bytes(payload)
         capsys.readouterr()
         assert main(["--config", str(cfg), "demo2d", "--out", str(tmp_path / label)]) == 2
         assert str(cfg) in capsys.readouterr().err and not (tmp_path / label).exists()
@@ -547,6 +631,31 @@ def test_demo2d_decay_slopes_pass_from_the_shortest_fit(tmp_path, steps):
     # 227 failed gd's slope (-3.31e-3 against -3.32e-3) while the fit started at K // 2.
     code, _, checks = run(tmp_path, "demo2d", "--steps", steps)
     assert code == 0 and checks["pass"]
+
+
+_KERNEL_FAULT = ("averaged_path", _blended)
+_MNIST_FAULT = ("weights_sgd_adaptive", _shifted(weights_sgd_adaptive))
+
+
+@pytest.mark.parametrize("argv, family, fault", [
+    *[pytest.param(["kernel-demo", "--steps", k], "kernel/limit/", _KERNEL_FAULT,
+                   id=f"kernel-demo-{k}") for k in ("78", "100", "200", "500")],
+    *[pytest.param(["mnist-linear", "--limit", "1000", "--deterministic", "--steps", k],
+                   "mnist-linear/deterministic-final-error", _MNIST_FAULT,
+                   id=f"mnist-linear-{k}") for k in ("11", "100", "500")],
+])
+def test_limit_checks_pass_from_the_shortest_run_and_catch_a_fault(tmp_path, monkeypatch,
+                                                                     argv, family, fault):
+    # From each command's shortest run (kernel-demo's decay-slope fit needs 78
+    # steps, mnist-linear's monotonicity check 11) to the default 500.  Where K
+    # steps cannot meet a check's tolerance, it allows the gap the identity fixes
+    # at step K: 2.85e-6 against 1e-6 at kernel-demo --steps 200, 0.0137 against
+    # 5.5e-4 at mnist-linear --steps 100 failed before.
+    code, _, checks = run(tmp_path / "ok", *argv)
+    assert code == 0 and checks["pass"]
+    monkeypatch.setattr(cli, *fault)
+    code, _, checks = run(tmp_path / "fault", *argv)
+    assert code == 1 and not any(_passes(checks, family))
 
 
 @pytest.mark.parametrize("explicit", [["--steps", "300"], ["--steps=300"]])

@@ -183,6 +183,17 @@ class TestPsgdRun:
             psgd_run(toy_problem(), Regularizer.l2(0.1), make_schedule(0.1, 0.1), 3,
                      Q=np.eye(2))
 
+    def test_explicit_q_must_be_symmetric_and_definite(self):
+        # cho_factor reads only one triangle, so an asymmetric Q would run as
+        # the symmetric matrix of that triangle; Regularizer refuses it too.
+        asym = np.array([[2.0, 0.5], [0.0, 1.0]])
+        for q, message in ((asym, "symmetric"), (np.ones((2, 3)), "square"),
+                           (np.diag([1.0, -1.0]), "positive definite")):
+            with pytest.raises(ValueError, match=message):
+                psgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 5, Q=q)
+        with pytest.raises(ValueError, match="symmetric"):
+            Regularizer.generalized_l2(0.1, asym)
+
     def test_step_solves_like_cho_solve(self):
         # One step from zero is -eta Q^{-1}(-a): the LAPACK call on the cached
         # factor gives the bits of scipy's checked wrapper.
@@ -550,6 +561,8 @@ class TestSerialization:
     @pytest.mark.parametrize("key, value", [
         ("steps", "40"), ("dim", True), ("tag", 3), ("seed", 1.5), ("etas", ["0.1"]),
         ("etas", 0.1), ("lam", None), ("extras", [1]),
+        # typed, but out of the schedule's range
+        ("lam", -1), ("etas", []), ("etas", [0.0]),
     ])
     def test_malformed_header_keys_rejected(self, tmp_path, key, value):
         rec, header = self._header(tmp_path)
