@@ -38,8 +38,6 @@ from .averaging import (
 )
 from .oracles import (
     BoundingSequences,
-    DeviationBound,
-    RidgeSolution,
     bounding_sequences,
     hull_contains,
     identity_check,

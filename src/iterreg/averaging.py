@@ -85,7 +85,7 @@ class WeightScheme:
         if p_cum.ndim == 2 and np.shape(self.basis) != (m, m):
             raise ValueError(f"a scheme over {m} eigenvalues needs an ({m}, {m}) basis, "
                              f"got {np.shape(self.basis)}")
-        if p_cum.min() < -1e-12 or p_cum.max() > 1.0 + 1e-12:
+        if not (p_cum.min() >= -1e-12 and p_cum.max() <= 1.0 + 1e-12):  # NaN fails
             raise ValueError("cumulative weights must lie in [0, 1]")
         if (p_cum[1:] - p_cum[:-1]).min(initial=0.0) < -1e-12:
             raise ValueError("cumulative weights must be nondecreasing")
@@ -99,19 +99,10 @@ class WeightScheme:
     def horizon(self) -> int:
         return self.cumulative.shape[0] - 1
 
-    @property
-    def is_matrix(self) -> bool:
-        return self.cumulative.ndim == 2
-
-    def P(self, k: int):
-        return self.cumulative[k]
-
-    @classmethod
-    def from_cumulative(cls, cumulative, basis=None):
-        return cls(cumulative, basis)
-
 
 def _require_positive_lam(lam: float) -> None:
+    if not lam < np.inf:  # NaN fails too
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam <= 0:
         raise DegenerateSchemeError(
             "lambda must be positive: at lambda = 0 every weight vanishes and the "
@@ -211,10 +202,10 @@ def weights_kernel(
     both the optimizer and the regularizer.  The log ratios are taken
     once per distinct rate, and the scheme allocates one (K+1, m) array, P.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if lam_hat <= lam:
-        raise ValueError(f"need lam_hat > lam, got ({lam_hat}, {lam})")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    if not lam < lam_hat < np.inf:
+        raise ValueError(f"need finite lam_hat > lam, got ({lam_hat}, {lam})")
     mu = kernel.eigenvalues
     p_cum = _cumulative(_per_step(
         schedule, lambda etas: -np.log1p((lam_hat - lam) * etas[:, None] * mu), K + 1))
@@ -252,7 +243,7 @@ class RunningAverage:
     def finalize(self) -> np.ndarray:
         if not self._rows:
             raise ValueError("no updates consumed")
-        if not np.any(self.scheme.P(self.count - 1) > 0):
+        if not np.any(self.scheme.cumulative[self.count - 1] > 0):
             raise ValueError("cumulative weight is zero; average undefined")
         return averaged_path(np.array(self._rows), self.scheme)[-1]
 
@@ -324,7 +315,7 @@ def scheme_to_csv(scheme: WeightScheme, path: str) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         incr = scheme.increments
-        if scheme.is_matrix:
+        if scheme.basis is not None:
             writer.writerow(["k", "eig_index", "p_k", "P_k"])
             for k in range(scheme.horizon + 1):
                 for j in range(scheme.cumulative.shape[1]):

@@ -404,11 +404,11 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
                    seed=range(args.seed, args.seed + args.mc_seeds), noise_sigma=sigma)
         finals = [averaged_path(rec, scheme)[-1] for rec in runs]
         deviations = [float(np.linalg.norm(p_last * f - p_last * target)) for f in finals]
-        freq = float(np.mean(np.asarray(deviations) > eps.epsilon))
-        results[kind] = {"epsilon": eps.epsilon, "frequency": freq,
+        freq = float(np.mean(np.asarray(deviations) > eps))
+        results[kind] = {"epsilon": eps, "frequency": freq,
                          "max_deviation": max(deviations)}
         checks.add(f"variance-mc/{kind}", freq, delta + 0.05,
-                   {"epsilon": eps.epsilon, "sigma": sigma, "delta": delta,
+                   {"epsilon": eps, "sigma": sigma, "delta": delta,
                     "seeds": args.mc_seeds, "max_deviation": max(deviations)})
     _write_json(out_dir, "variance_mc.json", results)
 
@@ -468,7 +468,7 @@ def cmd_l1_hull(args, checks: Checks, out_dir: str):
     outside, inside_l2 = [], []
     for lam in args.lams:
         l1_sol = oracles.l1_prox_solution(prob, lam, tol=1e-12)
-        ridge = oracles.ridge_solution(prob, Regularizer.l2(lam)).w_hat
+        ridge = oracles.ridge_solution(prob, Regularizer.l2(lam))
         outside.append(not oracles.hull_contains(points, l1_sol))
         inside_l2.append(oracles.hull_contains(points, ridge))
     checks.add("l1-hull/some-l1-outside", float(sum(outside)), 1.0,
@@ -520,7 +520,7 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
         checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual, 1e-10,
                    {"lam": lam, "optimize_s": optimize_s, "average_s": average_s})
         # By the identity the certificate equals |wavg_K - what_K|, for free.
-        ridge = oracles.ridge_solution(prob, reg).w_hat
+        ridge = oracles.ridge_solution(prob, reg)
         points.append({"lam": lam, "P_K": p_k, "residual": residual,
                        "certificate": (1.0 - p_k) * float(np.abs(w_k - wavg_k).max()),
                        "ridge_gap": float(np.abs(wavg_k - ridge).max()),

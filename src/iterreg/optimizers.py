@@ -64,10 +64,10 @@ class LRSchedule:
         etas = np.atleast_1d(np.asarray(self.etas, dtype=np.float64))
         if etas.ndim != 1 or etas.size == 0:
             raise ValueError("etas must be a nonempty 1-D sequence")
-        if etas.min() <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (etas.min() > 0 and etas.max() < np.inf):  # NaN fails too
+            raise ValueError("learning rates must be positive and finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         object.__setattr__(self, "etas", etas)
 
     @property
@@ -158,10 +158,6 @@ class PathRecord:
 
     def __len__(self) -> int:
         return self.iterates.shape[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
 
 
 def problem_fingerprint(problem) -> str:
@@ -254,6 +250,8 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
     seeds = list(seed) if stacked else [seed]
     if stacked and not (seeds and deterministic and isinstance(problem, QuadraticProblem)):
         raise ValueError("a seed sequence must be nonempty and run a full-gradient quadratic")
+    if noise_sigma is not None and not 0 <= noise_sigma < np.inf:  # NaN is no "no noise"
+        raise ValueError(f"noise_sigma must be nonnegative and finite, got {noise_sigma}")
     noisy = noise_sigma is not None and noise_sigma > 0
     _validate_run_args(reg, schedule, batch_size, seed, deterministic, noisy)
     dim = problem.param_dim
@@ -433,8 +431,10 @@ def kernel_gd_run(
     gamma_k = eta_k (I + (lam_hat - lam) eta_k K)^{-1}, applied in the
     cached eigenbasis of K.
     """
-    if lam_hat is not None and lam_hat <= lam:
-        raise ValueError("need lam_hat > lam for the coupled kernel run")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    if lam_hat is not None and not lam < lam_hat < np.inf:
+        raise ValueError(f"need finite lam_hat > lam, got ({lam_hat}, {lam})")
     mu = kernel.eigenvalues
     strength = lam if lam_hat is None else lam_hat
     rates = schedule.etas_upto(steps)[:, None]
@@ -480,13 +480,13 @@ def save_path(record: PathRecord, path: str) -> None:
 
 
 # Header key -> the test its value must pass (``type(v) is int`` refuses a bool); a
-# schedule must also be in LRSchedule's range, which a NaN is not.
+# schedule must also be in LRSchedule's range, which NaN and infinity are not.
 _HEADER_KEYS = {"steps": lambda v: type(v) is int, "dim": lambda v: type(v) is int,
                 "tag": lambda v: isinstance(v, str), "seed": lambda v: v is None or type(v) is int,
                 "extras": lambda v: isinstance(v, dict)}
 _SCHEDULE_KEYS = {"etas": lambda v: isinstance(v, list) and v != []
-                  and all(type(e) in (int, float) and e > 0 for e in v),
-                  "lam": lambda v: type(v) in (int, float) and v >= 0}
+                  and all(type(e) in (int, float) and 0 < e < np.inf for e in v),
+                  "lam": lambda v: type(v) in (int, float) and 0 <= v < np.inf}
 
 
 def _checked(path: str, table, tests: dict) -> list:

@@ -10,7 +10,7 @@ with sgd_run, psgd_run or nsgd_run is therefore a genuine two-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -31,9 +31,7 @@ from .problems import (
 )
 
 __all__ = [
-    "RidgeSolution",
     "BoundingSequences",
-    "DeviationBound",
     "ridge_solution",
     "kernel_solution",
     "expectation_path",
@@ -54,15 +52,6 @@ __all__ = [
 # Exact solutions
 
 
-@dataclass(frozen=True)
-class RidgeSolution:
-    """Minimizer of the quadratic objective plus an l2-type penalty."""
-
-    w_hat: np.ndarray
-    lam: float
-    kind: str  # "l2" or "generalized_l2"
-
-
 def _regularized_system(problem: QuadraticProblem, reg: Regularizer):
     if reg.kind == "generalized_l2":
         return problem.sigma + reg.lam * reg.Q
@@ -71,10 +60,10 @@ def _regularized_system(problem: QuadraticProblem, reg: Regularizer):
     return problem.sigma
 
 
-def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution:
+def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> np.ndarray:
     """Solve (Sigma + lam I) w = a, or (Sigma + lam Q) w = a for the
-    generalized penalty.  This doubles as the limit oracle for every
-    averaging test."""
+    generalized penalty, as a flat vector.  This doubles as the limit
+    oracle for every averaging test."""
     system = _regularized_system(problem, reg)
     try:
         w = np.linalg.solve(system, problem.a)
@@ -83,8 +72,7 @@ def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> RidgeSolution
     residual = np.abs(system @ w - problem.a).max()
     if residual > 1e-10 * max(1.0, np.abs(problem.a).max()):
         raise RuntimeError(f"linear solve residual too large: {residual:.3e}")
-    kind = "generalized_l2" if reg.kind == "generalized_l2" else "l2"
-    return RidgeSolution(w_hat=w.ravel(), lam=reg.lam, kind=kind)
+    return w.ravel()
 
 
 def kernel_solution(kernel: KernelProblem, lam_hat: float) -> np.ndarray:
@@ -94,8 +82,8 @@ def kernel_solution(kernel: KernelProblem, lam_hat: float) -> np.ndarray:
     (numerically) zero eigenvalues are set to zero, matching paths that
     start at zero and never leave the range of K.
     """
-    if lam_hat < 0:
-        raise ValueError("lam_hat must be nonnegative")
+    if not 0 <= lam_hat < np.inf:
+        raise ValueError(f"lam_hat must be nonnegative and finite, got {lam_hat}")
     mu = kernel.eigenvalues
     scale = max(1.0, float(mu.max(initial=0.0)))
     y_eig = kernel.basis.T @ kernel.y
@@ -209,18 +197,6 @@ def nsgd_expectation_increment(
 # Deviation bounds
 
 
-@dataclass(frozen=True)
-class DeviationBound:
-    """High-probability radius for the weighted noise sum P_k(wavg - E[wavg])."""
-
-    epsilon: float
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-
-
 def variance_epsilon(
     kind: str,
     sigma: float,
@@ -232,8 +208,9 @@ def variance_epsilon(
     eta: Optional[float] = None,
     lam_min: Optional[float] = None,
     q_norm: Optional[float] = None,
-) -> DeviationBound:
-    """Chebyshev deviation radius for the weighted average of a noisy path.
+) -> float:
+    """Chebyshev deviation radius for the weighted noise sum P_k(wavg - E[wavg])
+    of a noisy path.
 
     kind "sgd":   sigma / (gamma (lam+alpha)(lam+beta)^2)
                   * sqrt(lam / (delta gamma (2 - lam gamma)))
@@ -243,16 +220,13 @@ def variance_epsilon(
                      (2 - sqrt(eta alpha) - sqrt(gamma(alpha+lam)))) )
     where lam_min is the smallest eigenvalue of Sigma, required > alpha.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if not (0 < delta < 1):
-        raise ValueError("delta must be in (0, 1)")
-    if min(gamma, lam, alpha, beta) <= 0:
-        raise ValueError("gamma, lam, alpha, beta must be positive")
-    params = {
-        "kind": kind, "sigma": sigma, "delta": delta, "gamma": gamma,
-        "lam": lam, "alpha": alpha, "beta": beta,
-    }
+    if not 0 <= sigma < np.inf:  # each value on its own: a NaN fails every test
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    for name, value in (("gamma", gamma), ("lam", lam), ("alpha", alpha), ("beta", beta)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if kind in ("sgd", "psgd"):
         eps = (
             sigma
@@ -260,23 +234,23 @@ def variance_epsilon(
             * np.sqrt(lam / (delta * gamma * (2.0 - lam * gamma)))
         )
         if kind == "psgd":
-            if q_norm is None or q_norm <= 0:
+            if q_norm is None or not 0 < q_norm < np.inf:
                 raise ValueError("psgd bound needs the preconditioner spectral norm")
             eps *= q_norm
-            params["q_norm"] = q_norm
-        return DeviationBound(float(eps), params)
+        return float(eps)
     if kind != "nsgd":
         raise ValueError(f"unknown kind {kind!r}")
     if eta is None or lam_min is None:
         raise ValueError("nsgd bound needs eta and lam_min")
-    if lam_min <= alpha:
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not alpha < lam_min < np.inf:
         raise ValueError("nsgd bound requires lam_min > alpha")
     root_e = np.sqrt(eta * alpha)
     root_g = np.sqrt(gamma * (alpha + lam))
     numer = sigma**2 * gamma * (1.0 - eta * alpha) * (root_g - root_e)
     denom = delta * eta * (lam_min - alpha) * (alpha + lam) * (2.0 - root_e - root_g)
-    params.update({"eta": eta, "lam_min": lam_min})
-    return DeviationBound(float(np.sqrt(numer / denom)), params)
+    return float(np.sqrt(numer / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +267,16 @@ def lambda_pair(eta: float, gamma: float, bounds: ConvexityBounds):
     # The lower rate condition only exists to keep gamma*(beta + lam1) < 1;
     # at alpha == beta that holds automatically and the window (1/beta, 1/beta)
     # would be empty, so the check applies to the strictly curved case only.
-    if beta > alpha and eta <= 1.0 / (2.0 * beta - alpha):
+    if beta > alpha and not eta > 1.0 / (2.0 * beta - alpha):  # a NaN eta fails too
         raise ValueError(
             f"eta = {eta:.6g} violates eta > 1/(2*beta - alpha) = {1.0/(2*beta-alpha):.6g}"
         )
-    if eta >= 1.0 / beta:
+    if not eta < 1.0 / beta:
         raise ValueError(f"eta = {eta:.6g} violates eta < 1/beta = {1.0/beta:.6g}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     gamma_cap = eta / (eta * (beta - alpha) + 1.0)
-    if gamma >= gamma_cap:
+    if not gamma < gamma_cap:
         raise ValueError(
             f"gamma = {gamma:.6g} violates gamma < eta/(eta(beta-alpha)+1) = {gamma_cap:.6g}"
         )
@@ -322,7 +296,7 @@ def minimize_objective(problem, reg: Regularizer):
     problems the bounding-sequence machinery deals with.
     """
     if isinstance(problem, QuadraticProblem):
-        return ridge_solution(problem, reg).w_hat if reg.lam > 0 else problem.minimizer()
+        return ridge_solution(problem, reg) if reg.lam > 0 else problem.minimizer()
     if not isinstance(problem, LogisticProblem):
         raise ValueError("minimize_objective supports quadratic/logistic problems")
     if reg.kind == "generalized_l2":
@@ -504,10 +478,10 @@ def l1_prox_solution(problem: QuadraticProblem, lam: float, tol: float = 1e-10) 
     and verifies first-order optimality:  grad_j = -lam * sign(w_j) on
     the support, |grad_j| <= lam off it (within tol).
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     beta = convexity_bounds(problem).beta
     step = 1.0 / beta
     w = np.zeros(problem.param_dim)

@@ -59,8 +59,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("none", "l2", "generalized_l2"):
             raise ValueError(f"unknown regularizer kind: {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
         if (self.Q is not None) != (self.kind == "generalized_l2"):
             raise ValueError("Q must be given iff kind is 'generalized_l2'")
         if self.Q is not None:
@@ -112,10 +112,14 @@ def _check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
 
 
 def _check_spd(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
+    # Full rank by np.linalg.matrix_rank's default tolerance, max eig * d * eps, so
+    # that a singular matrix is refused whatever sign rounding gives its min eig.
     _check_symmetric(matrix, name, tol)
     eigvals = np.linalg.eigvalsh(matrix)
-    if eigvals.min() <= 0:
-        raise ValueError(f"{name} must be positive definite (min eig {eigvals.min():.3e})")
+    floor = eigvals.max() * matrix.shape[0] * np.finfo(np.float64).eps
+    if not eigvals.min() > floor:
+        raise ValueError(f"{name} must be positive definite (min eig {eigvals.min():.3e}, "
+                         f"at most {floor:.3e}, the rank tolerance)")
 
 
 @dataclass(frozen=True)
@@ -227,8 +231,8 @@ class LogisticProblem:
         onehot = np.isin(y, (0.0, 1.0)).all() and np.allclose(y.sum(axis=1), 1.0)
         if not onehot:
             raise ValueError("Y rows must be one-hot (entries in {0,1}, summing to 1)")
-        if self.base_ridge < 0:
-            raise ValueError("base_ridge must be nonnegative")
+        if not 0 <= self.base_ridge < np.inf:
+            raise ValueError(f"base_ridge must be nonnegative and finite, got {self.base_ridge}")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
 
@@ -293,13 +297,10 @@ class KernelProblem:
     def __post_init__(self):
         k = np.asarray(self.K, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError(f"K must be square, got {k.shape}")
+        _check_symmetric(k, "K")
         if y.shape != (k.shape[0],):
             raise ValueError("y length must match K")
         scale = max(1.0, float(np.abs(k).max()))
-        if np.abs(k - k.T).max() > 1e-12 * scale:
-            raise ValueError("K must be symmetric")
         mu, u = jacobi_eigh(k)
         if mu.min() < -1e-12 * scale:
             raise ValueError(f"K must be positive semi-definite (min eig {mu.min():.3e})")

@@ -230,12 +230,12 @@ def test_criterion_3_limit_oracle():
 
         plain = sgd_run(prob, Regularizer.none(), sched, STEPS)
         scheme = weights_sgd_adaptive(sched, lam, STEPS)
-        target = ridge_solution(prob, Regularizer.l2(lam)).w_hat
+        target = ridge_solution(prob, Regularizer.l2(lam))
         results["gd"] = np.abs(averaged_path(plain, scheme)[-1] - target).max()
 
         pplain = psgd_run(prob, Regularizer.none(), sched, STEPS, Q=prob.sigma)
         gen_target = ridge_solution(
-            prob, Regularizer.generalized_l2(lam, prob.sigma)).w_hat
+            prob, Regularizer.generalized_l2(lam, prob.sigma))
         results["pgd"] = np.abs(averaged_path(pplain, scheme)[-1] - gen_target).max()
 
         nplain = nsgd_run(prob, Regularizer.none(), sched, STEPS, alpha=ALPHA)
@@ -345,7 +345,7 @@ def test_criterion_5_deviation_bound():
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 devs = np.array(list(pool.map(deviation, range(seeds))))
-            freqs[kind] = (float(np.mean(devs > eps.epsilon)), eps.epsilon,
+            freqs[kind] = (float(np.mean(devs > eps)), eps,
                            float(devs.max()))
     ok = all(f <= delta + 0.05 for f, _, _ in freqs.values())
     detail = ", ".join(
@@ -444,7 +444,7 @@ def test_criterion_8_l1_hull():
             l1_outside.append(
                 not hull_contains(path, l1_prox_solution(prob, lam, tol=1e-12)))
             l2_inside.append(
-                hull_contains(path, ridge_solution(prob, Regularizer.l2(lam)).w_hat))
+                hull_contains(path, ridge_solution(prob, Regularizer.l2(lam))))
     ok = any(l1_outside) and all(l2_inside)
     gate(8, "l1-hull", ok,
          f"l1 outside at {sum(l1_outside)}/6 grid points, all ridge inside: "
@@ -464,7 +464,7 @@ def test_criterion_9_property_suites():
         for _ in range(500):
             steps = int(rng.integers(3, 30))
             p_cum = np.sort(rng.uniform(0, 1, size=steps + 1))
-            scheme = WeightScheme.from_cumulative(p_cum)
+            scheme = WeightScheme(p_cum)
             inc = rng.standard_normal((steps, 2))
             x = np.vstack([np.zeros(2), np.cumsum(inc, axis=0)])
             x_hat = np.zeros_like(x)

@@ -25,8 +25,8 @@ class TestSgdAdaptiveScheme:
         gamma = eta / (1 + lam * eta)
         scheme = weights_sgd_adaptive(eta, lam, 9)
         # independent evaluation of 1 - (1 - lam*gamma)^(k+1)
-        assert abs(scheme.P(0) - lam * gamma) < 1e-16
-        assert abs(scheme.P(9) - (1 - (1 - lam * gamma) ** 10)) < 1e-15
+        assert abs(scheme.cumulative[0] - lam * gamma) < 1e-16
+        assert abs(scheme.cumulative[9] - (1 - (1 - lam * gamma) ** 10)) < 1e-15
 
     def test_adaptive_rates_product(self):
         lam = 0.1
@@ -35,11 +35,11 @@ class TestSgdAdaptiveScheme:
         g1 = 0.05 / (1 + lam * 0.05)
         expected_p1 = 1 - (1 - lam * g0) * (1 - lam * g1)
         scheme = weights_sgd_adaptive(etas, lam, 5)
-        assert abs(scheme.P(1) - expected_p1) < 1e-15
+        assert abs(scheme.cumulative[1] - expected_p1) < 1e-15
 
     def test_huge_lambda_puts_mass_on_first_iterate(self):
         scheme = weights_sgd_adaptive(0.1, 1e7, 5)
-        assert scheme.P(0) > 0.999
+        assert scheme.cumulative[0] > 0.999
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(DegenerateSchemeError):
@@ -69,7 +69,7 @@ def test_cumulative_relative_accuracy():
                         expected = float(1 - ratio ** (K + 1))
                         if build is weights_general and expected < 1e-6:
                             continue  # refused as ill-conditioned
-                        err = abs(build(*args).P(K) - expected) / expected
+                        err = abs(build(*args).cumulative[K] - expected) / expected
                         worst[build.__name__] = max(worst.get(build.__name__, 0.0), err)
     assert set(worst) == {"weights_sgd_adaptive", "weights_general"}
     assert max(worst.values()) <= 1e-13, worst
@@ -83,14 +83,14 @@ class TestNsgdScheme:
         scheme = weights_nsgd(eta, lam, alpha, 10)
         assert abs(decay - 0.9449514911748493) < 1e-12
         assert abs(scheme.params["decay"] - decay) < 1e-15
-        assert scheme.P(0) == 0.0
-        assert abs(scheme.P(1) - (1 - gamma / eta)) < 1e-15
-        assert abs(scheme.P(2) - (1 - (gamma / eta) * decay)) < 1e-15
+        assert scheme.cumulative[0] == 0.0
+        assert abs(scheme.cumulative[1] - (1 - gamma / eta)) < 1e-15
+        assert abs(scheme.cumulative[2] - (1 - (gamma / eta) * decay)) < 1e-15
 
     def test_limit_reaches_one(self):
         scheme = weights_nsgd(0.1, 0.1, 0.05, 2000)
-        assert scheme.P(500) > 1 - 1e-10
-        assert scheme.P(2000) <= 1.0
+        assert scheme.cumulative[500] > 1 - 1e-10
+        assert scheme.cumulative[2000] <= 1.0
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(DegenerateSchemeError):
@@ -108,7 +108,7 @@ class TestGeneralScheme:
 
     def test_tiny_ratio_concentrates_on_first(self):
         scheme = weights_general(1.0, 1e-9, 3)
-        assert scheme.P(0) > 1 - 1e-8
+        assert scheme.cumulative[0] > 1 - 1e-8
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +181,7 @@ class TestGeometricScheme:
         K, eta = 239, 0.1
         for p in (0.9999, 0.999, 0.99, 0.9):
             scheme = weights_sgd_adaptive(eta, p / ((1 - p) * eta), K)
-            final = scheme.increments / scheme.P(K)
+            final = scheme.increments / scheme.cumulative[K]
             expected = (1 - p) ** np.arange(K + 1)
             # increments are differences of P, so each is exact to roundoff of 1
             assert np.isfinite(final).all() and abs(final.sum() - 1) <= 1e-14
@@ -190,7 +190,7 @@ class TestGeometricScheme:
     def test_success_probability_one_limit(self):
         p, eta = 1 - 1e-12, 0.1
         scheme = weights_sgd_adaptive(eta, p / ((1 - p) * eta), 5)
-        assert scheme.increments[0] / scheme.P(5) > 1 - 1e-11
+        assert scheme.increments[0] / scheme.cumulative[5] > 1 - 1e-11
 
 
 class TestSchemeTails:
@@ -200,12 +200,12 @@ class TestSchemeTails:
         gamma = eta / (1 + lam * eta)
         sgd = weights_sgd_adaptive(eta, lam, K)
         rho = 1 - lam * gamma
-        assert 1 - sgd.P(K) <= rho**K * (1 + 1e-12)
+        assert 1 - sgd.cumulative[K] <= rho**K * (1 + 1e-12)
         nsgd = weights_nsgd(eta, lam, alpha, K)
         decay = nsgd.params["decay"]
-        assert 1 - nsgd.P(K) <= (gamma / eta) / decay * decay**K * (1 + 1e-12)
+        assert 1 - nsgd.cumulative[K] <= (gamma / eta) / decay * decay**K * (1 + 1e-12)
         gen = weights_general(eta, gamma, K)
-        assert 1 - gen.P(K) <= (gamma / eta) ** K * (1 + 1e-12)
+        assert 1 - gen.cumulative[K] <= (gamma / eta) ** K * (1 + 1e-12)
         for scheme in (sgd, nsgd, gen):
             assert np.all(np.diff(scheme.cumulative) >= -1e-15)
             assert scheme.cumulative.max() <= 1.0 + 1e-12
@@ -213,12 +213,12 @@ class TestSchemeTails:
 
 class TestRunningAverage:
     def test_single_iterate(self):
-        scheme = WeightScheme.from_cumulative([0.3, 0.6, 1.0])
+        scheme = WeightScheme([0.3, 0.6, 1.0])
         avg = RunningAverage(scheme).update(np.array([2.0, -1.0]))
         np.testing.assert_allclose(avg.finalize(), [2.0, -1.0], atol=1e-16)
 
     def test_two_equal_weights_are_arithmetic_mean(self):
-        scheme = WeightScheme.from_cumulative([0.5, 1.0])
+        scheme = WeightScheme([0.5, 1.0])
         state = RunningAverage(scheme)
         state.update(np.zeros(2))
         state.update(np.array([4.0, 4.0]))
@@ -235,7 +235,7 @@ class TestRunningAverage:
             state = state.update(w)
         # direct weighted sum, computed independently
         direct = (scheme.increments[:, None] * rec.iterates).sum(axis=0)
-        direct /= scheme.P(steps)
+        direct /= scheme.cumulative[steps]
         np.testing.assert_allclose(state.finalize(), direct, atol=1e-12)
         np.testing.assert_allclose(averaged_path(rec, scheme)[-1], direct,
                                    atol=1e-12)
@@ -268,19 +268,19 @@ class TestRunningAverage:
         assert _same_bits(state.finalize(), averaged_path(x, scheme)[-1])
 
     def test_out_of_order_rejected(self):
-        scheme = WeightScheme.from_cumulative([0.5, 1.0])
+        scheme = WeightScheme([0.5, 1.0])
         state = RunningAverage(scheme)
         with pytest.raises(ValueError, match="out-of-order"):
             state.update(np.zeros(1), k=1)
 
     def test_zero_mass_finalize_rejected(self):
-        scheme = WeightScheme.from_cumulative([0.0, 1.0])
+        scheme = WeightScheme([0.0, 1.0])
         state = RunningAverage(scheme).update(np.ones(1))
         with pytest.raises(ValueError, match="zero"):
             state.finalize()
 
     def test_more_updates_than_horizon_rejected(self):
-        scheme = WeightScheme.from_cumulative([1.0])
+        scheme = WeightScheme([1.0])
         state = RunningAverage(scheme).update(np.ones(1))
         with pytest.raises(ValueError, match="horizon"):
             state.update(np.ones(1))
@@ -325,7 +325,7 @@ def _wide_per_eigen_scheme(steps, m=600, seed=5):
     basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
     p_cum = np.sort(rng.uniform(0, 1, size=(steps + 1, m)), axis=0)
     p_cum[:, 7] = 0.0
-    return WeightScheme.from_cumulative(p_cum, basis=basis)
+    return WeightScheme(p_cum, basis=basis)
 
 
 class TestAveragedPathKernel:
@@ -347,7 +347,7 @@ class TestAveragedPathKernel:
         assert _same_bits(avg, _averaged_path_reference(x, scheme))
         assert np.array_equal(x, before)
         if kind == "nsgd":  # P_0 = 0 leaves the first average at zero
-            assert scheme.P(0) == 0.0 and not avg[0].any()
+            assert scheme.cumulative[0] == 0.0 and not avg[0].any()
 
     @pytest.mark.parametrize("kind", ["kernel", "wide"])
     def test_per_eigenvalue_bit_identical_to_formula(self, kind):
@@ -425,7 +425,7 @@ class TestSchemeBytes:
         p_cum = np.sort(np.random.default_rng(2).uniform(0, 1, size=shape), axis=0)
         p_cum[:3] = -0.0
         basis = np.eye(7) if len(shape) == 2 else None
-        scheme = WeightScheme.from_cumulative(p_cum, basis=basis)
+        scheme = WeightScheme(p_cum, basis=basis)
         expected = np.diff(p_cum, axis=0, prepend=np.zeros_like(p_cum[:1]))
         assert _same_bits(scheme.increments, expected)
 
@@ -434,8 +434,8 @@ class TestSchemeBytes:
         p_cum = np.sort(np.random.default_rng(1).uniform(0, 1, size=(6, m)), axis=0)
         for basis in (np.eye(m + 1)[:, :m], np.eye(m + 1), np.eye(m)[:, :m - 1]):
             with pytest.raises(ValueError, match="basis"):
-                WeightScheme.from_cumulative(p_cum, basis=basis)
-        WeightScheme.from_cumulative(p_cum, basis=np.eye(m))
+                WeightScheme(p_cum, basis=basis)
+        WeightScheme(p_cum, basis=np.eye(m))
 
 
 class TestAveragedRecord:
@@ -471,7 +471,7 @@ class TestMixingIdentityProperty:
             steps = int(rng.integers(3, 40))
             dim = int(rng.integers(1, 4))
             p_cum = np.sort(rng.uniform(0, 1, size=steps + 1))
-            scheme = WeightScheme.from_cumulative(p_cum)
+            scheme = WeightScheme(p_cum)
             increments = rng.standard_normal((steps, dim))
             x = np.vstack([np.zeros(dim), np.cumsum(increments, axis=0)])
             x_hat = np.zeros_like(x)
@@ -488,7 +488,7 @@ class TestMixingIdentityProperty:
             steps, dim = 25, 3
             basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
             p_cum = np.sort(rng.uniform(0, 1, size=(steps + 1, dim)), axis=0)
-            scheme = WeightScheme.from_cumulative(p_cum, basis=basis)
+            scheme = WeightScheme(p_cum, basis=basis)
             increments = rng.standard_normal((steps, dim))
             x = np.vstack([np.zeros(dim), np.cumsum(increments, axis=0)])
             x_e = x @ basis
@@ -525,8 +525,21 @@ def test_kernel_scheme_csv_long_format(tmp_path):
 
 def test_invalid_cumulative_rejected():
     with pytest.raises(ValueError):
-        WeightScheme.from_cumulative([0.2, 0.1])
+        WeightScheme([0.2, 0.1])
     with pytest.raises(ValueError):
-        WeightScheme.from_cumulative([0.2, 1.5])
+        WeightScheme([0.2, 1.5])
     with pytest.raises(ValueError):
-        WeightScheme.from_cumulative([[0.1], [0.5]])  # matrix without basis
+        WeightScheme([[0.1], [0.5]])  # matrix without basis
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_and_strengths_rejected(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        WeightScheme([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        weights_sgd_adaptive(0.1, bad, 5)
+    kern = KernelProblem(K=np.eye(3), y=np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        weights_kernel(kern, 0.1, 0.0, bad, 5)
+    with pytest.raises(ValueError, match="finite"):
+        weights_kernel(kern, 0.1, bad, 2.0, 5)

@@ -281,7 +281,7 @@ def test_sweep_check_fails_on_corrupted_average(tmp_path, monkeypatch):
         return weights_sgd_adaptive(etas, lam, steps)
 
     def blended(path, scheme):
-        ridge = oracles.ridge_solution(toy_problem(), Regularizer.l2(seen["lam"])).w_hat
+        ridge = oracles.ridge_solution(toy_problem(), Regularizer.l2(seen["lam"]))
         return 0.5 * (averaged_path(path, scheme) + ridge)
 
     monkeypatch.setattr(cli, "weights_sgd_adaptive", scheme)
@@ -418,6 +418,29 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
     code, out, checks = run(tmp_path, "demo2d")
     assert code == 3 and checks is None and not out.exists()
     assert capsys.readouterr().err == "numerical failure: x\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo2d", "--eta", "nan"],
+    ["demo2d", "--lambda", "nan"],
+    ["sweep", "--eta", "nan"],
+    ["sweep", "--lambda", "nan"],
+    ["variance-mc", "--eta", "nan"],
+    ["variance-mc", "--sigma", "nan", "--mc-seeds", "2"],
+    ["mnist-linear", "--eta", "nan"],
+    ["mnist-linear", "--lambda", "nan"],
+    ["mnist-logistic", "--base-ridge", "nan"],
+    ["sandwich", "--gamma", "nan"],
+    ["sandwich", "--eta", "nan"],
+    ["l1-hull", "--lambda", "nan"],
+    ["kernel-demo", "--lam-hats", "nan"],
+])
+def test_nan_flags_are_config_errors(tmp_path, capsys, argv):
+    # NaN fails every comparison; each range test is written so that it fails
+    # the test too, and is bad input, not a divergence or a failed claim.
+    code, out, _ = run(tmp_path, *argv)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("argv, exit_code", [

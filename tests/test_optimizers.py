@@ -88,8 +88,8 @@ class TestSgdRun:
         w_star = prob.minimizer()
         contraction = np.eye(2) - eta * prob.sigma
         predicted = np.linalg.matrix_power(contraction, steps) @ (-w_star) + w_star
-        np.testing.assert_allclose(rec.final, predicted, atol=1e-12)
-        assert np.abs(rec.final - w_star).max() <= 1e-6
+        np.testing.assert_allclose(rec.iterates[-1], predicted, atol=1e-12)
+        assert np.abs(rec.iterates[-1] - w_star).max() <= 1e-6
 
     def test_same_seed_reproduces_bit_exactly(self):
         rng = np.random.default_rng(0)
@@ -176,7 +176,7 @@ class TestPsgdRun:
     def test_converges_to_minimizer(self):
         prob = toy_problem()
         rec = psgd_run(prob, Regularizer.none(), make_schedule(0.1), 500, Q=prob.sigma)
-        assert np.abs(rec.final - prob.minimizer()).max() <= 1e-6
+        assert np.abs(rec.iterates[-1] - prob.minimizer()).max() <= 1e-6
 
     def test_regularized_needs_generalized_penalty(self):
         with pytest.raises(ValueError, match="generalized_l2"):
@@ -232,7 +232,7 @@ class TestNsgdRun:
     def test_converges_on_toy(self):
         prob = toy_problem()
         rec = nsgd_run(prob, Regularizer.none(), make_schedule(0.1), 500, alpha=0.05)
-        assert np.abs(rec.final - prob.minimizer()).max() <= 1e-6
+        assert np.abs(rec.iterates[-1] - prob.minimizer()).max() <= 1e-6
 
     def test_full_batch_coincides_with_deterministic(self):
         rng = np.random.default_rng(8)
@@ -463,7 +463,7 @@ class TestPathRecord:
         with pytest.raises(ValueError, match="read-only"):
             rec.iterates[1, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            rec.final[:] = 0.0
+            rec.iterates[-1] = 0.0
 
     def test_rotation_kept_for_the_last_read_only_basis(self):
         rec, rng = self.make_record()
@@ -563,6 +563,9 @@ class TestSerialization:
         ("etas", 0.1), ("lam", None), ("extras", [1]),
         # typed, but out of the schedule's range
         ("lam", -1), ("etas", []), ("etas", [0.0]),
+        # JSON's NaN and Infinity, which LRSchedule refuses too
+        ("etas", [float("nan")]), ("etas", [float("inf")]), ("lam", float("nan")),
+        ("lam", float("inf")),
     ])
     def test_malformed_header_keys_rejected(self, tmp_path, key, value):
         rec, header = self._header(tmp_path)
@@ -615,3 +618,22 @@ def test_schedule_validation():
         LRSchedule(np.array([0.1, -0.2]))
     with pytest.raises(ValueError):
         LRSchedule(np.array([]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rates_and_strengths_rejected(bad):
+    # NaN fails every comparison, so each range test is written to fail it.
+    with pytest.raises(ValueError, match="finite"):
+        LRSchedule(np.array([0.1, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        LRSchedule(0.1, lam=bad)
+    kern = KernelProblem(K=np.eye(3), y=np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        kernel_gd_run(kern, make_schedule(0.1), 5, lam_hat=bad)
+    with pytest.raises(ValueError, match="finite"):
+        kernel_gd_run(kern, make_schedule(0.1), 5, lam=bad)
+    with pytest.raises(ValueError, match="finite"):
+        sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 5, seed=0,
+                noise_sigma=bad)
+    with pytest.raises(ValueError, match="finite"):
+        LogisticProblem(X=np.ones((2, 1)), Y=np.eye(2), base_ridge=bad)

@@ -47,25 +47,28 @@ def diag_problem():
 class TestRidgeSolution:
     def test_hand_solved_diagonal(self):
         sol = ridge_solution(diag_problem(), Regularizer.l2(0.1))
-        np.testing.assert_allclose(sol.w_hat, [0.1 / 0.2, 1.0 / 1.1], atol=1e-15)
+        np.testing.assert_allclose(sol, [0.1 / 0.2, 1.0 / 1.1], atol=1e-15)
 
     def test_zero_penalty_recovers_minimizer(self):
         sol = ridge_solution(diag_problem(), Regularizer.none())
-        np.testing.assert_allclose(sol.w_hat, [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(sol, [1.0, 1.0], atol=1e-14)
 
     def test_huge_penalty_shrinks_to_zero(self):
         sol = ridge_solution(diag_problem(), Regularizer.l2(1e12))
-        assert np.abs(sol.w_hat).max() <= 1e-11
+        assert np.abs(sol).max() <= 1e-11
 
     def test_generalized_penalty(self):
         prob = toy_problem()
         sol = ridge_solution(prob, Regularizer.generalized_l2(0.5, prob.sigma))
-        np.testing.assert_allclose(sol.w_hat, prob.minimizer() / 1.5, atol=1e-12)
+        np.testing.assert_allclose(sol, prob.minimizer() / 1.5, atol=1e-12)
 
     def test_inaccurate_solve_is_a_numerical_failure(self):
-        # The Hilbert matrix of order 12 leaves a residual near 1.5e-8,
-        # against the 1e-10 bound: a failed solve, not a bad input.
-        prob = QuadraticProblem(sigma=scipy.linalg.hilbert(12), a=np.ones(12))
+        # Eigenvalues 1 down to 1e-13 in a random basis: full rank by the
+        # rank rule (floor 2.7e-15), but the solve leaves a residual near
+        # 5e-5, against the 1e-10 bound: a failed solve, not a bad input.
+        basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 12)))
+        sigma = basis @ np.diag(np.logspace(0, -13, 12)) @ basis.T
+        prob = QuadraticProblem(sigma=0.5 * (sigma + sigma.T), a=np.ones(12))
         with pytest.raises(RuntimeError, match="residual too large"):
             ridge_solution(prob, Regularizer.l2(1e-300))
 
@@ -97,6 +100,11 @@ class TestKernelSolution:
         kern = KernelProblem(K=np.eye(2), y=np.zeros(2))
         with pytest.raises(ValueError):
             kernel_solution(kern, -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_penalty_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            kernel_solution(KernelProblem(K=np.eye(2), y=np.zeros(2)), bad)
 
 
 class TestExpectationPath:
@@ -180,7 +188,7 @@ class TestExpectationPath:
         for kind, reg in (("gd", Regularizer.l2(0.2)), ("ngd", Regularizer.l2(0.2)),
                           ("pgd", Regularizer.generalized_l2(0.2, prob.sigma))):
             mean = expectation_path(prob, reg, sched, 50, kind=kind, alpha=0.05)
-            assert np.all(np.isfinite(mean.iterates)) and np.abs(mean.final).max() > 0
+            assert np.all(np.isfinite(mean.iterates)) and np.abs(mean.iterates[-1]).max() > 0
 
     def test_basis_orthonormal_at_mnist_size(self, monkeypatch):
         # The divide-and-conquer eigensolver keeps V^T V = I to ~3e-15 on the
@@ -206,8 +214,8 @@ class TestExpectationPath:
         prob = toy_problem()
         sched = make_schedule(0.1, lam=0.5)
         mean = expectation_path(prob, Regularizer.l2(0.5), sched, 4000)
-        target = ridge_solution(prob, Regularizer.l2(0.5)).w_hat
-        assert np.abs(mean.final - target).max() <= 1e-12
+        target = ridge_solution(prob, Regularizer.l2(0.5))
+        assert np.abs(mean.iterates[-1] - target).max() <= 1e-12
 
     def test_zero_steps(self):
         mean = expectation_path(toy_problem(), Regularizer.none(),
@@ -262,18 +270,18 @@ class TestVarianceEpsilon:
                                  lam=0.1, alpha=0.1, beta=1.0)
         # independent evaluation through the variance-sum arrangement
         trace_bound = 0.1 / (gamma**3 * (2 - 0.1 * gamma) * 0.2**2 * 1.1**4)
-        np.testing.assert_allclose(bound.epsilon, np.sqrt(trace_bound / 0.1),
+        np.testing.assert_allclose(bound, np.sqrt(trace_bound / 0.1),
                                    rtol=1e-12)
-        assert abs(bound.epsilon - 94.02) < 0.05
+        assert abs(bound - 94.02) < 0.05
 
     def test_noiseless_bound_is_zero(self):
         b = variance_epsilon("sgd", 0.0, 0.1, 0.05, 0.1, 0.1, 1.0)
-        assert b.epsilon == 0.0
+        assert b == 0.0
 
     def test_identity_preconditioner_matches_sgd(self):
         kw = dict(sigma=0.7, delta=0.2, gamma=0.08, lam=0.3, alpha=0.2, beta=1.5)
-        assert variance_epsilon("psgd", q_norm=1.0, **kw).epsilon == \
-            variance_epsilon("sgd", **kw).epsilon
+        assert variance_epsilon("psgd", q_norm=1.0, **kw) == \
+            variance_epsilon("sgd", **kw)
 
     def test_accelerated_requires_spectral_gap(self):
         with pytest.raises(ValueError, match="lam_min"):
@@ -285,13 +293,22 @@ class TestVarianceEpsilon:
                   eta=0.1, lam_min=0.1)
         b1 = variance_epsilon("nsgd", 0.5, **kw)
         b2 = variance_epsilon("nsgd", 1.0, **kw)
-        assert 0 < b1.epsilon < b2.epsilon
+        assert 0 < b1 < b2
 
     def test_delta_monotonicity(self):
         kw = dict(sigma=1.0, gamma=0.09, lam=0.1, alpha=0.1, beta=1.0)
-        eps_small = variance_epsilon("sgd", delta=0.01, **kw).epsilon
-        eps_large = variance_epsilon("sgd", delta=0.5, **kw).epsilon
+        eps_small = variance_epsilon("sgd", delta=0.01, **kw)
+        eps_large = variance_epsilon("sgd", delta=0.5, **kw)
         assert eps_small > eps_large
+
+
+    @pytest.mark.parametrize("name", ["sigma", "gamma", "lam", "alpha", "beta", "eta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_each_non_finite_value_rejected(self, name, bad):
+        kw = dict(sigma=1.0, delta=0.1, gamma=0.1 / 1.01, lam=0.1, alpha=0.05, beta=1.0,
+                  eta=0.1, lam_min=0.1)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            variance_epsilon("nsgd", **{**kw, name: bad})
 
 
 class TestLambdaPair:
@@ -314,6 +331,13 @@ class TestLambdaPair:
             lambda_pair(0.4, 0.4 / 1.4, bounds)  # at the cap, rejected
         with pytest.raises(ValueError, match="gamma"):
             lambda_pair(0.4, 0.0, bounds)
+
+    @pytest.mark.parametrize("bounds", [ConvexityBounds(1.0, 2.0), ConvexityBounds(0.5, 0.5)])
+    def test_nan_rates_rejected(self, bounds):
+        with pytest.raises(ValueError, match="eta = nan"):
+            lambda_pair(np.nan, 0.25, bounds)
+        with pytest.raises(ValueError, match="gamma"):
+            lambda_pair(0.4 if bounds.beta > 1.0 else 1.0, np.nan, bounds)
 
 
 class TestBoundingSequences:
@@ -383,7 +407,7 @@ def _kernel_pair():
 
 class TestIdentityCheck:
     def test_single_point_paths(self):
-        scheme = WeightScheme.from_cumulative([0.5])
+        scheme = WeightScheme([0.5])
         assert identity_check(np.zeros((1, 2)), np.zeros((1, 2)), scheme) == 0.0
 
     def test_coupled_toy_paths(self):
@@ -401,7 +425,7 @@ class TestIdentityCheck:
         plain, reg, scheme, bound = pair()
         assert identity_check(plain, reg, scheme) <= bound
         p_cum = scheme.cumulative
-        shifted = WeightScheme.from_cumulative(
+        shifted = WeightScheme(
             np.concatenate([np.zeros_like(p_cum[:1]), p_cum[:-1]]), basis=scheme.basis)
         assert identity_check(plain, reg, shifted) > bound
 
@@ -415,7 +439,7 @@ class TestIdentityCheck:
         assert identity_check(plain, reg, scheme) > bound
 
     def test_length_mismatch_rejected(self):
-        scheme = WeightScheme.from_cumulative([0.5, 1.0])
+        scheme = WeightScheme([0.5, 1.0])
         with pytest.raises(ValueError, match="shapes"):
             identity_check(np.zeros((2, 1)), np.zeros((3, 1)), scheme)
         kernel = weights_kernel(KernelProblem(K=2.0 * np.eye(5), y=np.ones(5)), 0.1, 0.0,
@@ -495,6 +519,11 @@ class TestGronwallInterval:
 
 
 class TestL1Prox:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_penalty_rejected_before_iterating(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            l1_prox_solution(toy_problem(), bad)
+
     def test_zero_penalty_recovers_minimizer(self):
         prob = toy_problem()
         sol = l1_prox_solution(prob, 0.0, tol=1e-12)
@@ -594,7 +623,7 @@ class TestMinimizeObjective:
         prob = toy_problem()
         w = minimize_objective(prob, Regularizer.l2(0.4))
         np.testing.assert_allclose(
-            w, ridge_solution(prob, Regularizer.l2(0.4)).w_hat, atol=1e-14)
+            w, ridge_solution(prob, Regularizer.l2(0.4)), atol=1e-14)
 
     def test_logistic_newton_reaches_stationarity(self):
         rng = np.random.default_rng(9)

@@ -34,6 +34,11 @@ class TestRegularizer:
         with pytest.raises(ValueError):
             Regularizer.l2(-0.5)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            Regularizer.l2(lam)
+
     def test_l1_has_no_gradient(self):
         # l1 solutions come from the proximal oracle, never from a gradient.
         with pytest.raises(ValueError, match="l1"):
@@ -69,6 +74,13 @@ class TestQuadratic:
             QuadraticProblem(sigma=np.array([[1.0, 0.1], [0.0, 1.0]]), a=np.zeros(2))
         with pytest.raises(ValueError, match="definite"):
             QuadraticProblem(sigma=np.diag([1.0, -0.1]), a=np.zeros(2))
+
+    def test_duplicated_column_refused(self):
+        # Sigma has rank 5 in 6 dimensions; its smallest eigenvalue is rounding,
+        # of either sign, far below the rank tolerance max eig * d * eps.
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 5))
+        with pytest.raises(ValueError, match="rank tolerance"):
+            QuadraticProblem.from_data(np.hstack([x, x[:, :1]]), np.ones(40))
 
     def test_raw_data_consistency_enforced(self):
         rng = np.random.default_rng(0)
@@ -249,6 +261,14 @@ class TestKernelProblem:
         recon = kern.basis @ np.diag(kern.eigenvalues) @ kern.basis.T
         np.testing.assert_allclose(recon, kern.K, atol=1e-10)
         assert kern.eigenvalues.min() >= -1e-12
+
+    @pytest.mark.parametrize("gram, message", [
+        (np.ones((2, 3)), "square"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+    ])
+    def test_non_square_or_asymmetric_gram_rejected(self, gram, message):
+        with pytest.raises(ValueError, match=message):
+            KernelProblem(K=gram, y=np.zeros(2))
 
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError, match="semi-definite"):
