@@ -141,10 +141,6 @@ def weights_sgd_adaptive(
     learning-rate sequence, not just constant ones.
     """
     _require_positive_lam(lam)
-    if isinstance(schedule, LRSchedule) and schedule.lam not in (0.0, lam):
-        raise ValueError(
-            f"schedule was coupled at lambda={schedule.lam}, scheme wants {lam}"
-        )
     # gamma_i / eta_i = 1 / (1 + lam * eta_i)
     p_cum = _cumulative(_per_step(schedule, lambda etas: -np.log1p(lam * etas), K + 1))
     return WeightScheme(p_cum, params={"lam": lam})

@@ -169,8 +169,8 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
     eta, lam, alpha, steps = args.eta, args.lam, args.alpha, args.steps
     prob = toy_problem()
     bounds = convexity_bounds(prob)
-    sched = make_schedule(eta, lam, bounds)
-    gamma = sched.gamma(0)
+    sched = make_schedule(eta, bounds=bounds)
+    gamma = sched.coupled(lam).eta(0)
     for name in ("gd", "pgd", "ngd"):
         # Runs inside the loop, so each report's wall clock covers its own runs.
         t0 = time.perf_counter()
@@ -288,21 +288,21 @@ def _optimizer(prob, name, alpha, q=None):
 def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None, q=None):
     """Plain and lambda-regularized runs of one optimizer, and their scheme.
 
-    The regularized run takes the coupled rates of ``sched``; a ``batch`` of
-    None is the full gradient.
+    The regularized run steps at ``sched.coupled(lam)``; a ``batch`` of None
+    is the full gradient.
     """
     run, penalty, make_scheme = _optimizer(prob, optimizer, alpha, q)
     kwargs = dict(batch_size=batch, seed=seed, deterministic=batch is None)
     plain = run(prob, Regularizer.none(), sched, steps, **kwargs)
-    regp = run(prob, penalty(lam), sched, steps, **kwargs)
+    regp = run(prob, penalty(lam), sched.coupled(lam), steps, **kwargs)
     return plain, regp, make_scheme(sched, lam, steps)
 
 
-def _eta_schedule(prob, args, lam: float):
+def _eta_schedule(prob, args):
     """The plain run's schedule.  The accelerated scheme assumes eta < 1/beta
     and --alpha <= alpha, the problem's own curvature; either breach exits 2."""
     bounds = convexity_bounds(prob) if args.optimizer == "ngd" else None
-    sched = make_schedule(args.eta, lam, bounds)
+    sched = make_schedule(args.eta, bounds=bounds)
     if bounds is not None and args.alpha > bounds.alpha:
         raise ConfigError(f"--alpha {args.alpha:g} > alpha = {bounds.alpha:.6g}, "
                           "the problem's strong convexity")
@@ -318,7 +318,7 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
         raise ConfigError(f"--limit {args.limit} loaded n = {n} rows for d = {d} features; "
                           "least squares needs n >= d")
     prob = QuadraticProblem.from_data(data.X, data.Y)
-    sched = _eta_schedule(prob, args, lam)
+    sched = _eta_schedule(prob, args)
     t0 = time.perf_counter()
 
     plain, reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
@@ -357,7 +357,7 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     eta, lam, steps = args.eta, args.lam, args.steps
     data = _mnist_dataset(args)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
-    sched = _eta_schedule(prob, args, lam)
+    sched = _eta_schedule(prob, args)
     q = None
     if args.optimizer == "pgd":
         # Feature second moment plus the loss's own ridge as preconditioner,
@@ -373,7 +373,7 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
         err_plain, err_avg = _write_report(
             args, out_dir, f"mnist_logistic_{mode}", f"mnist-logistic-{mode}", plain, regp,
             averaged_path(plain, scheme), scheme,
-            {"eta": eta, "lam": lam, "gamma": sched.gamma(0), "steps": steps,
+            {"eta": eta, "lam": lam, "gamma": sched.coupled(lam).eta(0), "steps": steps,
              "base_ridge": args.base_ridge, "optimizer": args.optimizer}, t0)
         checks.add(f"mnist-logistic/{mode}-avg-below-plain",
                    float(err_avg[-1] - err_plain[-1]), 0.0,
@@ -385,8 +385,8 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
     bounds = convexity_bounds(prob)
     eta, lam, steps = args.eta, args.lam, args.steps
     sigma, delta = args.sigma, args.delta
-    sched = make_schedule(eta, lam, bounds)
-    gamma = sched.gamma(0)
+    sched = make_schedule(eta, bounds=bounds)
+    gamma = sched.coupled(lam).eta(0)
     results = {}
     for name, kind in (("gd", "sgd"), ("pgd", "psgd"), ("ngd", "nsgd")):
         run, penalty, make_scheme = _optimizer(prob, name, args.alpha)
@@ -496,8 +496,7 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
         if name not in ("gd", "ngd") or name == "ngd" and type(alpha) not in (int, float):
             raise ConfigError(f"{args.path}: sweep re-weights gd records and ngd records "
                               f"with a numeric alpha, not {name!r} (alpha {alpha!r})")
-        steps = len(plain) - 1
-        sched = make_schedule(plain.schedule.etas)  # uncoupled: it may be at another lambda
+        steps, sched = len(plain) - 1, plain.schedule
     else:
         sched = make_schedule(args.eta)
         plain = sgd_run(prob, Regularizer.none(), sched, steps)
@@ -513,7 +512,7 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
         # Mixing identity at step K, an equality: P_K wavg_K = what_K -
         # (1 - P_K) w_K, where what_K ends the penalized run from the oracle.
         reg = penalty(lam)
-        what = oracles.expectation_path(prob, reg, make_schedule(sched.etas, lam), steps,
+        what = oracles.expectation_path(prob, reg, sched.coupled(lam), steps,
                                         kind=name, alpha=alpha).iterates[-1]
         p_k, w_k, wavg_k = float(scheme.cumulative[steps]), plain.iterates[-1], avg[-1]
         residual = float(np.abs(p_k * wavg_k - (what - (1.0 - p_k) * w_k)).max())
@@ -626,19 +625,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags a command does not read in a mode, one that all its mode flags set:
-# command -> ((mode flags, unread flags), ...).
+# Flags a command does not read in a mode, one that all its mode flags set, a
+# (key, value) flag to that value: command -> ((mode flags, unread flags), ...).
 _MNIST_MODES = ((("deterministic",), ("batch",)),  # draws no batches
-                (("deterministic", "images", "labels"), ("seed",)))  # nor a stand-in
+                (("deterministic", "images", "labels"), ("seed",)),  # nor a stand-in
+                *(((("optimizer", name),), ("alpha",)) for name in ("gd", "pgd")))  # no momentum
 _UNREAD_IN_MODE = {"sweep": ((("path",), ("steps", "eta")),),  # the stored path fixes both
                    "mnist-linear": _MNIST_MODES, "mnist-logistic": _MNIST_MODES}
 
 
 def _check_mode_flags(args) -> None:
     for mode, unread in _UNREAD_IN_MODE.get(args.command, ()):
+        flags = [(m, None) if isinstance(m, str) else m for m in mode]
         for key in unread:
-            if key in args.given and all(getattr(args, m) for m in mode):
-                mode_flags = " ".join(_FLAGS[m][0] for m in mode)
+            if key in args.given and all(getattr(args, m) == v if v else getattr(args, m)
+                                         for m, v in flags):
+                mode_flags = " ".join(f"{_FLAGS[m][0]} {v}" if v else _FLAGS[m][0]
+                                      for m, v in flags)
                 raise ConfigError(f"{args.command} {mode_flags} does not read {_FLAGS[key][0]}")
 
 

@@ -4,10 +4,11 @@ All algorithms start from zero and record every iterate.  A run is
 fully determined by (problem, regularizer, schedule, steps, seed), and
 replaying with the same seed reproduces the stored path bit for bit.
 
-The learning-rate coupling is the load-bearing piece: a regularized run
-at strength lam uses gamma_k = eta_k / (1 + lam * eta_k), equivalently
-1 - lam * gamma_k = gamma_k / eta_k, which is exactly what makes a
-weighted average of the plain path reproduce the regularized one.
+The learning-rate coupling is the load-bearing piece: a run penalized at
+strength lam steps at ``schedule.coupled(lam)``, gamma_k = eta_k / (1 +
+lam * eta_k), equivalently 1 - lam * gamma_k = gamma_k / eta_k, which is
+exactly what makes a weighted average of the plain path reproduce the
+regularized one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 _PATH_FORMAT = "iterreg-path"
-_PATH_VERSION = 2
+_PATH_VERSION = 3
 
 
 class DivergenceError(RuntimeError):
@@ -55,10 +56,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LRSchedule:
-    """Per-step learning rates eta_k with coupled regularized rates gamma_k."""
+    """Per-step learning rates eta_k, the rates a run steps at."""
 
     etas: np.ndarray  # shape (steps,) or (1,) for a constant rate
-    lam: float = 0.0
 
     def __post_init__(self):
         etas = np.atleast_1d(np.asarray(self.etas, dtype=np.float64))
@@ -66,8 +66,6 @@ class LRSchedule:
             raise ValueError("etas must be a nonempty 1-D sequence")
         if not (etas.min() > 0 and etas.max() < np.inf):  # NaN fails too
             raise ValueError("learning rates must be positive and finite")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lambda must be nonnegative and finite")
         object.__setattr__(self, "etas", etas)
 
     @property
@@ -77,21 +75,24 @@ class LRSchedule:
     def eta(self, k: int) -> float:
         return float(self.etas[k % self.etas.size])
 
-    def gamma(self, k: int) -> float:
-        e = self.eta(k)
-        return e / (1.0 + self.lam * e)
-
     def etas_upto(self, steps: int) -> np.ndarray:
         return np.resize(self.etas, steps)  # repeats the rates cyclically
 
-    def gammas_upto(self, steps: int) -> np.ndarray:
-        e = self.etas_upto(steps)
-        return e / (1.0 + self.lam * e)
+    def coupled(self, lam: float) -> "LRSchedule":
+        """The rates gamma_k = eta_k / (1 + lam * eta_k) of the run penalized at lam."""
+        if not 0 <= lam < np.inf:
+            raise ValueError("lambda must be nonnegative and finite")
+        e = self.etas
+        g = e / (1.0 + lam * e)
+        # Coupling sanity: 1 - lam*gamma must equal gamma/eta to near machine precision.
+        if np.abs((1.0 - lam * g) - g / e).max() > 1e-14:
+            raise AssertionError("learning-rate coupling violated")
+        return LRSchedule(g)
 
 
 def make_schedule(
     kind: Union[float, Sequence[float]],
-    lam: float = 0.0,
+    *,
     bounds: Optional[ConvexityBounds] = None,
 ) -> LRSchedule:
     """Build a schedule from a constant rate or an explicit rate sequence.
@@ -99,20 +100,13 @@ def make_schedule(
     When curvature bounds are supplied, every eta_k must satisfy
     eta_k < 1/beta; otherwise the caller vouches for stability.
     """
-    etas = np.atleast_1d(np.asarray(kind, dtype=np.float64))
-    sched = LRSchedule(etas=etas, lam=lam)
+    sched = LRSchedule(kind)
     if bounds is not None:
         limit = 1.0 / bounds.beta
         if sched.etas.max() >= limit:
             raise ValueError(
                 f"learning rate {sched.etas.max():.6g} >= 1/beta = {limit:.6g}"
             )
-    # Coupling sanity: 1 - lam*gamma must equal gamma/eta to near machine
-    # precision for every step.
-    e = sched.etas
-    g = e / (1.0 + lam * e)
-    if np.abs((1.0 - lam * g) - g / e).max() > 1e-14:
-        raise AssertionError("learning-rate coupling violated")
     return sched
 
 
@@ -217,13 +211,7 @@ def _guard_limit(problem) -> float:
     return 1e8
 
 
-def _validate_run_args(reg, schedule, batch_size, seed, deterministic, noisy):
-    # A schedule with lam == 0 provides raw (uncoupled) rates, also for
-    # regularized objectives; a coupled schedule must agree with the penalty.
-    if reg.lam > 0 and schedule.lam > 0 and schedule.lam != reg.lam:
-        raise ValueError(
-            f"schedule lambda {schedule.lam} does not match regularizer lambda {reg.lam}"
-        )
+def _validate_run_args(batch_size, seed, deterministic, noisy):
     if not deterministic:
         if batch_size is None or batch_size < 1:
             raise ValueError("stochastic runs need a batch_size >= 1")
@@ -253,12 +241,12 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
     if noise_sigma is not None and not 0 <= noise_sigma < np.inf:  # NaN is no "no noise"
         raise ValueError(f"noise_sigma must be nonnegative and finite, got {noise_sigma}")
     noisy = noise_sigma is not None and noise_sigma > 0
-    _validate_run_args(reg, schedule, batch_size, seed, deterministic, noisy)
+    _validate_run_args(batch_size, seed, deterministic, noisy)
     dim = problem.param_dim
     w = prev = np.zeros(dim * len(seeds))
     path = np.zeros((steps + 1, w.size))
     limit = _guard_limit(problem)
-    rates = (schedule.gammas_upto(steps) if reg.lam > 0 else schedule.etas_upto(steps)).tolist()
+    rates = schedule.etas_upto(steps).tolist()
     part = None if deterministic else _batch_grad(problem, reg)
     if part is None or batch_size >= problem.n_samples:
         full = _full_grad(problem, reg)
@@ -301,7 +289,7 @@ def sgd_run(
     deterministic: bool = True,
     noise_sigma: Optional[float] = None,
 ) -> Union[PathRecord, list[PathRecord]]:
-    """(Stochastic) gradient descent; regularized runs use the coupled rate.
+    """(Stochastic) gradient descent at exactly the schedule's rates.
 
     With ``noise_sigma`` set, noise uniform on a sphere of that radius
     (mean zero, variance exactly noise_sigma**2, so bounded-variance
@@ -393,8 +381,7 @@ def nsgd_run(
     lookahead point.
     """
     _accelerated_only(schedule, reg)
-    rate = schedule.gamma(0) if reg.lam > 0 else schedule.eta(0)
-    tau = nesterov_momentum(rate, alpha + reg.lam)
+    tau = nesterov_momentum(schedule.eta(0), alpha + reg.lam)
     return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
                 noise_sigma, "nsgd", tau=tau, extras={"alpha": alpha, "tau": tau})
 
@@ -471,7 +458,7 @@ def save_path(record: PathRecord, path: str) -> None:
         "extras": _jsonable(record.extras),
         "schedule": None
         if record.schedule is None
-        else {"etas": record.schedule.etas.tolist(), "lam": record.schedule.lam},
+        else {"etas": record.schedule.etas.tolist()},
     }
     # An open handle, not a name: np.savez appends ".npz" to a bare name.
     with open(path, "wb") as fh:
@@ -485,8 +472,7 @@ _HEADER_KEYS = {"steps": lambda v: type(v) is int, "dim": lambda v: type(v) is i
                 "tag": lambda v: isinstance(v, str), "seed": lambda v: v is None or type(v) is int,
                 "extras": lambda v: isinstance(v, dict)}
 _SCHEDULE_KEYS = {"etas": lambda v: isinstance(v, list) and v != []
-                  and all(type(e) in (int, float) and 0 < e < np.inf for e in v),
-                  "lam": lambda v: type(v) in (int, float) and 0 <= v < np.inf}
+                  and all(type(e) in (int, float) and 0 < e < np.inf for e in v)}
 
 
 def _checked(path: str, table, tests: dict) -> list:

@@ -121,14 +121,13 @@ def expectation_path(
         raise ValueError("expectation paths are defined for quadratic problems")
     if kind not in ("gd", "pgd", "ngd"):
         raise ValueError(f"unknown expectation kind {kind!r}")
-    rates = schedule.gammas_upto(steps) if reg.lam > 0 else schedule.etas_upto(steps)
+    rates = schedule.etas_upto(steps)
     tau, first = 0.0, 0
     if kind == "ngd":
         if alpha is None:
             raise ValueError("accelerated expectation needs alpha")
         _accelerated_only(schedule, reg)
-        rate = schedule.gamma(0) if reg.lam > 0 else schedule.eta(0)
-        tau, first = nesterov_momentum(rate, alpha + reg.lam), 1
+        tau, first = nesterov_momentum(schedule.eta(0), alpha + reg.lam), 1
     if kind == "pgd" and reg.kind == "none":
         raise ValueError("preconditioned expectation needs the preconditioner via reg.Q")
     if kind == "pgd" and reg.kind != "generalized_l2":

@@ -100,22 +100,22 @@ def demo_runs(steps=STEPS, ngd=True):
     """The coupled run pairs on the 2-D demo problem: GD, PGD and, unless
     ngd is False, the accelerated run."""
     prob = toy_problem()
-    sched = make_schedule(ETA, lam=LAM, bounds=convexity_bounds(prob))
+    sched = make_schedule(ETA, bounds=convexity_bounds(prob))
     out = {}
     out["gd"] = (
         sgd_run(prob, Regularizer.none(), sched, steps),
-        sgd_run(prob, Regularizer.l2(LAM), sched, steps),
+        sgd_run(prob, Regularizer.l2(LAM), sched.coupled(LAM), steps),
         weights_sgd_adaptive(sched, LAM, steps),
     )
     out["pgd"] = (
         psgd_run(prob, Regularizer.none(), sched, steps, Q=prob.sigma),
-        psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched, steps),
+        psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched.coupled(LAM), steps),
         weights_sgd_adaptive(sched, LAM, steps),
     )
     if ngd:
         out["ngd"] = (
             nsgd_run(prob, Regularizer.none(), sched, steps, alpha=ALPHA),
-            nsgd_run(prob, Regularizer.l2(LAM), sched, steps, alpha=ALPHA),
+            nsgd_run(prob, Regularizer.l2(LAM), sched.coupled(LAM), steps, alpha=ALPHA),
             weights_nsgd(ETA, LAM, ALPHA, steps),
         )
     return prob, sched, out
@@ -142,7 +142,7 @@ def test_criterion_2_decay_rate_slopes():
     ||w_k - wavg_k||, which is still growing toward its limit early on."""
     with Budget(1.0) as budget:
         _, sched, runs = demo_runs()
-        gamma = sched.gamma(0)
+        gamma = sched.coupled(LAM).eta(0)
         ks = np.arange(50, STEPS + 1)
         results = {}
         for name, (p, r, s) in runs.items():
@@ -225,7 +225,7 @@ def test_criterion_3_limit_oracle():
     with Budget(2.0) as budget:
         prob = toy_problem()
         lam = 1.0
-        sched = make_schedule(ETA, lam=lam, bounds=convexity_bounds(prob))
+        sched = make_schedule(ETA, bounds=convexity_bounds(prob))
         results = {}
 
         plain = sgd_run(prob, Regularizer.none(), sched, STEPS)
@@ -265,16 +265,16 @@ def test_criterion_4_adaptive_rates():
         prob = toy_problem()
         bounds = convexity_bounds(prob)
         etas = [0.5 / bounds.beta, 0.9 / bounds.beta]
-        sched = make_schedule(etas, lam=LAM, bounds=bounds)
+        sched = make_schedule(etas, bounds=bounds)
         scheme = weights_sgd_adaptive(sched, LAM, STEPS)
         res_gd = identity_check(
             sgd_run(prob, Regularizer.none(), sched, STEPS),
-            sgd_run(prob, Regularizer.l2(LAM), sched, STEPS),
+            sgd_run(prob, Regularizer.l2(LAM), sched.coupled(LAM), STEPS),
             scheme,
         )
         res_pgd = identity_check(
             psgd_run(prob, Regularizer.none(), sched, STEPS, Q=prob.sigma),
-            psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched, STEPS),
+            psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched.coupled(LAM), STEPS),
             scheme,
         )
     worst = max(res_gd, res_pgd)
@@ -292,8 +292,8 @@ def test_criterion_5_deviation_bound():
     with Budget(30.0) as budget:
         prob = toy_problem()
         bounds = convexity_bounds(prob)
-        sched = make_schedule(ETA, lam=LAM, bounds=bounds)
-        gamma = sched.gamma(0)
+        sched = make_schedule(ETA, bounds=bounds)
+        gamma = sched.coupled(LAM).eta(0)
         mu = np.linalg.eigvalsh(prob.sigma)
         freqs = {}
 
@@ -406,11 +406,11 @@ def test_criterion_7_mnist_desk_scale(tmp_path):
         data = load_idx(ip, lp, limit=2000)
         prob = QuadraticProblem.from_data(data.X, data.Y)
         eta, lam = 0.01, 4.0
-        sched = make_schedule(eta, lam=lam)
+        sched = make_schedule(eta)
         scheme = weights_sgd_adaptive(sched, lam, STEPS)
 
         plain = sgd_run(prob, Regularizer.none(), sched, STEPS)
-        reg = sgd_run(prob, Regularizer.l2(lam), sched, STEPS)
+        reg = sgd_run(prob, Regularizer.l2(lam), sched.coupled(lam), STEPS)
         avg = averaged_path(plain, scheme)
         err_avg = np.abs(avg - reg.iterates).sum(axis=1)
         monotone = float(np.max(np.diff(err_avg[10:])))
@@ -418,7 +418,7 @@ def test_criterion_7_mnist_desk_scale(tmp_path):
 
         st_plain = sgd_run(prob, Regularizer.none(), sched, STEPS,
                            batch_size=500, seed=13, deterministic=False)
-        st_reg = sgd_run(prob, Regularizer.l2(lam), sched, STEPS,
+        st_reg = sgd_run(prob, Regularizer.l2(lam), sched.coupled(lam), STEPS,
                          batch_size=500, seed=13, deterministic=False)
         st_avg_err = float(
             np.abs(averaged_path(st_plain, scheme)[-1] - st_reg.iterates[-1]).sum())
@@ -516,7 +516,7 @@ def test_criterion_9_property_suites():
 
         # (d) streaming equals batch recomputation
         prob = toy_problem()
-        sched = make_schedule(ETA, lam=LAM)
+        sched = make_schedule(ETA)
         rec = sgd_run(prob, Regularizer.none(), sched, STEPS)
         scheme = weights_sgd_adaptive(sched, LAM, STEPS)
         from iterreg.averaging import RunningAverage

@@ -45,11 +45,6 @@ class TestSgdAdaptiveScheme:
         with pytest.raises(DegenerateSchemeError):
             weights_sgd_adaptive(0.1, 0.0, 5)
 
-    def test_coupled_schedule_lambda_must_agree(self):
-        sched = make_schedule(0.1, lam=0.3)
-        with pytest.raises(ValueError, match="coupled"):
-            weights_sgd_adaptive(sched, 0.1, 5)
-
 
 def test_cumulative_relative_accuracy():
     """P_K against 60-digit decimal arithmetic on the same float inputs.
@@ -227,7 +222,7 @@ class TestRunningAverage:
     def test_streaming_matches_batch_recomputation(self):
         prob = toy_problem()
         lam, steps = 0.1, 500
-        sched = make_schedule(0.1, lam=lam)
+        sched = make_schedule(0.1)
         rec = sgd_run(prob, Regularizer.none(), sched, steps)
         scheme = weights_sgd_adaptive(sched, lam, steps)
         state = RunningAverage(scheme)

@@ -12,7 +12,8 @@ from iterreg.averaging import (WeightScheme, averaged_path, weights_kernel, weig
                                weights_sgd_adaptive)
 from iterreg.cli import main
 from iterreg.data_io import read_report
-from iterreg.optimizers import make_schedule, nsgd_run, psgd_run, save_path, sgd_run
+from iterreg.optimizers import (load_path, make_schedule, nsgd_run, psgd_run, save_path,
+                                sgd_run)
 from iterreg.problems import Regularizer, make_rotated_quadratic, toy_problem
 
 
@@ -172,7 +173,7 @@ def test_variance_mc_matches_single_seed_runs(tmp_path):
     payload = json.loads((out / "variance_mc.json").read_text())
     args = cli.build_parser().parse_args(["variance-mc", "--out", str(tmp_path)])
     prob, none, steps = toy_problem(), Regularizer.none(), args.steps
-    sched = make_schedule(args.eta, args.lam)
+    sched = make_schedule(args.eta)
     adaptive = weights_sgd_adaptive(sched, args.lam, steps)
     cases = {
         "sgd": (lambda s: sgd_run(prob, none, sched, steps, seed=s, noise_sigma=args.sigma),
@@ -364,7 +365,7 @@ def test_sweep_rejects_path_without_fingerprint(tmp_path, capsys):
 
 
 def test_sweep_rejects_penalized_path(tmp_path, capsys):
-    rec = sgd_run(toy_problem(), Regularizer.l2(0.5), make_schedule(0.1, lam=0.5), 500)
+    rec = sgd_run(toy_problem(), Regularizer.l2(0.5), make_schedule(0.1).coupled(0.5), 500)
     stored = tmp_path / "path.npz"
     save_path(rec, str(stored))
     code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
@@ -373,15 +374,28 @@ def test_sweep_rejects_penalized_path(tmp_path, capsys):
     assert str(stored) in err and "penalty" in err
 
 
+@pytest.mark.parametrize("lam", [0.01, 2.0, 100.0])
+def test_stored_plain_path_of_a_pair_reweights_at_any_lambda(tmp_path, lam):
+    # The plain run of a pair at lambda = 0.5 stores only the rates it stepped
+    # at, so one stored path gives the run penalized at any other lambda.
+    prob, steps = toy_problem(), 500
+    plain, _, _ = cli._run_pair(prob, "gd", make_schedule(0.1), 0.5, steps, None)
+    save_path(plain, str(tmp_path / "plain"))
+    rec = load_path(str(tmp_path / "plain"))
+    reg = sgd_run(prob, Regularizer.l2(lam), rec.schedule.coupled(lam), steps)
+    scheme = weights_sgd_adaptive(rec.schedule, lam, steps)
+    assert oracles.identity_check(rec, reg, scheme) <= 1e-10
+
+
 def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
     rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500)
     stored = tmp_path / "path.npz"
     save_path(rec, str(stored))
     with np.load(stored) as archive:
         header = json.loads(archive["header"].tobytes())
-    bare = {"format": header["format"], "version": 2}
-    no_lam = dict(header, schedule={"etas": header["schedule"]["etas"]})
-    for label, bad, key in (("bare", bare, "steps"), ("no-lam", no_lam, "lam")):
+    bare = {"format": header["format"], "version": 3}
+    only_lam = dict(header, schedule={"lam": 0.0})
+    for label, bad, key in (("bare", bare, "steps"), ("only-lam", only_lam, "etas")):
         path = tmp_path / f"{label}.npz"
         with open(path, "wb") as fh:
             np.savez(fh, header=np.bytes_(json.dumps(bad)), iterates=rec.iterates)
@@ -748,3 +762,31 @@ def test_config_keys_a_mode_does_not_read_exit_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "mnist-linear", "--out", str(out)]) == 2
     assert not out.exists() and "--batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+@pytest.mark.parametrize("optimizer", ["gd", "pgd"])
+@pytest.mark.parametrize("command", ["mnist-linear", "mnist-logistic"])
+def test_alpha_is_refused_where_no_momentum_reads_it(tmp_path, capsys, command, optimizer,
+                                                      via):
+    argv = [command, "--optimizer", optimizer, "--deterministic", "--steps", "20",
+            "--limit", "1000"]
+    if via == "argv":
+        argv += ["--alpha", "nan"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "args": {"alpha": 0.5}}))
+        argv = ["--config", str(cfg), *argv]
+    code, out, _ = run(tmp_path, *argv)
+    assert code == 2 and not out.exists()
+    assert f"{command} --optimizer {optimizer} does not read --alpha" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mnist-linear", "mnist-logistic"])
+def test_alpha_is_read_by_ngd_and_the_default_is_not_refused(command):
+    # NGD's momentum reads --alpha; a run that leaves it unset sets nothing to refuse.
+    parse = cli.build_parser().parse_args
+    for argv in ([command, "--optimizer", "ngd", "--alpha", "1e-5"],
+                 [command, "--optimizer", "gd"], [command, "--optimizer", "pgd"], [command]):
+        cli._check_mode_flags(parse(argv))

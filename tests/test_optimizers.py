@@ -33,44 +33,52 @@ from iterreg.problems import (
 
 class TestSchedule:
     def test_constant_coupling(self):
-        s = make_schedule(0.1, lam=0.1)
+        s = make_schedule(0.1).coupled(0.1)
         # gamma = eta / (1 + lam eta), evaluated independently
-        assert abs(s.gamma(0) - 0.1 / 1.01) < 1e-16
+        assert abs(s.eta(0) - 0.1 / 1.01) < 1e-16
 
     def test_paper_rate_pair(self):
-        s = make_schedule(0.01, lam=4.0)
-        assert abs(s.gamma(0) - 1.0 / 104.0) < 1e-18
+        s = make_schedule(0.01).coupled(4.0)
+        assert abs(s.eta(0) - 1.0 / 104.0) < 1e-18
 
     def test_zero_lambda_collapses(self):
-        s = make_schedule([0.1, 0.05, 0.02], lam=0.0)
+        s = make_schedule([0.1, 0.05, 0.02])
+        assert s.coupled(0.0).etas.tobytes() == s.etas.tobytes()
         for k in range(6):
-            assert s.gamma(k) == s.eta(k)
+            assert s.coupled(0.0).eta(k) == s.eta(k)
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_coupling_lambda_out_of_range_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            make_schedule(0.1).coupled(lam)
+
+    def test_schedule_takes_no_lambda(self):
+        # A lambda passed by position is no longer read as the bounds.
+        with pytest.raises(TypeError):
+            make_schedule(0.1, 0.5)
+        with pytest.raises(TypeError):
+            LRSchedule(0.1, 0.5)
 
     def test_rate_above_curvature_limit_rejected(self):
         bounds = convexity_bounds(toy_problem())
         with pytest.raises(ValueError, match="1/beta"):
-            make_schedule(1.0, lam=0.1, bounds=bounds)
+            make_schedule(1.0, bounds=bounds)
 
     def test_coupling_identity_tight(self):
-        s = make_schedule([0.09, 0.05, 0.013], lam=2.3)
+        s = make_schedule([0.09, 0.05, 0.013])
         e = s.etas_upto(9)
-        g = s.gammas_upto(9)
+        g = s.coupled(2.3).etas_upto(9)
         assert np.abs((1 - 2.3 * g) - g / e).max() <= 1e-14
 
     @pytest.mark.parametrize("etas", [0.1, [0.09, 0.05, 0.013]])
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_rate_tables_match_per_step_rates(self, etas, n):
-        s = make_schedule(etas, lam=2.3)
-        e, g = s.etas_upto(n), s.gammas_upto(n)
+        s = make_schedule(etas)
+        e, g = s.etas_upto(n), s.coupled(2.3).etas_upto(n)
         assert e.shape == g.shape == (n,)
         for k in range(n):
             assert e[k].tobytes() == np.float64(s.eta(k)).tobytes()
-            assert g[k].tobytes() == np.float64(s.gamma(k)).tobytes()
-
-    def test_mismatched_coupled_schedule_rejected(self):
-        s = make_schedule(0.1, lam=0.5)
-        with pytest.raises(ValueError, match="lambda"):
-            sgd_run(toy_problem(), Regularizer.l2(0.2), s, 3)
+            assert g[k].tobytes() == np.float64(s.eta(k) / (1.0 + 2.3 * s.eta(k))).tobytes()
 
 
 class TestSgdRun:
@@ -132,11 +140,11 @@ class TestSgdRun:
         # on quadratics.
         prob = toy_problem()
         lam = 0.1
-        sched = make_schedule(0.1, lam=lam)
+        sched = make_schedule(0.1).coupled(lam)
         rec = sgd_run(prob, Regularizer.l2(lam), sched, 300)
         target = np.linalg.solve(prob.sigma + lam * np.eye(2), prob.a).ravel()
         bounds = convexity_bounds(prob)
-        rate = 1.0 - sched.gamma(0) * (bounds.alpha + lam)
+        rate = 1.0 - sched.eta(0) * (bounds.alpha + lam)
         norms = np.linalg.norm(rec.iterates - target, axis=1)
         budget = rate ** np.arange(301) * np.linalg.norm(target)
         assert np.all(norms <= budget + 1e-10)
@@ -180,7 +188,7 @@ class TestPsgdRun:
 
     def test_regularized_needs_generalized_penalty(self):
         with pytest.raises(ValueError, match="generalized_l2"):
-            psgd_run(toy_problem(), Regularizer.l2(0.1), make_schedule(0.1, 0.1), 3,
+            psgd_run(toy_problem(), Regularizer.l2(0.1), make_schedule(0.1).coupled(0.1), 3,
                      Q=np.eye(2))
 
     def test_explicit_q_must_be_symmetric_and_definite(self):
@@ -252,7 +260,7 @@ class TestNsgdRun:
     def test_generalized_penalty_rejected(self):
         with pytest.raises(ValueError, match="none/l2"):
             nsgd_run(toy_problem(), Regularizer.generalized_l2(0.1, np.eye(2)),
-                     make_schedule(0.1, 0.1), 10, alpha=0.05)
+                     make_schedule(0.1).coupled(0.1), 10, alpha=0.05)
 
 
 class TestNoisePlacement:
@@ -338,15 +346,15 @@ class TestNoisePlacement:
 
 def _noisy_runs(prob):
     """The three noisy runs of the deviation gate, as functions of the seed."""
-    sched = make_schedule(0.1, lam=0.1)
+    sched = make_schedule(0.1)
     q = prob.sigma + np.eye(prob.d)
     return {
         "sgd": lambda seed: sgd_run(prob, Regularizer.none(), sched, 200, seed=seed,
                                     noise_sigma=0.5),
         "psgd": lambda seed: psgd_run(prob, Regularizer.none(), sched, 200, Q=q, seed=seed,
                                       noise_sigma=0.5),
-        "nsgd": lambda seed: nsgd_run(prob, Regularizer.l2(0.1), sched, 200, alpha=0.05,
-                                      seed=seed, noise_sigma=0.5),
+        "nsgd": lambda seed: nsgd_run(prob, Regularizer.l2(0.1), sched.coupled(0.1), 200,
+                                      alpha=0.05, seed=seed, noise_sigma=0.5),
     }
 
 
@@ -550,7 +558,7 @@ class TestSerialization:
         with np.load(path) as archive:
             return rec, json.loads(archive["header"].tobytes())
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_other_versions_rejected(self, tmp_path, version):
         rec, header = self._header(tmp_path)
         header["version"] = version
@@ -560,16 +568,16 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("steps", "40"), ("dim", True), ("tag", 3), ("seed", 1.5), ("etas", ["0.1"]),
-        ("etas", 0.1), ("lam", None), ("extras", [1]),
+        ("etas", 0.1), ("extras", [1]),
         # typed, but out of the schedule's range
-        ("lam", -1), ("etas", []), ("etas", [0.0]),
+        ("etas", []), ("etas", [0.0]),
         # JSON's NaN and Infinity, which LRSchedule refuses too
-        ("etas", [float("nan")]), ("etas", [float("inf")]), ("lam", float("nan")),
-        ("lam", float("inf")),
-    ])
+        ("etas", [float("nan")]), ("etas", [float("inf")]),
+    ], ids=["steps-40", "dim-True", "tag-3", "seed-1.5", "etas-value4", "etas-0.1",
+            "extras-value7", "etas-value9", "etas-value10", "etas-value11", "etas-value12"])
     def test_malformed_header_keys_rejected(self, tmp_path, key, value):
         rec, header = self._header(tmp_path)
-        (header["schedule"] if key in ("etas", "lam") else header)[key] = value
+        (header["schedule"] if key == "etas" else header)[key] = value
         self._write_archive(tmp_path / "m", header, rec.iterates)
         with pytest.raises(ValueError, match=f"key '{key}' is missing or malformed") as err:
             load_path(str(tmp_path / "m"))
@@ -626,7 +634,7 @@ def test_non_finite_rates_and_strengths_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         LRSchedule(np.array([0.1, bad]))
     with pytest.raises(ValueError, match="finite"):
-        LRSchedule(0.1, lam=bad)
+        make_schedule(0.1).coupled(bad)
     kern = KernelProblem(K=np.eye(3), y=np.ones(3))
     with pytest.raises(ValueError, match="finite"):
         kernel_gd_run(kern, make_schedule(0.1), 5, lam_hat=bad)

@@ -110,21 +110,21 @@ class TestKernelSolution:
 class TestExpectationPath:
     def test_matches_deterministic_gd(self):
         prob = toy_problem()
-        sched = make_schedule(0.1, lam=0.0)
+        sched = make_schedule(0.1)
         rec = sgd_run(prob, Regularizer.none(), sched, 200)
         mean = expectation_path(prob, Regularizer.none(), sched, 200)
         assert np.abs(rec.iterates - mean.iterates).max() <= 1e-12
 
     def test_matches_regularized_gd(self):
         prob = toy_problem()
-        sched = make_schedule(0.1, lam=0.3)
+        sched = make_schedule(0.1).coupled(0.3)
         rec = sgd_run(prob, Regularizer.l2(0.3), sched, 200)
         mean = expectation_path(prob, Regularizer.l2(0.3), sched, 200)
         assert np.abs(rec.iterates - mean.iterates).max() <= 1e-12
 
     def test_matches_accelerated_run(self):
         prob = toy_problem()
-        sched = make_schedule(0.1, lam=0.1)
+        sched = make_schedule(0.1).coupled(0.1)
         rec = nsgd_run(prob, Regularizer.l2(0.1), sched, 150, alpha=0.05)
         mean = expectation_path(prob, Regularizer.l2(0.1), sched, 150,
                                 kind="ngd", alpha=0.05)
@@ -150,7 +150,7 @@ class TestExpectationPath:
         q = m @ m.T / prob.d + np.eye(prob.d)
         reg = Regularizer.generalized_l2(lam, q) if kind == "pgd" \
             else Regularizer.l2(lam) if lam > 0 else Regularizer.none()
-        sched = make_schedule(etas, lam=lam)
+        sched = make_schedule(etas).coupled(lam)
         steps = 300
         if kind == "gd":
             rec = sgd_run(prob, reg, sched, steps)
@@ -164,7 +164,7 @@ class TestExpectationPath:
 
     @pytest.mark.parametrize("sched, reg, message", [
         (make_schedule([0.1, 0.5]), Regularizer.none(), "constant learning rates only"),
-        (make_schedule(0.1, lam=0.2), Regularizer.generalized_l2(0.2, np.diag([2.0, 1.0])),
+        (make_schedule(0.1).coupled(0.2), Regularizer.generalized_l2(0.2, np.diag([2.0, 1.0])),
          "none/l2 regularizers only"),
     ])
     def test_accelerated_refuses_what_nsgd_run_refuses(self, sched, reg, message):
@@ -184,7 +184,7 @@ class TestExpectationPath:
                              (optimizers, "_run")):
             monkeypatch.setattr(module, name, refuse)
         prob = toy_problem()
-        sched = make_schedule(0.1, lam=0.2)
+        sched = make_schedule(0.1).coupled(0.2)
         for kind, reg in (("gd", Regularizer.l2(0.2)), ("ngd", Regularizer.l2(0.2)),
                           ("pgd", Regularizer.generalized_l2(0.2, prob.sigma))):
             mean = expectation_path(prob, reg, sched, 50, kind=kind, alpha=0.05)
@@ -206,13 +206,13 @@ class TestExpectationPath:
             return mu, vecs
 
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
-        expectation_path(prob, Regularizer.l2(1e-4), make_schedule(0.01, lam=1e-4), 2)
+        expectation_path(prob, Regularizer.l2(1e-4), make_schedule(0.01).coupled(1e-4), 2)
         [vecs] = bases
         assert np.abs(vecs.T @ vecs - np.eye(prob.d)).max() <= 1e-13
 
     def test_long_run_reaches_ridge_limit(self):
         prob = toy_problem()
-        sched = make_schedule(0.1, lam=0.5)
+        sched = make_schedule(0.1).coupled(0.5)
         mean = expectation_path(prob, Regularizer.l2(0.5), sched, 4000)
         target = ridge_solution(prob, Regularizer.l2(0.5))
         assert np.abs(mean.iterates[-1] - target).max() <= 1e-12
@@ -387,9 +387,9 @@ class TestBoundingSequences:
 def _gd_pair():
     """Coupled plain and l2 GD runs on the toy problem, their scheme and bound."""
     prob = toy_problem()
-    sched = make_schedule(0.1, lam=0.1)
+    sched = make_schedule(0.1)
     plain = sgd_run(prob, Regularizer.none(), sched, 500)
-    reg = sgd_run(prob, Regularizer.l2(0.1), sched, 500)
+    reg = sgd_run(prob, Regularizer.l2(0.1), sched.coupled(0.1), 500)
     return plain, reg, weights_sgd_adaptive(sched, 0.1, 500), 1e-10
 
 
