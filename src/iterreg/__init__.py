@@ -31,7 +31,6 @@ from .averaging import (
     WeightScheme,
     averaged_path,
     scheme_to_csv,
-    weights_general,
     weights_kernel,
     weights_nsgd,
     weights_sgd_adaptive,

@@ -8,10 +8,10 @@ weighted average of a path w_0..w_K is
 
 and each scheme is built so that this average of an *unregularized*
 path reproduces the *regularized* solution at an adjustable strength.
-Kernel schemes carry one cumulative sequence per Gram-matrix eigenvalue
-and act diagonally in the cached eigenbasis; they are never materialized
-as dense matrices.  ``_average`` is the one averaging kernel: it works on
-rows in a scheme's coordinates (a per-eigenvalue scheme's eigenbasis), for
+Per-eigenvalue schemes in a given basis carry one cumulative sequence
+per basis column and act diagonally in that basis; they are never made
+dense.  ``_average`` is the one averaging kernel: it works on rows in a
+scheme's coordinates (a per-eigenvalue scheme's basis), for
 ``averaged_path``, ``RunningAverage`` and ``oracles.identity_check``.
 
 Indexing note: P_k consumes rate ratios for steps 0..k, one past the
@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .optimizers import LRSchedule, PathRecord
+from .optimizers import LRSchedule, PathRecord, _kernel_strengths
 from .problems import KernelProblem
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "RunningAverage",
     "weights_sgd_adaptive",
     "weights_nsgd",
-    "weights_general",
     "weights_kernel",
     "averaged_path",
     "scheme_to_csv",
@@ -66,8 +65,8 @@ class WeightScheme:
     """Cumulative weights P_k (scalar, or per-eigenvalue for kernels).
 
     ``cumulative`` has shape (K+1,) for scalar schemes and (K+1, m) for
-    kernel schemes, where m is the number of Gram eigenvalues and
-    ``basis`` holds the corresponding orthonormal (m, m) eigenvectors.
+    per-eigenvalue schemes, whose orthonormal (m, m) ``basis`` holds one
+    eigenvector per column.
     Only P is stored; the increments p_k are derived from it when read.
     """
 
@@ -128,22 +127,37 @@ def _per_step(schedule, per_rate, steps: int) -> np.ndarray:
     return rows[np.arange(steps) % len(rows)]
 
 
-def weights_sgd_adaptive(
-    schedule: Union[LRSchedule, Sequence[float], float],
-    lam: float,
-    K: int,
-) -> WeightScheme:
-    """Scheme converting an SGD path into the l2-regularized solution.
+def _check_horizon(K) -> None:
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 0:
+        raise ValueError(f"the horizon K must be an integer >= 0, got {K!r}")
+
+
+def weights_sgd_adaptive(schedule: Union[LRSchedule, Sequence[float], float],
+                         lam: Union[float, np.ndarray], K: int, *,
+                         basis: Optional[np.ndarray] = None) -> WeightScheme:
+    """Scheme converting a GD or SGD path into the penalized solution.
 
     P_k = 1 - prod_{i<=k} (gamma_i / eta_i) with the coupled rates
     gamma_i = eta_i / (1 + lam * eta_i); for a constant rate this is
     P_k = 1 - (1 - lam * gamma)^{k+1}.  Works for any admissible
     learning-rate sequence, not just constant ones.
+
+    With ``basis`` given, ``lam`` holds one strength s_j >= 0 per column u_j,
+    and a zero strength never gains weight.  At s_j = lam q_j in Sigma's
+    eigenbasis a plain GD path averages to the generalized ridge solution
+    (Sigma + lam Q)^{-1} a, Q = sum_j q_j u_j u_j^T.
     """
-    _require_positive_lam(lam)
-    # gamma_i / eta_i = 1 / (1 + lam * eta_i)
-    p_cum = _cumulative(_per_step(schedule, lambda etas: -np.log1p(lam * etas), K + 1))
-    return WeightScheme(p_cum, params={"lam": lam})
+    _check_horizon(K)
+    if basis is None:
+        _require_positive_lam(lam)
+    else:
+        lam = np.asarray(lam, dtype=np.float64)
+        if lam.ndim != 1 or not np.all((lam >= 0) & (lam < np.inf)):  # NaN fails
+            raise ValueError("per-eigenvalue strengths must be finite and >= 0, one per column")
+    # gamma_i / eta_i = 1 / (1 + lam * eta_i), one row per rate
+    p_cum = _cumulative(_per_step(
+        schedule, lambda etas: -np.log1p(np.multiply.outer(etas, lam)), K + 1))
+    return WeightScheme(p_cum, basis=basis, params={"lam": lam})
 
 
 def weights_nsgd(eta: float, lam: float, alpha: float, K: int) -> WeightScheme:
@@ -154,6 +168,7 @@ def weights_nsgd(eta: float, lam: float, alpha: float, K: int) -> WeightScheme:
     entry is pinned to zero (the first two iterates of an accelerated
     run are both the zero vector, so index 0 carries no weight).
     """
+    _check_horizon(K)
     _require_positive_lam(lam)
     if not (0 < eta * alpha < 1):
         raise ValueError(f"need 0 < eta*alpha < 1, got {eta * alpha:.6g}")
@@ -168,44 +183,14 @@ def weights_nsgd(eta: float, lam: float, alpha: float, K: int) -> WeightScheme:
     return WeightScheme(p_cum, params={"eta": eta, "lam": lam, "alpha": alpha, "decay": decay})
 
 
-def weights_general(eta: float, gamma: float, K: int) -> WeightScheme:
-    """Scheme for strongly convex and smooth losses: P_k = 1 - (gamma/eta)^(k+1)."""
-    if not (0 < gamma < eta):
-        raise ValueError(f"need 0 < gamma < eta, got gamma={gamma}, eta={eta}")
-    # gamma - eta is exact for gamma near eta, where P_k needs it most.
-    p_cum = _cumulative(np.full(K + 1, np.log1p((gamma - eta) / eta)))
-    if p_cum[-1] < 1e-6:
-        raise DegenerateSchemeError(
-            f"gamma/eta = {gamma / eta:.8g} leaves P_K = {p_cum[-1]:.3e} < 1e-6; "
-            "the average is numerically ill-conditioned"
-        )
-    return WeightScheme(p_cum, params={"eta": eta, "gamma": gamma})
-
-
-def weights_kernel(
-    kernel: KernelProblem,
-    schedule: Union[LRSchedule, Sequence[float], float],
-    lam: float,
-    lam_hat: float,
-    K: int,
-) -> WeightScheme:
-    """Per-eigenvalue scheme for kernel paths.
-
-    For Gram eigenvalue mu_j,
-        P_k^(j) = 1 - prod_{i<=k} 1 / (1 + (lam_hat - lam) * eta_i * mu_j),
-    the matrix P_k being diagonal in the Gram eigenbasis.  Eigenvalue
-    zero never accumulates weight: the null space of K is untouched by
-    both the optimizer and the regularizer.  The log ratios are taken
-    once per distinct rate, and the scheme allocates one (K+1, m) array, P.
-    """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-    if not lam < lam_hat < np.inf:
-        raise ValueError(f"need finite lam_hat > lam, got ({lam_hat}, {lam})")
-    mu = kernel.eigenvalues
-    p_cum = _cumulative(_per_step(
-        schedule, lambda etas: -np.log1p((lam_hat - lam) * etas[:, None] * mu), K + 1))
-    return WeightScheme(p_cum, basis=kernel.basis, params={"lam": lam, "lam_hat": lam_hat})
+def weights_kernel(kernel: KernelProblem, schedule: Union[LRSchedule, Sequence[float], float],
+                   lam: float, lam_hat: float, K: int) -> WeightScheme:
+    """Kernel paths: ``weights_sgd_adaptive`` in the Gram eigenbasis at strengths
+    (lam_hat - lam) mu_j, P_k^(j) = 1 - prod_{i<=k} 1 / (1 + eta_i (lam_hat - lam) mu_j).
+    Eigenvalue zero never accumulates weight: the null space of K is
+    untouched by both the optimizer and the regularizer."""
+    return weights_sgd_adaptive(schedule, _kernel_strengths(kernel, lam, lam_hat), K,
+                                basis=kernel.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from . import data_io, oracles
 from .averaging import (
     averaged_path,
     scheme_to_csv,
-    weights_general,
     weights_kernel,
     weights_nsgd,
     weights_sgd_adaptive,
@@ -424,7 +423,7 @@ def cmd_sandwich(args, checks: Checks, out_dir: str):
     plain = sgd_run(prob, Regularizer.none(), sched_eta, steps)
     reg1 = sgd_run(prob, Regularizer.l2(lam1), sched_gamma, steps)
     reg2 = sgd_run(prob, Regularizer.l2(lam2), sched_gamma, steps)
-    scheme = weights_general(eta, gamma, steps)
+    scheme = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), steps)
     avg = averaged_path(plain, scheme)
     bseq = oracles.bounding_sequences(prob, bounds, eta, gamma, lam1, lam2, steps)
     slack = oracles.sandwich_check(avg, reg1, reg2, bseq, scheme)

@@ -403,6 +403,19 @@ def _diagonal_path(m, b, rates, steps, tau=0.0, first=0) -> np.ndarray:
     return rows
 
 
+def _kernel_strengths(kernel: KernelProblem, lam: float,
+                      lam_hat: Optional[float]) -> Optional[np.ndarray]:
+    """Strengths (lam_hat - lam) mu_j coupling a kernel run at lam to its companion
+    at lam_hat, both tested; None without lam_hat.  A mu_j < 0 is rounding: 0."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    if lam_hat is None:
+        return None
+    if not lam < lam_hat < np.inf:
+        raise ValueError(f"need finite lam_hat > lam, got ({lam_hat}, {lam})")
+    return (lam_hat - lam) * np.maximum(kernel.eigenvalues, 0.0)
+
+
 def kernel_gd_run(
     kernel: KernelProblem,
     schedule: LRSchedule,
@@ -418,15 +431,12 @@ def kernel_gd_run(
     gamma_k = eta_k (I + (lam_hat - lam) eta_k K)^{-1}, applied in the
     cached eigenbasis of K.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-    if lam_hat is not None and not lam < lam_hat < np.inf:
-        raise ValueError(f"need finite lam_hat > lam, got ({lam_hat}, {lam})")
+    strengths = _kernel_strengths(kernel, lam, lam_hat)
     mu = kernel.eigenvalues
     strength = lam if lam_hat is None else lam_hat
     rates = schedule.etas_upto(steps)[:, None]
-    if lam_hat is not None:
-        rates = rates / (1.0 + (lam_hat - lam) * rates * mu)
+    if strengths is not None:
+        rates = rates / (1.0 + rates * strengths)
     coeffs = _diagonal_path(mu * mu + strength * mu, mu * (kernel.basis.T @ kernel.y),
                             rates, steps)
     path = coeffs @ kernel.basis.T

@@ -16,8 +16,8 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .averaging import (WeightScheme, _average, _coordinates, averaged_path,
-                        weights_general)
+from .averaging import (DegenerateSchemeError, WeightScheme, _average, _coordinates,
+                        averaged_path, weights_sgd_adaptive)
 from .optimizers import (LRSchedule, PathRecord, _accelerated_only, _diagonal_path,
                          nesterov_momentum, problem_fingerprint)
 from .problems import (
@@ -377,7 +377,13 @@ def bounding_sequences(
     pairs = ((eta, alpha), (eta, beta), (gamma, alpha + lam1), (gamma, beta + lam2))
     upper, lower, upper_hat, lower_hat = (
         _diagonal_path(slope, b_orient, np.full(steps, rate), steps) for rate, slope in pairs)
-    scheme = weights_general(eta, gamma, steps)
+    if not 0 < gamma < eta:
+        raise ValueError(f"need 0 < gamma < eta, got gamma={gamma}, eta={eta}")
+    # P_k = 1 - (gamma/eta)^(k+1); eta - gamma is exact for gamma near eta.
+    scheme = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), steps)
+    if scheme.cumulative[-1] < 1e-6:
+        raise DegenerateSchemeError(f"gamma/eta = {gamma / eta:.8g} leaves P_K = "
+                                    f"{scheme.cumulative[-1]:.3e} < 1e-6: ill-conditioned")
     upper_avg = averaged_path(upper, scheme)
     lower_avg = averaged_path(lower, scheme)
 

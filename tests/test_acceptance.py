@@ -33,7 +33,6 @@ import pytest
 from iterreg.averaging import (
     WeightScheme,
     averaged_path,
-    weights_general,
     weights_kernel,
     weights_nsgd,
     weights_sgd_adaptive,
@@ -373,7 +372,7 @@ def test_criterion_6_sandwich():
         plain = sgd_run(prob, Regularizer.none(), make_schedule(eta), STEPS)
         reg1 = sgd_run(prob, Regularizer.l2(lam1), make_schedule(gamma), STEPS)
         reg2 = sgd_run(prob, Regularizer.l2(lam2), make_schedule(gamma), STEPS)
-        scheme = weights_general(eta, gamma, STEPS)
+        scheme = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), STEPS)
         avg = averaged_path(plain, scheme)
         bseq = bounding_sequences(prob, bounds, eta, gamma, lam1, lam2, STEPS)
         slack = sandwich_check(avg, reg1, reg2, bseq, scheme)

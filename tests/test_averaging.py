@@ -10,13 +10,14 @@ from iterreg.averaging import (
     WeightScheme,
     averaged_path,
     scheme_to_csv,
-    weights_general,
     weights_kernel,
     weights_nsgd,
     weights_sgd_adaptive,
 )
 from iterreg.optimizers import LRSchedule, kernel_gd_run, make_schedule, sgd_run
-from iterreg.problems import KernelProblem, Regularizer, toy_problem
+from iterreg.oracles import bounding_sequences, identity_check
+from iterreg.problems import (ConvexityBounds, KernelProblem, QuadraticProblem, Regularizer,
+                              toy_problem)
 
 
 class TestSgdAdaptiveScheme:
@@ -46,6 +47,19 @@ class TestSgdAdaptiveScheme:
             weights_sgd_adaptive(0.1, 0.0, 5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda K: weights_sgd_adaptive(0.1, 0.3, K),
+    lambda K: weights_sgd_adaptive(0.1, [0.0, 0.3], K, basis=np.eye(2)),
+    lambda K: weights_nsgd(0.1, 0.3, 0.2, K),
+], ids=["sgd-adaptive", "per-eigenvalue", "nsgd"])
+@pytest.mark.parametrize("bad", [2.5, -1, True, np.float64(3.0), "3", None])
+def test_horizon_must_be_a_nonnegative_integer(build, bad):
+    with pytest.raises(ValueError, match="horizon K"):
+        build(bad)
+    assert _same_bits(build(np.int64(3)).cumulative, build(3).cumulative)
+    assert build(0).horizon == 0
+
+
 def test_cumulative_relative_accuracy():
     """P_K against 60-digit decimal arithmetic on the same float inputs.
 
@@ -58,15 +72,14 @@ def test_cumulative_relative_accuracy():
             for eta in (0.1, 0.01):
                 gamma = eta / (1 + lam * eta)
                 for K in (1, 500, 2000):
-                    cases = [(weights_sgd_adaptive, (eta, lam, K), 1 / (1 + D(lam) * D(eta))),
-                             (weights_general, (eta, gamma, K), D(gamma) / D(eta))]
-                    for build, args, ratio in cases:
+                    cases = {"lambda": (weights_sgd_adaptive(eta, lam, K),
+                                        1 / (1 + D(lam) * D(eta))),
+                             "gamma/eta": (_general(eta, gamma, K), D(gamma) / D(eta))}
+                    for form, (scheme, ratio) in cases.items():
                         expected = float(1 - ratio ** (K + 1))
-                        if build is weights_general and expected < 1e-6:
-                            continue  # refused as ill-conditioned
-                        err = abs(build(*args).cumulative[K] - expected) / expected
-                        worst[build.__name__] = max(worst.get(build.__name__, 0.0), err)
-    assert set(worst) == {"weights_sgd_adaptive", "weights_general"}
+                        got = scheme.cumulative[K]
+                        worst[form] = max(worst.get(form, 0.0), abs(got - expected) / expected)
+    assert set(worst) == {"lambda", "gamma/eta"}
     assert max(worst.values()) <= 1e-13, worst
 
 
@@ -96,22 +109,31 @@ class TestNsgdScheme:
             weights_nsgd(2.0, 0.1, 0.5, 5)
 
 
+def _general(eta, gamma, K):
+    """The scheme of a general-loss pair: lambda = (eta - gamma) / (eta gamma)
+    makes the ratio gamma / eta, and eta - gamma is exact for gamma near eta."""
+    return weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), K)
+
+
 class TestGeneralScheme:
     def test_powers_of_ratio(self):
-        scheme = weights_general(0.2, 0.1, 2)
+        scheme = _general(0.2, 0.1, 2)
         np.testing.assert_allclose(scheme.cumulative, [0.5, 0.75, 0.875], atol=1e-15)
 
     def test_tiny_ratio_concentrates_on_first(self):
-        scheme = weights_general(1.0, 1e-9, 3)
+        scheme = _general(1.0, 1e-9, 3)
         assert scheme.cumulative[0] > 1 - 1e-8
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ValueError):
-            weights_general(0.1, 0.1, 5)
+            _general(0.1, 0.1, 5)
 
     def test_ill_conditioned_flagged(self):
+        # P_K near 1e-10 after 100 steps: bounding_sequences refuses to average
+        prob = QuadraticProblem(sigma=np.diag([0.5, 0.5]), a=np.array([1.0, 0.5]))
         with pytest.raises(DegenerateSchemeError, match="ill-conditioned"):
-            weights_general(0.1, 0.1 * (1 - 1e-12), 100)
+            bounding_sequences(prob, ConvexityBounds(0.5, 0.5), 0.1, 0.1 * (1 - 1e-12),
+                               1.0, 1.0, steps=100)
 
 
 class TestKernelScheme:
@@ -128,6 +150,19 @@ class TestKernelScheme:
         scheme = weights_kernel(kern, 0.1, 0.0, 1.0, 50)
         j = int(np.argmin(kern.eigenvalues))
         assert np.all(scheme.cumulative[:, j] == 0.0)
+
+    def test_rounding_negative_eigenvalues_get_no_weight(self):
+        # a rank-5 linear Gram matrix of 30 points: 25 eigenvalues within 1e-14 of 0
+        x = np.random.default_rng(0).standard_normal((30, 5)) / np.sqrt(30)
+        kern = KernelProblem(K=x @ x.T, y=np.ones(30))
+        null, neg = kern.eigenvalues < 1e-10, kern.eigenvalues < 0
+        assert null.sum() == 25 and neg.any()
+        scheme = weights_kernel(kern, 0.1, 0.0, 1.0, 40)
+        assert _same_bits(scheme.cumulative[:, neg], np.zeros((41, neg.sum())))
+        assert scheme.cumulative[:, null].max() <= 1e-12
+        plain = kernel_gd_run(kern, make_schedule(0.1), 40)
+        reg = kernel_gd_run(kern, make_schedule(0.1), 40, lam_hat=1.0)
+        assert identity_check(plain, reg, scheme) <= 1e-9
 
     def test_huge_gap_saturates(self):
         kern = KernelProblem(K=np.diag([3.0, 1.0]), y=np.zeros(2))
@@ -199,9 +234,7 @@ class TestSchemeTails:
         nsgd = weights_nsgd(eta, lam, alpha, K)
         decay = nsgd.params["decay"]
         assert 1 - nsgd.cumulative[K] <= (gamma / eta) / decay * decay**K * (1 + 1e-12)
-        gen = weights_general(eta, gamma, K)
-        assert 1 - gen.cumulative[K] <= (gamma / eta) ** K * (1 + 1e-12)
-        for scheme in (sgd, nsgd, gen):
+        for scheme in (sgd, nsgd):
             assert np.all(np.diff(scheme.cumulative) >= -1e-15)
             assert scheme.cumulative.max() <= 1.0 + 1e-12
 
@@ -394,10 +427,9 @@ class TestSchemeBytes:
     def test_kernel_matches_per_step_formula(self, sched, make):
         kern, lam, lam_hat, K = make(60, 4), 0.3, 7.0, 250
         scheme = weights_kernel(kern, SCHEDULES[sched], lam, lam_hat, K)
-        mu = kern.eigenvalues
+        strengths = (lam_hat - lam) * kern.eigenvalues
         p_cum, p_inc = _expanded_log_cumulative(
-            lambda etas: -np.log1p((lam_hat - lam) * etas[:, None] * mu[None, :]),
-            SCHEDULES[sched], K)
+            lambda etas: -np.log1p(etas[:, None] * strengths[None, :]), SCHEDULES[sched], K)
         assert _same_bits(scheme.cumulative, p_cum)
         assert _same_bits(scheme.increments, p_inc)
         if make is _null_eigen_kernel:  # the null column is +0.0, not -0.0
@@ -538,3 +570,17 @@ def test_non_finite_weights_and_strengths_rejected(bad):
         weights_kernel(kern, 0.1, 0.0, bad, 5)
     with pytest.raises(ValueError, match="finite"):
         weights_kernel(kern, 0.1, bad, 2.0, 5)
+    with pytest.raises(ValueError, match="finite"):
+        weights_sgd_adaptive(0.1, [1.0, bad], 5, basis=np.eye(2))
+
+
+def test_per_eigenvalue_strengths_are_one_nonnegative_vector():
+    for strengths in ([1.0, -1e-300], 1.0, [[1.0, 1.0]]):
+        with pytest.raises(ValueError, match=">= 0, one per column"):
+            weights_sgd_adaptive(0.1, strengths, 5, basis=np.eye(2))
+    with pytest.raises(ValueError, match="basis"):
+        weights_sgd_adaptive(0.1, [1.0, 1.0, 1.0], 5, basis=np.eye(2))
+    scheme = weights_sgd_adaptive([0.1, 0.2], [0.0, 3.0], 5, basis=np.eye(2))
+    assert _same_bits(scheme.cumulative[:, 0], np.zeros(6))
+    scalar = weights_sgd_adaptive([0.1, 0.2], 3.0, 5)
+    assert _same_bits(scheme.cumulative[:, 1], scalar.cumulative)

@@ -321,6 +321,13 @@ def test_demo2d_identity_checks_fail_on_shifted_scheme(tmp_path, monkeypatch):
     assert _passes(checks, "demo2d/identity/") == [False, False, False]
 
 
+def test_sandwich_checks_fail_on_shifted_scheme(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "weights_sgd_adaptive", _shifted(weights_sgd_adaptive))
+    code, _, checks = run(tmp_path, "sandwich")
+    assert code == 1
+    assert _passes(checks, "sandwich/") == [False, False]
+
+
 def _blended(path, scheme):
     """The average blended halfway toward the plain path's last iterate."""
     return 0.5 * (averaged_path(path, scheme) + path.iterates[-1])

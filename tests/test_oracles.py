@@ -8,7 +8,6 @@ from iterreg import optimizers, oracles, problems
 from iterreg.averaging import (
     WeightScheme,
     averaged_path,
-    weights_general,
     weights_kernel,
     weights_sgd_adaptive,
 )
@@ -367,7 +366,7 @@ class TestBoundingSequences:
         lam1, lam2 = lambda_pair(eta, gamma, bounds)
         steps = 60
         seq = bounding_sequences(prob, bounds, eta, gamma, lam1, lam2, steps)
-        p_cum = weights_general(eta, gamma, steps).cumulative
+        p_cum = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), steps).cumulative
         du = np.diff(seq.upper, axis=0)
         dv = np.diff(seq.lower, axis=0)
         dhat_low = np.diff(seq.lower_hat, axis=0)
@@ -376,6 +375,12 @@ class TestBoundingSequences:
                                    atol=1e-12)
         np.testing.assert_allclose((1 - p_cum[:-1])[:, None] * dv, dhat_up,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.5, 0.6, np.nan])
+    def test_gamma_outside_zero_to_eta_rejected(self, gamma):
+        prob = QuadraticProblem(sigma=np.diag([0.5, 0.5]), a=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="0 < gamma < eta"):
+            bounding_sequences(prob, ConvexityBounds(0.5, 0.5), 0.5, gamma, 1.0, 1.0, steps=5)
 
     def test_orientation_flags_zero_coordinates(self):
         prob = QuadraticProblem(sigma=np.diag([0.5, 0.5]), a=np.array([1.0, 0.0]))
@@ -448,6 +453,46 @@ class TestIdentityCheck:
             identity_check(np.zeros((11, 5)), np.zeros((11, 4)), kernel)
 
 
+class TestGeneralizedRidgeFromPlainPath:
+    """A plain GD path re-weighted per eigenvalue of Sigma, at strengths lam q_j,
+    averages to the generalized ridge solution for Q = sum_j q_j u_j u_j^T."""
+
+    ETA, LAM, STEPS = 0.1, 0.5, 2000
+
+    def _gaps(self, q_scheme):
+        """Ridge gap and identity residual of the scheme built from ``q_scheme``,
+        both against the target Q = Sigma^{-1}."""
+        prob = toy_problem()
+        mu, basis = np.linalg.eigh(prob.sigma)
+        q = 1.0 / mu
+        gen_q = basis @ np.diag(q) @ basis.T
+        gen_q = 0.5 * (gen_q + gen_q.T)
+        target = ridge_solution(prob, Regularizer.generalized_l2(self.LAM, gen_q))
+        plain = sgd_run(prob, Regularizer.none(), make_schedule(self.ETA), self.STEPS)
+        # The companion steps direction j at eta / (1 + lam eta q_j).
+        rates = basis @ np.diag(self.ETA / (1.0 + self.LAM * self.ETA * q)) @ basis.T
+        companion = np.zeros((self.STEPS + 1, prob.d))
+        for k in range(self.STEPS):
+            w = companion[k]
+            grad = prob.sigma @ w + self.LAM * (gen_q @ w) - prob.a[:, 0]
+            companion[k + 1] = w - rates @ grad
+        scheme = weights_sgd_adaptive(self.ETA, self.LAM * q_scheme(mu), self.STEPS,
+                                      basis=basis)
+        gap = np.abs(averaged_path(plain, scheme)[-1] - target).max()
+        return gap, identity_check(plain, companion, scheme)
+
+    def test_inverse_covariance_penalty(self):
+        gap, residual = self._gaps(lambda mu: 1.0 / mu)
+        assert gap <= 1e-12
+        assert residual <= 1e-10
+
+    def test_wrong_q_misses_both_checks(self):
+        # q = mu builds the scheme of Q = Sigma, not of the Sigma^{-1} target.
+        gap, residual = self._gaps(lambda mu: mu)
+        assert gap > 0.1
+        assert residual > 0.1
+
+
 class TestSandwich:
     def test_quadratic_with_equal_curvatures_collapses(self):
         # alpha == beta: both bounds coincide with the averaged path.
@@ -459,7 +504,7 @@ class TestSandwich:
         plain = sgd_run(prob, Regularizer.none(), make_schedule(eta), steps)
         reg1 = sgd_run(prob, Regularizer.l2(lam1), make_schedule(gamma), steps)
         reg2 = sgd_run(prob, Regularizer.l2(lam2), make_schedule(gamma), steps)
-        scheme = weights_general(eta, gamma, steps)
+        scheme = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), steps)
         avg = averaged_path(plain, scheme)
         seq = bounding_sequences(prob, bounds, eta, gamma, lam1, lam2, steps)
         slack = sandwich_check(avg, reg1, reg2, seq, scheme)
@@ -472,7 +517,7 @@ class TestSandwich:
                                 a=np.array([0.6, 1.1]))
         bounds = ConvexityBounds(0.5, 0.5)
         seq = bounding_sequences(prob, bounds, 1.0, 0.5, 1.0, 1.0, steps=0)
-        scheme = weights_general(1.0, 0.5, 0)
+        scheme = weights_sgd_adaptive(1.0, 1.0, 0)  # gamma / eta = 1/2
         slack = sandwich_check(np.zeros((1, 2)), np.zeros((1, 2)),
                                np.zeros((1, 2)), seq, scheme)
         assert abs(slack) <= 1e-15
