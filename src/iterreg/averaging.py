@@ -149,6 +149,8 @@ def weights_sgd_adaptive(schedule: Union[LRSchedule, Sequence[float], float],
     """
     _check_horizon(K)
     if basis is None:
+        if np.ndim(lam) != 0:
+            raise ValueError("per-eigenvalue strengths need basis, one column per strength")
         _require_positive_lam(lam)
     else:
         lam = np.asarray(lam, dtype=np.float64)

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from .problems import (
     ConvexityBounds,
@@ -319,6 +317,10 @@ def psgd_run(
     noise is subtracted from the preconditioned direction, matching the
     bounded-variance assumption placed on Q^{-1}(grad estimate - grad).
     """
+    # scipy.linalg is a quarter second of import; only preconditioned runs pay it.
+    from scipy.linalg import cho_factor
+    from scipy.linalg.lapack import dpotrs
+
     if reg.lam > 0 and reg.kind != "generalized_l2":
         raise ValueError("regularized preconditioned runs need a generalized_l2 penalty")
     if Q is None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .averaging import (DegenerateSchemeError, WeightScheme, _average, _coordinates,
                         averaged_path, weights_sgd_adaptive)
@@ -132,6 +131,7 @@ def expectation_path(
         raise ValueError("preconditioned expectation needs the preconditioner via reg.Q")
     if kind == "pgd" and reg.kind != "generalized_l2":
         raise ValueError("preconditioned runs pair with generalized_l2 penalties")
+    import scipy.linalg  # on first use, as convex_hull imports scipy.spatial
     mu, vecs = scipy.linalg.eigh(_regularized_system(problem, reg),
                                  reg.Q if kind == "pgd" else None,
                                  driver="gvd" if kind == "pgd" else "evd")

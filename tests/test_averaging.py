@@ -584,3 +584,9 @@ def test_per_eigenvalue_strengths_are_one_nonnegative_vector():
     assert _same_bits(scheme.cumulative[:, 0], np.zeros(6))
     scalar = weights_sgd_adaptive([0.1, 0.2], 3.0, 5)
     assert _same_bits(scheme.cumulative[:, 1], scalar.cumulative)
+
+
+def test_strength_vector_without_basis_names_basis():
+    for strengths in ([0.3, 0.4], np.array([0.3, 0.4])):
+        with pytest.raises(ValueError, match="basis"):
+            weights_sgd_adaptive(0.1, strengths, 5)

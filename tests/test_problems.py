@@ -91,6 +91,25 @@ class TestQuadratic:
             QuadraticProblem(sigma=np.eye(2), a=x.T @ y / 6, X=x, Y=y)
 
 
+def mnist_width_data(rng, n=600, d=512, c=10):
+    """Uniform features and one-hot labels at MNIST's output count."""
+    return rng.uniform(0, 1, size=(n, d)), np.eye(c)[rng.integers(0, c, size=n)]
+
+
+def softmax_grad_written_out(x, y, mat, ridge):
+    """x^T (P - Y) / n + ridge W, with P the row softmax of x W."""
+    logits = x @ mat
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return x.T @ (probs - y) / x.shape[0] + ridge * mat
+
+
+def assert_within_ulps(got, want, scale, ulps=4):
+    # Another BLAS kernel may round a product differently, by an ulp or two of
+    # the largest |terms| sum, so a few ulps of that scale and not byte equality.
+    assert np.abs(got - want).max() <= ulps * np.finfo(np.float64).eps * scale
+
+
 def test_finite_difference_gradients():
     # Directional finite differences agree with the analytic gradient for
     # every smooth problem/penalty combination.
@@ -102,12 +121,19 @@ def test_finite_difference_gradients():
         base_ridge=1.0,
     )
     q = np.array([[2.0, 0.3], [0.3, 1.0]])
+    x, y = mnist_width_data(rng)
+    wide_quad = QuadraticProblem.from_data(x, y)
+    wide_logi = LogisticProblem(X=x, Y=y, base_ridge=1.0)
+    wide_q = wide_quad.sigma + np.eye(wide_quad.d)
     cases = [
         (quad, Regularizer.none()),
         (quad, Regularizer.l2(0.3)),
         (quad, Regularizer.generalized_l2(0.2, q)),
         (logi, Regularizer.none()),
         (logi, Regularizer.l2(0.5)),
+        (wide_quad, Regularizer.none()),
+        (wide_quad, Regularizer.generalized_l2(0.2, wide_q)),
+        (wide_logi, Regularizer.l2(0.5)),
     ]
     h = 1e-5
     for prob, reg in cases:
@@ -121,6 +147,27 @@ def test_finite_difference_gradients():
             lm, _ = eval_loss_grad(prob, reg, w - h * u)
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad @ u) <= 1e-5
+
+    # At MNIST width the gradients also meet the written-out (d, c) formulas,
+    # Sigma W - a (for two seeds' matrices side by side too) and the softmax's
+    # X^T (P - Y) / n + base_ridge W.
+    d, c = wide_quad.d, wide_quad.n_outputs
+    sigma, a = wide_quad.sigma, wide_quad.a
+    for seeds in (1, 2):
+        w = rng.standard_normal(d * seeds * c)
+        mat = w.reshape(d, seeds, c)
+        want = np.stack([sigma @ mat[:, s] - a for s in range(seeds)], axis=1)
+        scale = (np.abs(sigma) @ np.abs(w.reshape(d, -1))).max() + np.abs(a).max()
+        assert_within_ulps(wide_quad.grad(w), want.ravel(), scale)
+    w = rng.standard_normal(d * c)
+    mat = w.reshape(d, c)
+    want = sigma @ mat - a + 0.2 * (wide_q @ mat)
+    scale = ((np.abs(sigma) + 0.2 * np.abs(wide_q)) @ np.abs(mat)).max() + np.abs(a).max()
+    assert_within_ulps(eval_loss_grad(wide_quad, Regularizer.generalized_l2(0.2, wide_q),
+                                      w)[1], want.ravel(), scale)
+    # x in [0, 1] and |p - y| <= 1, so no data term exceeds 1 in size.
+    assert_within_ulps(wide_logi.grad(w), softmax_grad_written_out(x, y, mat, 1.0).ravel(),
+                       1.0 + np.abs(mat).max())
 
 
 def test_logistic_hessian_matches_gradient_differences():
@@ -149,6 +196,24 @@ class TestStochasticGrad:
         g_full = eval_loss_grad(prob, reg, w)[1]
         g_batch = stochastic_grad(prob, reg, w, np.arange(8))
         np.testing.assert_array_equal(g_batch, g_full)
+        # MNIST width, c = 10: the full batch is still the full gradient, and a
+        # mini-batch meets x_b^T (x_b W - Y_b) / b and x_b^T (P_b - Y_b) / b + ridge W.
+        x, y = mnist_width_data(rng)
+        quad = QuadraticProblem.from_data(x, y)
+        logi = LogisticProblem(X=x, Y=y, base_ridge=0.5)
+        w = rng.standard_normal(quad.param_dim)
+        mat = w.reshape(quad.d, quad.n_outputs)
+        for prob in (quad, logi):
+            np.testing.assert_array_equal(stochastic_grad(prob, reg, w, np.arange(600)),
+                                          eval_loss_grad(prob, reg, w)[1])
+        batch = rng.integers(0, 600, size=500)
+        xb, yb = x[batch], y[batch]
+        scale = (np.abs(xb.T) @ (np.abs(xb) @ np.abs(mat) + yb)).max() / 500
+        assert_within_ulps(stochastic_grad(quad, Regularizer.none(), w, batch),
+                           (xb.T @ (xb @ mat - yb) / 500).ravel(), scale)
+        assert_within_ulps(stochastic_grad(logi, Regularizer.none(), w, batch),
+                           softmax_grad_written_out(xb, yb, mat, 0.5).ravel(),
+                           1.0 + 0.5 * np.abs(mat).max())
 
     def test_identical_samples_have_zero_variance(self):
         # duplicated rows keep Sigma positive definite only in 1-D
@@ -200,6 +265,18 @@ class TestConvexityBounds:
     def test_plain_quadratic_extreme_eigenvalues(self):
         b = convexity_bounds(diag_problem())
         assert abs(b.alpha - 0.1) < 1e-14 and abs(b.beta - 1.0) < 1e-14
+
+    def test_quadratic_spectrum_computed_once(self, monkeypatch):
+        # The definiteness check's eigenvalues serve the bounds too.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        x = np.random.default_rng(8).uniform(0, 1, size=(40, 6))
+        prob = QuadraticProblem.from_data(x, np.ones(40))
+        b = convexity_bounds(prob)
+        assert len(calls) == 1
+        assert (b.alpha, b.beta) == (prob.eigenvalues.min(), prob.eigenvalues.max())
+        assert not prob.eigenvalues.flags.writeable
 
     def test_logistic_alpha_is_base_ridge(self):
         rng = np.random.default_rng(4)
