@@ -179,7 +179,9 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
                    {"eta": eta, "lam": lam, "steps": steps})
         avg = averaged_path(p, scheme)
         err = np.linalg.norm(avg - r.iterates, axis=1)
-        rate = scheme.params["decay"] if name == "ngd" else 1.0 - lam * gamma
+        # The gap's contraction at the flags given; for ngd, weights_nsgd's decay C.
+        rate = ((1.0 - np.sqrt(gamma * (alpha + lam))) / (1.0 - np.sqrt(eta * alpha))
+                if name == "ngd" else 1.0 - lam * gamma)
         slope = _fit_slope(err, 1e-13, rate)
         checks.add(f"demo2d/decay-slope/{name}", slope, np.log10(rate) + _SLOPE_SLACK,
                    {"rate": rate})

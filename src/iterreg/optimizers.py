@@ -26,9 +26,8 @@ from .problems import (
     KernelProblem,
     QuadraticProblem,
     Regularizer,
-    _batch_grad,
     _check_symmetric,
-    _full_grad,
+    _objective_grad,
 )
 
 __all__ = [
@@ -209,12 +208,14 @@ def _guard_limit(problem) -> float:
     return 1e8
 
 
-def _validate_run_args(batch_size, seed, deterministic, noisy):
+def _validate_run_args(problem, batch_size, seed, deterministic, noisy):
     if not deterministic:
         if batch_size is None or batch_size < 1:
             raise ValueError("stochastic runs need a batch_size >= 1")
         if seed is None:
             raise ValueError("stochastic runs need a seed")
+        if getattr(problem, "X", None) is None:
+            raise ValueError("problem carries no raw data; stochastic gradients unavailable")
     if noisy and seed is None:
         raise ValueError("noise injection needs a seed")
 
@@ -239,19 +240,18 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
     if noise_sigma is not None and not 0 <= noise_sigma < np.inf:  # NaN is no "no noise"
         raise ValueError(f"noise_sigma must be nonnegative and finite, got {noise_sigma}")
     noisy = noise_sigma is not None and noise_sigma > 0
-    _validate_run_args(batch_size, seed, deterministic, noisy)
+    _validate_run_args(problem, batch_size, seed, deterministic, noisy)
     dim = problem.param_dim
     w = prev = np.zeros(dim * len(seeds))
     path = np.zeros((steps + 1, w.size))
     limit = _guard_limit(problem)
     rates = schedule.etas_upto(steps).tolist()
-    part = None if deterministic else _batch_grad(problem, reg)
-    if part is None or batch_size >= problem.n_samples:
-        full = _full_grad(problem, reg)
-        grad = lambda v, k: full(v)
+    objective = _objective_grad(problem, reg)
+    if deterministic or batch_size >= problem.n_samples:
+        grad = lambda v, k: objective(v)
     else:
         n = problem.n_samples
-        grad = lambda v, k: part(v, _step_rng(seed, k).integers(0, n, size=batch_size))
+        grad = lambda v, k: objective(v, _step_rng(seed, k).integers(0, n, size=batch_size))
     d = problem.d  # kernel problems, which have none, were refused above
     noise = np.stack([_sphere_noise_matrix(s, steps, dim, noise_sigma).reshape(-1, d, dim // d)
                       for s in seeds], axis=2).reshape(max(steps, 1), -1) if noisy else None

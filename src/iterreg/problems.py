@@ -16,6 +16,10 @@ Parameters for multi-output problems are (d, c) matrices flattened to
 1-D vectors in C order; all path algebra in the rest of the package
 works on those flat vectors.
 
+Each family's gradient is written once, ``grad(w, rows=None)``, over every
+sample or over the data rows ``rows`` (a mini-batch); every gradient route
+takes it through ``_objective_grad``, which adds a live penalty's gradient.
+
 Gradient products are taken outputs-major on that unchanged layout: with
 W = w.reshape(d, -1) the step loop forms (W^T Sigma)^T, (W^T x_b^T)^T and
 (R^T x_b)^T rather than Sigma W, x_b W and x_b^T R.  Each is a skinny GEMM
@@ -213,10 +217,17 @@ class QuadraticProblem:
             value += 0.5 * np.sum(self.Y * self.Y) / self.X.shape[0]
         return float(value)
 
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        """Gradient at w; w may also flatten (d, outputs) matrices side by side."""
-        g = (w.reshape(self.d, -1).T @ self.sigma).T.reshape(self.d, -1, self.n_outputs)
-        return (g - self.a[:, None]).ravel()
+    def grad(self, w: np.ndarray, rows=None) -> np.ndarray:
+        """Gradient at w from the moments, where w may also flatten (d, outputs)
+        matrices side by side; with ``rows``, over those data rows only."""
+        if rows is None:
+            g = (w.reshape(self.d, -1).T @ self.sigma).T.reshape(self.d, -1, self.n_outputs)
+            return (g - self.a[:, None]).ravel()
+        if self.X is None:
+            raise ValueError("problem carries no raw data; stochastic gradients unavailable")
+        mat = w.reshape(self.d, self.n_outputs)
+        xb = self.X[rows]
+        return (((mat.T @ xb.T - self.Y[rows].T) @ xb).T / len(rows)).ravel()
 
     def minimizer(self) -> np.ndarray:
         """Unregularized minimizer Sigma^{-1} a as a flat vector."""
@@ -283,11 +294,12 @@ class LogisticProblem:
         ce = logz - np.sum(self.Y * logits, axis=1)
         return float(ce.mean() + 0.5 * self.base_ridge * np.sum(mat * mat))
 
-    def grad(self, w: np.ndarray) -> np.ndarray:
+    def grad(self, w: np.ndarray, rows=None) -> np.ndarray:
+        """Gradient at w over every sample, or with ``rows`` over those samples only."""
+        x, y = (self.X, self.Y) if rows is None else (self.X[rows], self.Y[rows])
         mat = w.reshape(self.d, self.n_outputs)
-        probs = self._softmax((mat.T @ self.X.T).T)
-        g = ((probs - self.Y).T @ self.X).T / self.n_samples + self.base_ridge * mat
-        return g.ravel()
+        probs = self._softmax((mat.T @ x.T).T)
+        return (((probs - y).T @ x).T / x.shape[0] + self.base_ridge * mat).ravel()
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         """Dense Hessian over the flat parameter, for small problems only."""
@@ -361,41 +373,22 @@ class ConvexityBounds:
 
 def eval_loss_grad(problem, reg: Regularizer, w: np.ndarray):
     """Loss and gradient of the regularized objective L(w) + lam R(w)."""
-    grad = _full_grad(problem, reg)
+    grad = _objective_grad(problem, reg)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (problem.param_dim,):
         raise ValueError(f"w has shape {w.shape}, expected ({problem.param_dim},)")
     return problem.loss(w) + reg.value(w, problem.d), grad(w)
 
 
-def _full_grad(problem, reg: Regularizer):
-    """The gradient of L(w) + lam R(w) as a function of w, checked once here.
+def _objective_grad(problem, reg: Regularizer):
+    """The gradient of L(w) + lam R(w), a function of (w, rows=None), checked once here.
     Step loops skip ``eval_loss_grad``, whose loss costs a second Sigma product."""
     if isinstance(problem, KernelProblem):
         raise ValueError("kernel problems run through optimizers.kernel_gd_run, "
                          "which steps in the Gram eigenbasis")
     if reg.kind == "none" or reg.lam == 0.0:  # no zero vector to add at every step
         return problem.grad
-    return lambda w: problem.grad(w) + reg.grad(w, problem.d)
-
-
-def _batch_grad(problem, reg: Regularizer):
-    """The mini-batch gradient as a function of (w, indices in [0, n)), checked once here."""
-    if getattr(problem, "X", None) is None:
-        raise ValueError("problem carries no raw data; stochastic gradients unavailable")
-    quadratic = isinstance(problem, QuadraticProblem)
-    penalized = reg.kind != "none" and reg.lam != 0.0
-
-    def grad(w, batch):
-        mat = w.reshape(problem.d, problem.n_outputs)
-        xb = problem.X[batch]
-        if quadratic:
-            g = ((mat.T @ xb.T - problem.Y[batch].T) @ xb).T / batch.size
-        else:
-            probs = problem._softmax((mat.T @ xb.T).T)
-            g = ((probs - problem.Y[batch]).T @ xb).T / batch.size + problem.base_ridge * mat
-        return g.ravel() + reg.grad(w, problem.d) if penalized else g.ravel()
-    return grad
+    return lambda w, rows=None: problem.grad(w, rows) + reg.grad(w, problem.d)
 
 
 def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarray:
@@ -404,17 +397,20 @@ def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarr
     Averaged over all equally likely batches this equals the full
     gradient, so the estimator is unbiased under uniform sampling.
     """
-    grad = _batch_grad(problem, reg)
+    if getattr(problem, "X", None) is None:
+        raise ValueError("problem carries no raw data; stochastic gradients unavailable")
+    grad = _objective_grad(problem, reg)
     batch = np.asarray(batch, dtype=np.intp)
     n = problem.n_samples
     if batch.size == 0 or batch.min() < 0 or batch.max() >= n:
         raise ValueError(f"batch indices must be a nonempty subset of [0, {n})")
     w = np.asarray(w, dtype=np.float64)
-    if batch.size == n and np.array_equal(np.sort(batch), np.arange(n)):
-        # A batch covering every sample once is the full gradient; route it
-        # through the moment form so the two are bit-identical.
-        return eval_loss_grad(problem, reg, w)[1]
-    return grad(w, batch)
+    if w.shape != (problem.param_dim,):
+        raise ValueError(f"w has shape {w.shape}, expected ({problem.param_dim},)")
+    # A batch covering every sample once is the full gradient; route it
+    # through the moment form so the two are bit-identical.
+    full = batch.size == n and np.array_equal(np.sort(batch), np.arange(n))
+    return grad(w, None if full else batch)
 
 
 def convexity_bounds(problem) -> ConvexityBounds:

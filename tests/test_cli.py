@@ -348,7 +348,32 @@ def test_kernel_limit_check_fails_on_corrupted_average(tmp_path, monkeypatch):
     code, _, checks = run(tmp_path, "kernel-demo", "--kernel-n", "15")
     assert code == 1
     assert _passes(checks, "kernel/limit/") == [False, False, False]
+    assert _passes(checks, "kernel/decay-slope/") == [False, False, False]
     assert _passes(checks, "kernel/identity/") == [True, True, True]
+
+
+def test_demo2d_gap_checks_fail_on_corrupted_average(tmp_path, monkeypatch):
+    # identity_check averages on its own, so only the checks that read the
+    # command's average see the blend.
+    monkeypatch.setattr(cli, "averaged_path", _blended)
+    code, _, checks = run(tmp_path, "demo2d")
+    assert code == 1
+    assert _passes(checks, "demo2d/final-gap-vs-theory/") == [False, False, False]
+    assert _passes(checks, "demo2d/decay-slope/") == [False, False, False]
+    assert _passes(checks, "demo2d/identity/") == [True, True, True]
+
+
+def test_demo2d_decay_slopes_fail_when_the_pair_runs_at_half_lambda(tmp_path, monkeypatch):
+    # Scheme and penalized run both at lambda / 2 still agree with each other,
+    # so the identity holds; every gap then decays slower than the rate that
+    # the command's own eta, lambda and alpha fix.
+    run_pair = cli._run_pair
+    monkeypatch.setattr(cli, "_run_pair", lambda prob, name, sched, lam, *rest:
+                        run_pair(prob, name, sched, lam / 2, *rest))
+    code, _, checks = run(tmp_path, "demo2d")
+    assert code == 1
+    assert _passes(checks, "demo2d/decay-slope/") == [False, False, False]
+    assert _passes(checks, "demo2d/identity/") == [True, True, True]
 
 
 def test_sweep_rejects_truncated_path(tmp_path, capsys):

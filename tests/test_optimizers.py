@@ -120,6 +120,22 @@ class TestSgdRun:
         det = sgd_run(prob, Regularizer.none(), sched, 30)
         assert st.iterates.tobytes() == det.iterates.tobytes()
 
+    @pytest.mark.parametrize("cls", [QuadraticProblem, LogisticProblem])
+    @pytest.mark.parametrize("reg", [Regularizer.none(), Regularizer.l2(0.1)])
+    def test_minibatch_steps_take_the_problem_gradient_at_the_drawn_rows(self, monkeypatch,
+                                                                         cls, reg):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, size=(12, 3))
+        y = np.eye(2)[rng.integers(0, 2, size=12)]
+        prob = (QuadraticProblem.from_data(x, y) if cls is QuadraticProblem
+                else LogisticProblem(X=x, Y=y, base_ridge=0.5))
+        seen, grad = [], cls.grad
+        monkeypatch.setattr(cls, "grad", lambda self, w, rows=None:
+                            seen.append(rows) or grad(self, w, rows))
+        sgd_run(prob, reg, make_schedule(0.05), 5, batch_size=4, seed=9, deterministic=False)
+        drawn = [_step_rng(9, k).integers(0, 12, size=4) for k in range(5)]
+        assert len(seen) == 5 and all(np.array_equal(a, b) for a, b in zip(seen, drawn))
+
     def test_divergence_guard_raises(self):
         with pytest.raises(DivergenceError, match="diverged"):
             sgd_run(toy_problem(), Regularizer.none(), make_schedule(25.0), 200)

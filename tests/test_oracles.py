@@ -178,8 +178,7 @@ class TestExpectationPath:
         def refuse(*args, **kwargs):
             raise AssertionError("expectation_path reached the gradient loop")
 
-        for module, name in ((problems, "_full_grad"), (problems, "_batch_grad"),
-                             (optimizers, "_full_grad"), (optimizers, "_batch_grad"),
+        for module, name in ((problems, "_objective_grad"), (optimizers, "_objective_grad"),
                              (optimizers, "_run")):
             monkeypatch.setattr(module, name, refuse)
         prob = toy_problem()

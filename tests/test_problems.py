@@ -147,6 +147,10 @@ def test_finite_difference_gradients():
             lm, _ = eval_loss_grad(prob, reg, w - h * u)
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad @ u) <= 1e-5
+        if getattr(prob, "X", None) is not None:
+            # The rows route over every sample is the same objective's gradient.
+            rows = problems._objective_grad(prob, reg)(w, np.arange(prob.n_samples))
+            np.testing.assert_allclose(rows, grad, rtol=1e-12, atol=1e-12)
 
     # At MNIST width the gradients also meet the written-out (d, c) formulas,
     # Sigma W - a (for two seeds' matrices side by side too) and the softmax's
@@ -165,6 +169,11 @@ def test_finite_difference_gradients():
     scale = ((np.abs(sigma) + 0.2 * np.abs(wide_q)) @ np.abs(mat)).max() + np.abs(a).max()
     assert_within_ulps(eval_loss_grad(wide_quad, Regularizer.generalized_l2(0.2, wide_q),
                                       w)[1], want.ravel(), scale)
+    # With rows, the quadratic's gradient is x_b^T (x_b W - Y_b) / b over those rows.
+    rows = rng.integers(0, x.shape[0], size=500)
+    xb, yb = x[rows], y[rows]
+    scale = (np.abs(xb.T) @ (np.abs(xb) @ np.abs(mat) + yb)).max() / 500
+    assert_within_ulps(wide_quad.grad(w, rows), (xb.T @ (xb @ mat - yb) / 500).ravel(), scale)
     # x in [0, 1] and |p - y| <= 1, so no data term exceeds 1 in size.
     assert_within_ulps(wide_logi.grad(w), softmax_grad_written_out(x, y, mat, 1.0).ravel(),
                        1.0 + np.abs(mat).max())
@@ -206,6 +215,8 @@ class TestStochasticGrad:
         for prob in (quad, logi):
             np.testing.assert_array_equal(stochastic_grad(prob, reg, w, np.arange(600)),
                                           eval_loss_grad(prob, reg, w)[1])
+        # The softmax gradient is one formula: rows naming every sample give its bytes.
+        np.testing.assert_array_equal(logi.grad(w, np.arange(600)), logi.grad(w))
         batch = rng.integers(0, 600, size=500)
         xb, yb = x[batch], y[batch]
         scale = (np.abs(xb.T) @ (np.abs(xb) @ np.abs(mat) + yb)).max() / 500
@@ -252,6 +263,8 @@ class TestStochasticGrad:
             stochastic_grad(kern, Regularizer.none(), np.zeros(3), [0])
         with pytest.raises(ValueError, match="raw data"):
             stochastic_grad(diag_problem(), Regularizer.none(), np.zeros(2), [0])
+        with pytest.raises(ValueError, match="raw data"):
+            diag_problem().grad(np.zeros(2), [0])
 
     def test_bad_indices_rejected(self):
         rng = np.random.default_rng(3)
