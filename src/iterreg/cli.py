@@ -272,6 +272,14 @@ def _mnist_dataset(args) -> Dataset:
     )
 
 
+def _stochastic_batch(args, n: int) -> None:
+    """Refuse a stochastic run whose --batch covers the n rows loaded: it would
+    take the full gradient and repeat the deterministic run."""
+    if not args.deterministic and args.batch >= n:
+        raise ConfigError(f"--batch {args.batch} >= n = {n} rows loaded by --limit "
+                          f"{args.limit}; a stochastic run needs --batch < n")
+
+
 def _optimizer(prob, name, alpha, q=None):
     """Runner, penalty of the regularized run (a function of lambda) and scheme
     constructor (schedule, lambda, steps) of gd, pgd (preconditioned with q, by
@@ -318,6 +326,7 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     if n < d:  # Sigma = X^T X / n then has rank at most n
         raise ConfigError(f"--limit {args.limit} loaded n = {n} rows for d = {d} features; "
                           "least squares needs n >= d")
+    _stochastic_batch(args, n)
     prob = QuadraticProblem.from_data(data.X, data.Y)
     sched = _eta_schedule(prob, args)
     t0 = time.perf_counter()
@@ -357,6 +366,7 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
 def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     eta, lam, steps = args.eta, args.lam, args.steps
     data = _mnist_dataset(args)
+    _stochastic_batch(args, data.n)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
     sched = _eta_schedule(prob, args)
     q = None

@@ -272,7 +272,7 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
         seed=s,
         schedule=schedule,
         problem_fingerprint=problem_fingerprint(problem),
-        extras={"lam": reg.lam, "reg": reg.kind, **(extras or {})},
+        extras={"lam": reg.lam, **(extras or {})},
     ) for s, block in zip(seeds, np.moveaxis(path.reshape(steps + 1, d, len(seeds), -1), 2, 0))]
     return records if stacked else records[0]
 
@@ -321,8 +321,8 @@ def psgd_run(
     from scipy.linalg import cho_factor
     from scipy.linalg.lapack import dpotrs
 
-    if reg.lam > 0 and reg.kind != "generalized_l2":
-        raise ValueError("regularized preconditioned runs need a generalized_l2 penalty")
+    if reg.lam > 0 and reg.Q is None:
+        raise ValueError("regularized preconditioned runs need a generalized_l2 penalty, a Q")
     if Q is None:
         if reg.Q is None:
             raise ValueError("Q required (explicitly or through the regularizer)")
@@ -354,10 +354,10 @@ def nesterov_momentum(rate: float, strong_convexity: float) -> float:
 
 def _accelerated_only(schedule: LRSchedule, reg: Regularizer) -> None:
     """Refuse what an accelerated run cannot take: its rate is constant and
-    its penalty none or l2."""
+    its penalty without a Q (none or l2)."""
     if not schedule.is_constant:
         raise ValueError("accelerated runs support constant learning rates only")
-    if reg.kind not in ("none", "l2"):
+    if reg.Q is not None:
         raise ValueError("accelerated runs support none/l2 regularizers only")
 
 

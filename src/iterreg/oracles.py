@@ -52,11 +52,9 @@ __all__ = [
 
 
 def _regularized_system(problem: QuadraticProblem, reg: Regularizer):
-    if reg.kind == "generalized_l2":
-        return problem.sigma + reg.lam * reg.Q
-    if reg.lam > 0:
-        return problem.sigma + reg.lam * np.eye(problem.d)
-    return problem.sigma
+    if reg.lam == 0.0:
+        return problem.sigma
+    return problem.sigma + reg.lam * (np.eye(problem.d) if reg.Q is None else reg.Q)
 
 
 def ridge_solution(problem: QuadraticProblem, reg: Regularizer) -> np.ndarray:
@@ -127,10 +125,8 @@ def expectation_path(
             raise ValueError("accelerated expectation needs alpha")
         _accelerated_only(schedule, reg)
         tau, first = nesterov_momentum(schedule.eta(0), alpha + reg.lam), 1
-    if kind == "pgd" and reg.kind == "none":
+    if kind == "pgd" and reg.Q is None:
         raise ValueError("preconditioned expectation needs the preconditioner via reg.Q")
-    if kind == "pgd" and reg.kind != "generalized_l2":
-        raise ValueError("preconditioned runs pair with generalized_l2 penalties")
     import scipy.linalg  # on first use, as convex_hull imports scipy.spatial
     mu, vecs = scipy.linalg.eigh(_regularized_system(problem, reg),
                                  reg.Q if kind == "pgd" else None,
@@ -298,7 +294,7 @@ def minimize_objective(problem, reg: Regularizer):
         return ridge_solution(problem, reg) if reg.lam > 0 else problem.minimizer()
     if not isinstance(problem, LogisticProblem):
         raise ValueError("minimize_objective supports quadratic/logistic problems")
-    if reg.kind == "generalized_l2":
+    if reg.Q is not None:
         raise ValueError("generalized penalties are not supported for the softmax solve")
     dim = problem.param_dim
     w = np.zeros(dim)

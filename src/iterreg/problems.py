@@ -4,13 +4,14 @@ Three problem families are supported:
 
 * quadratic least squares, parameterized by the second-moment matrix
   ``sigma`` and the (d, c) cross-moment ``a``, c = 1 for one output
-  (optionally backed by raw (X, Y) data for mini-batch gradients),
+  (optionally built from raw (X, Y) data, kept for mini-batch gradients),
 * multi-class softmax regression with a built-in ridge term that makes
   the objective strongly convex,
 * kernel regression in its dual form, parameterized by a Gram matrix,
   whose paths run only through ``optimizers.kernel_gd_run``.
 
-Penalties are none, l2 and generalized l2; l1 is left to the prox oracle.
+A penalty is (lam/2) w^T Q w, a pair (lam, Q): lam = 0 is none and Q = None
+is l2; l1 is left to the prox oracle.
 
 Parameters for multi-output problems are (d, c) matrices flattened to
 1-D vectors in C order; all path algebra in the rest of the package
@@ -59,24 +60,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Regularizer:
-    """A regularization term lam * R(w).
+    """A penalty lam * R(w) with R(w) = (1/2) tr(W^T Q W), W = w.reshape(d, -1).
 
-    kind is one of "none", "l2", "generalized_l2"; every one is smooth.
-    The matrix Q is present exactly when kind == "generalized_l2" and
-    must be symmetric positive definite.
+    lam = 0 is no penalty.  Q = None is the identity, the l2 penalty; a
+    given Q, the generalized-l2 metric, must be symmetric positive definite,
+    and is also the preconditioner that a plain PGD run carries at lam = 0.
     """
 
-    kind: str = "none"
-    lam: float = 0.0
+    lam: float
     Q: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "l2", "generalized_l2"):
-            raise ValueError(f"unknown regularizer kind: {self.kind!r}")
         if not 0 <= self.lam < np.inf:  # NaN fails too
             raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
-        if (self.Q is not None) != (self.kind == "generalized_l2"):
-            raise ValueError("Q must be given iff kind is 'generalized_l2'")
         if self.Q is not None:
             q = np.asarray(self.Q, dtype=np.float64)
             _check_spd(q, "Q")
@@ -84,30 +80,30 @@ class Regularizer:
 
     @classmethod
     def none(cls) -> "Regularizer":
-        return cls("none", 0.0)
+        return cls(0.0)
 
     @classmethod
     def l2(cls, lam: float) -> "Regularizer":
-        return cls("l2", lam)
+        return cls(lam)
 
     @classmethod
     def generalized_l2(cls, lam: float, Q: np.ndarray) -> "Regularizer":
-        return cls("generalized_l2", lam, Q)
+        return cls(lam, Q)
 
     def value(self, w: np.ndarray, d: int) -> float:
         """lam * R(w) for a flat parameter vector of row dimension d."""
-        if self.kind == "none" or self.lam == 0.0:
+        if self.lam == 0.0:
             return 0.0
-        if self.kind == "l2":
+        if self.Q is None:
             return 0.5 * self.lam * float(w @ w)
         mat = w.reshape(d, -1)
         return 0.5 * self.lam * float(np.sum(mat * (self.Q @ mat)))
 
     def grad(self, w: np.ndarray, d: int) -> np.ndarray:
         """Gradient of lam * R(w)."""
-        if self.kind == "none" or self.lam == 0.0:
+        if self.lam == 0.0:
             return np.zeros_like(w)
-        if self.kind == "l2":
+        if self.Q is None:
             return self.lam * w
         return self.lam * (w.reshape(d, -1).T @ self.Q).T.ravel()
 
@@ -122,6 +118,11 @@ def _check_symmetric(matrix: np.ndarray, name: str, tol: float = 1e-12) -> None:
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.T).max() > tol * scale:
         raise ValueError(f"{name} must be symmetric to {tol} relative")
+
+
+def _check_rows(rows) -> None:
+    if rows is not None and len(rows) == 0:  # a mean over no rows is 0/0
+        raise ValueError("rows must name at least one data row, got none")
 
 
 def _check_spd(matrix: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarray:
@@ -143,17 +144,17 @@ class QuadraticProblem:
 
     Up to a constant this is (1/2) tr(W^T Sigma W) - tr(W^T a) with
     Sigma = X^T X / n and a = X^T Y / n, so only those moments are
-    required.  Raw (X, Y) data is optional and only needed for
-    mini-batch gradients.  ``a`` is stored (d, c) and ``Y`` (n, c); a
-    single output is one column, c = 1, also when given 1-D.  Sigma's
-    ascending eigenvalues, computed once by the definiteness check, are
-    kept read-only in ``eigenvalues``.
+    required.  Raw (X, Y) data, needed only for mini-batch gradients, is
+    attached by ``from_data``, which forms the moments from it.  ``a`` is
+    stored (d, c) and ``Y`` (n, c); a single output is one column, c = 1,
+    also when given 1-D.  Sigma's ascending eigenvalues, computed once by
+    the definiteness check, are kept read-only in ``eigenvalues``.
     """
 
     sigma: np.ndarray
     a: np.ndarray
-    X: Optional[np.ndarray] = None
-    Y: Optional[np.ndarray] = None
+    X: Optional[np.ndarray] = field(init=False, default=None)
+    Y: Optional[np.ndarray] = field(init=False, default=None)
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -169,30 +170,19 @@ class QuadraticProblem:
         a = a.reshape(a.shape[0], -1)  # (d, c): one column per output
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
-        if (self.X is None) != (self.Y is None):
-            raise ValueError("X and Y must be given together")
-        if self.X is not None:
-            x = np.asarray(self.X, dtype=np.float64)
-            y = np.asarray(self.Y, dtype=np.float64)
-            y = y.reshape(y.shape[0], -1)
-            n = x.shape[0]
-            if y.shape[0] != n:
-                raise ValueError("X and Y row counts differ")
-            scale = max(1.0, float(np.abs(sigma).max()))
-            if np.abs(x.T @ x / n - sigma).max() > 1e-10 * scale:
-                raise ValueError("sigma does not match X^T X / n")
-            ascale = max(1.0, float(np.abs(a).max()))
-            if np.abs(x.T @ y / n - a).max() > 1e-10 * ascale:
-                raise ValueError("a does not match X^T Y / n")
-            object.__setattr__(self, "X", x)
-            object.__setattr__(self, "Y", y)
 
     @classmethod
     def from_data(cls, X: np.ndarray, Y: np.ndarray) -> "QuadraticProblem":
+        """The problem of the data (X, Y), which it keeps for mini-batch gradients."""
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         n = X.shape[0]
-        return cls(sigma=X.T @ X / n, a=X.T @ Y / n, X=X, Y=Y)
+        if Y.shape[0] != n:
+            raise ValueError("X and Y row counts differ")
+        problem = cls(sigma=X.T @ X / n, a=X.T @ Y / n)
+        object.__setattr__(problem, "X", X)
+        object.__setattr__(problem, "Y", Y.reshape(n, -1))
+        return problem
 
     @property
     def d(self) -> int:
@@ -225,6 +215,7 @@ class QuadraticProblem:
             return (g - self.a[:, None]).ravel()
         if self.X is None:
             raise ValueError("problem carries no raw data; stochastic gradients unavailable")
+        _check_rows(rows)
         mat = w.reshape(self.d, self.n_outputs)
         xb = self.X[rows]
         return (((mat.T @ xb.T - self.Y[rows].T) @ xb).T / len(rows)).ravel()
@@ -296,6 +287,7 @@ class LogisticProblem:
 
     def grad(self, w: np.ndarray, rows=None) -> np.ndarray:
         """Gradient at w over every sample, or with ``rows`` over those samples only."""
+        _check_rows(rows)
         x, y = (self.X, self.Y) if rows is None else (self.X[rows], self.Y[rows])
         mat = w.reshape(self.d, self.n_outputs)
         probs = self._softmax((mat.T @ x.T).T)
@@ -386,7 +378,7 @@ def _objective_grad(problem, reg: Regularizer):
     if isinstance(problem, KernelProblem):
         raise ValueError("kernel problems run through optimizers.kernel_gd_run, "
                          "which steps in the Gram eigenbasis")
-    if reg.kind == "none" or reg.lam == 0.0:  # no zero vector to add at every step
+    if reg.lam == 0.0:  # no zero vector to add at every step
         return problem.grad
     return lambda w, rows=None: problem.grad(w, rows) + reg.grad(w, problem.d)
 

@@ -649,6 +649,9 @@ def test_config_keys_a_command_does_not_read_exit_two(tmp_path, capsys):
     (["kernel-demo", "--kernel-n", "1001"], "--kernel-n"),
     (["mnist-linear", "--batch", "0", "--limit", "50", "--steps", "20"], "--batch"),
     (["mnist-linear", "--limit", "0", "--steps", "20"], "--limit"),
+    # A stochastic run whose batch covers every loaded row would take the full gradient.
+    (["mnist-linear", "--limit", "800", "--batch", "800", "--steps", "20"], "--batch 800"),
+    (["mnist-logistic", "--limit", "500", "--steps", "20"], "--limit 500"),
 ])
 def test_counts_out_of_range_exit_two(tmp_path, capsys, argv, flag):
     code, out, _ = run(tmp_path, *argv)
@@ -725,6 +728,49 @@ def test_limit_checks_pass_from_the_shortest_run_and_catch_a_fault(tmp_path, mon
     monkeypatch.setattr(cli, *fault)
     code, _, checks = run(tmp_path / "fault", *argv)
     assert code == 1 and not any(_passes(checks, family))
+
+
+def _scheme_at(factor):
+    """``cli._optimizer`` whose scheme constructor builds at factor * lambda,
+    while the penalized run keeps lambda."""
+    optimizer = cli._optimizer
+
+    def wrapped(*args, **kwargs):
+        run, penalty, make_scheme = optimizer(*args, **kwargs)
+        return run, penalty, lambda sched, lam, steps: make_scheme(sched, factor * lam, steps)
+    return wrapped
+
+
+_RIDGE, _EPSILON = oracles.ridge_solution, oracles.variance_epsilon
+_MNIST_LINEAR_CHECKS = {"mnist-linear/deterministic-monotone-after-10",
+                        "mnist-linear/deterministic-final-error",
+                        "mnist-linear/stochastic-avg-below-plain"}
+
+
+@pytest.mark.parametrize("argv, fault, failing", [
+    pytest.param(["mnist-linear", "--limit", "1000"], (cli, "_optimizer", _scheme_at(10.0)),
+                 _MNIST_LINEAR_CHECKS, id="mnist-linear-scheme-at-10-lambda"),
+    pytest.param(["mnist-logistic", "--limit", "1000"], (cli, "_optimizer", _scheme_at(10.0)),
+                 {"mnist-logistic/deterministic-avg-below-plain",
+                  "mnist-logistic/stochastic-avg-below-plain"},
+                 id="mnist-logistic-scheme-at-10-lambda"),
+    pytest.param(["l1-hull"], (oracles, "l1_prox_solution",
+                               lambda prob, lam, tol: _RIDGE(prob, Regularizer.l2(lam))),
+                 {"l1-hull/some-l1-outside"}, id="l1-hull-ridge-as-l1"),
+    pytest.param(["l1-hull"], (oracles, "ridge_solution", lambda *a: 1.5 * _RIDGE(*a)),
+                 {"l1-hull/all-l2-inside"}, id="l1-hull-ridge-scaled"),
+    pytest.param(["variance-mc"], (oracles, "variance_epsilon",
+                                   lambda *a, **k: 0.1 * _EPSILON(*a, **k)),
+                 {"variance-mc/nsgd"}, id="variance-mc-epsilon-tenth"),
+])
+def test_check_families_fail_on_an_injected_fault(tmp_path, monkeypatch, argv, fault, failing):
+    # Each fault fails exactly the named checks.  variance-mc's sgd and psgd
+    # checks pass even so: at defaults their epsilon is 47.0, against largest
+    # deviations of 0.397 and 0.089.
+    monkeypatch.setattr(*fault)
+    code, _, checks = run(tmp_path, *argv)
+    assert code == 1
+    assert {c["check"] for c in checks["checks"] if not c["pass"]} == failing
 
 
 @pytest.mark.parametrize("explicit", [["--steps", "300"], ["--steps=300"]])

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from iterreg import problems
+from iterreg.oracles import _regularized_system
 from iterreg.problems import (
     ConvexityBounds,
     KernelProblem,
@@ -24,11 +26,11 @@ def diag_problem():
 
 class TestRegularizer:
     def test_q_required_iff_generalized(self):
-        with pytest.raises(ValueError):
-            Regularizer("l2", 0.1, Q=np.eye(2))
-        with pytest.raises(ValueError):
-            Regularizer("generalized_l2", 0.1)
-        Regularizer.generalized_l2(0.1, np.eye(2))
+        # A penalty is (lam, Q) and nothing else: a given Q is the generalized
+        # penalty, so no third field can disagree with it.
+        assert [f.name for f in dataclasses.fields(Regularizer)] == ["lam", "Q"]
+        reg = Regularizer.generalized_l2(0.1, np.eye(2))
+        assert (reg.lam, reg.Q.tolist()) == (0.1, np.eye(2).tolist())
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -40,9 +42,27 @@ class TestRegularizer:
             Regularizer.l2(lam)
 
     def test_l1_has_no_gradient(self):
-        # l1 solutions come from the proximal oracle, never from a gradient.
-        with pytest.raises(ValueError, match="l1"):
-            Regularizer("l1", 0.1)
+        # l1 solutions come from the proximal oracle, never from a gradient: a
+        # Regularizer has no kind that could name l1, only (lam, Q).
+        assert [f.name for f in dataclasses.fields(Regularizer)] == ["lam", "Q"]
+        with pytest.raises(TypeError):
+            Regularizer("l1", 0.1, None)
+
+
+    def test_step_gradient_and_oracle_system_read_one_penalty(self):
+        # The step loop's gradient and the oracles' regularized system read the
+        # same (lam, Q): l2 at lam, generalized l2 at lam, and no penalty at
+        # lam = 0 whatever Q a PGD run carries there.
+        rng = np.random.default_rng(9)
+        prob = QuadraticProblem.from_data(rng.standard_normal((12, 3)),
+                                          rng.standard_normal((12, 2)))
+        m = rng.standard_normal((3, 3))
+        q = m @ m.T + np.eye(3)
+        w = rng.standard_normal(prob.param_dim)
+        for reg in (Regularizer(0.5), Regularizer(0.5, q), Regularizer(0.0, q)):
+            want = _regularized_system(prob, reg) @ w.reshape(3, 2) - prob.a
+            np.testing.assert_allclose(problems._objective_grad(prob, reg)(w), want.ravel(),
+                                       rtol=1e-13, atol=1e-14)
 
 
 class TestQuadratic:
@@ -83,12 +103,19 @@ class TestQuadratic:
             QuadraticProblem.from_data(np.hstack([x, x[:, :1]]), np.ones(40))
 
     def test_raw_data_consistency_enforced(self):
+        # Raw data comes only through from_data, which forms the moments from
+        # it, so no problem holds data that disagrees with its moments.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 1))
-        QuadraticProblem.from_data(x, y)
-        with pytest.raises(ValueError, match="sigma"):
+        with pytest.raises(TypeError):
             QuadraticProblem(sigma=np.eye(2), a=x.T @ y / 6, X=x, Y=y)
+        with pytest.raises(ValueError, match="row counts"):
+            QuadraticProblem.from_data(x, y[:5])
+        prob = QuadraticProblem.from_data(x, y)
+        assert prob.sigma.tobytes() == (x.T @ x / 6).tobytes()
+        assert prob.a.tobytes() == (x.T @ y / 6).tobytes()
+        assert prob.X.tobytes() == x.tobytes() and prob.Y.shape == (6, 1)
 
 
 def mnist_width_data(rng, n=600, d=512, c=10):
@@ -272,6 +299,11 @@ class TestStochasticGrad:
         prob = QuadraticProblem.from_data(x, rng.standard_normal((4, 1)))
         with pytest.raises(ValueError):
             stochastic_grad(prob, Regularizer.none(), np.zeros(2), [4])
+        # An empty mini-batch is refused by name, not averaged into 0/0 = NaN.
+        logi = LogisticProblem(X=x, Y=np.eye(2)[[0, 1, 1, 0]], base_ridge=1.0)
+        for problem in (prob, logi):
+            with pytest.raises(ValueError, match="rows"):
+                problem.grad(np.zeros(problem.param_dim), np.array([], dtype=np.intp))
 
 
 class TestConvexityBounds:
