@@ -280,29 +280,32 @@ def _stochastic_batch(args, n: int) -> None:
                           f"{args.limit}; a stochastic run needs --batch < n")
 
 
-def _optimizer(prob, name, alpha, q=None):
-    """Runner, penalty of the regularized run (a function of lambda) and scheme
-    constructor (schedule, lambda, steps) of gd, pgd (preconditioned with q, by
-    default the quadratic's Sigma) or ngd (momentum for strong convexity alpha)."""
+def _optimizer(prob, name, alpha):
+    """Runner, penalty (a function of lambda, penalty(0.0) the plain run's) and
+    scheme constructor (schedule, lambda, steps) of gd, pgd or ngd (momentum for
+    strong convexity alpha).  PGD's Q is a quadratic's Sigma, or for the softmax
+    loss the feature second moment plus the loss's own ridge, above the Hessian
+    (at most Sigma/2 + base_ridge I), with a 1e-8 floor for base_ridge 0."""
     if name == "gd":
         return sgd_run, Regularizer.l2, weights_sgd_adaptive
     if name == "pgd":
-        q = prob.sigma if q is None else q
-        return (partial(psgd_run, Q=q), partial(Regularizer.generalized_l2, Q=q),
-                weights_sgd_adaptive)
+        q = prob.sigma if isinstance(prob, QuadraticProblem) else (
+            prob.X.T @ prob.X / prob.n_samples + (prob.base_ridge + 1e-8) * np.eye(prob.d))
+        return psgd_run, lambda lam: Regularizer(lam, q), weights_sgd_adaptive
     return (partial(nsgd_run, alpha=alpha), Regularizer.l2,  # ngd, the parser admits no other
             lambda sched, lam, steps: weights_nsgd(sched.eta(0), lam, alpha, steps))
 
 
-def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None, q=None):
+def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None):
     """Plain and lambda-regularized runs of one optimizer, and their scheme.
 
-    The regularized run steps at ``sched.coupled(lam)``; a ``batch`` of None
+    The plain run is penalized at ``penalty(0.0)``, the regularized one at
+    ``penalty(lam)`` and steps at ``sched.coupled(lam)``; a ``batch`` of None
     is the full gradient.
     """
-    run, penalty, make_scheme = _optimizer(prob, optimizer, alpha, q)
+    run, penalty, make_scheme = _optimizer(prob, optimizer, alpha)
     kwargs = dict(batch_size=batch, seed=seed, deterministic=batch is None)
-    plain = run(prob, Regularizer.none(), sched, steps, **kwargs)
+    plain = run(prob, penalty(0.0), sched, steps, **kwargs)
     regp = run(prob, penalty(lam), sched.coupled(lam), steps, **kwargs)
     return plain, regp, make_scheme(sched, lam, steps)
 
@@ -369,17 +372,10 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     _stochastic_batch(args, data.n)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
     sched = _eta_schedule(prob, args)
-    q = None
-    if args.optimizer == "pgd":
-        # Feature second moment plus the loss's own ridge as preconditioner,
-        # so the Hessian (at most Sigma/2 + base_ridge I) stays below Q; the
-        # 1e-8 floor keeps Q factorizable at --base-ridge 0.
-        q = prob.X.T @ prob.X / prob.n_samples
-        q = q + (args.base_ridge + 1e-8) * np.eye(q.shape[0])
     for batch in (None,) if args.deterministic else (None, args.batch):
         t0 = time.perf_counter()
         plain, regp, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
-                                        batch=batch, seed=args.seed, q=q)
+                                        batch=batch, seed=args.seed)
         mode = "deterministic" if batch is None else "stochastic"
         err_plain, err_avg = _write_report(
             args, out_dir, f"mnist_logistic_{mode}", f"mnist-logistic-{mode}", plain, regp,
@@ -411,7 +407,7 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
         scheme = make_scheme(sched, lam, steps)
         p_last = scheme.cumulative[steps]
         target = averaged_path(mean_rec, scheme)[-1]
-        runs = run(prob, Regularizer.none(), sched, steps,
+        runs = run(prob, penalty(0.0), sched, steps,
                    seed=range(args.seed, args.seed + args.mc_seeds), noise_sigma=sigma)
         finals = [averaged_path(rec, scheme)[-1] for rec in runs]
         deviations = [float(np.linalg.norm(p_last * f - p_last * target)) for f in finals]
@@ -500,7 +496,7 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
             raise ConfigError(f"{args.path}: stored path carries no schedule")
         if plain.problem_fingerprint != problem_fingerprint(prob):
             raise ConfigError(f"{args.path}: stored path is not of the demo problem")
-        if float(plain.extras.get("lam", 0.0)) > 0:
+        if plain.extras.get("lam", 0.0) > 0:
             raise ConfigError(f"{args.path}: stored path has a penalty, lam > 0")
         # A pgd record lacks its Q; a noisy path meets the identity at K only in mean.
         name, alpha = plain.tag, plain.extras.get("alpha")
@@ -527,8 +523,7 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
                                         kind=name, alpha=alpha).iterates[-1]
         p_k, w_k, wavg_k = float(scheme.cumulative[steps]), plain.iterates[-1], avg[-1]
         residual = float(np.abs(p_k * wavg_k - (what - (1.0 - p_k) * w_k)).max())
-        checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual, 1e-10,
-                   {"lam": lam, "optimize_s": optimize_s, "average_s": average_s})
+        checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual, 1e-10, {"lam": lam})
         # By the identity the certificate equals |wavg_K - what_K|, for free.
         ridge = oracles.ridge_solution(prob, reg)
         points.append({"lam": lam, "P_K": p_k, "residual": residual,
@@ -600,6 +595,13 @@ _FLAGS = {
 }
 
 
+# Flags a command does not read in a mode, one that all its mode flags set, a
+# (key, value) flag to that value: ((mode flags, unread flags), ...).
+_MNIST_MODES = ((("deterministic",), ("batch",)),  # draws no batches
+                (("deterministic", "images", "labels"), ("seed",)),  # nor a stand-in
+                *(((("optimizer", name),), ("alpha",)) for name in ("gd", "pgd")))  # no momentum
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iterreg",
@@ -608,45 +610,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with argument defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, text, flags, **defaults):
-        """Subparser for one experiment, taking exactly the flags it reads."""
+    def command(name, runner, text, flags, modes=(), **defaults):
+        """Subparser for one experiment, taking exactly the flags it reads and
+        refusing those its ``modes`` leave unread; ``runner`` runs it."""
         p = sub.add_parser(name, help=text)
         for key in flags:
             option, kwargs = _FLAGS[key]
             p.add_argument(option, **{"action": _Given, **kwargs})
-        p.set_defaults(given=frozenset(), **defaults)
+        p.set_defaults(given=frozenset(), run=runner, modes=modes, **defaults)
 
     mnist = ("out", "seed", "steps", "lam", "eta", "alpha", "batch", "deterministic", "limit",
              "format", "images", "labels", "optimizer")
-    command("demo2d", "2-D quadratic demo (identities, rates)",
+    command("demo2d", cmd_demo2d, "2-D quadratic demo (identities, rates)",
             ("out", "steps", "lam", "eta", "alpha", "format"))
-    command("kernel-demo", "kernel dual paths vs closed form",
+    command("kernel-demo", cmd_kernel_demo, "kernel dual paths vs closed form",
             ("out", "seed", "steps", "format", "kernel_n", "lam_hats"), kernel_n=40)
-    for name, extra in (("mnist-linear", ()), ("mnist-logistic", ("base_ridge",))):
-        command(name, f"{name} experiment (IDX data or stand-in)", mnist + extra,
-                eta=0.01, lam=4.0, alpha=1.0)
-    command("variance-mc", "Chebyshev deviation bound, many seeds",
+    for name, runner, extra in (("mnist-linear", cmd_mnist_linear, ()),
+                                ("mnist-logistic", cmd_mnist_logistic, ("base_ridge",))):
+        command(name, runner, f"{name} experiment (IDX data or stand-in)", mnist + extra,
+                modes=_MNIST_MODES, eta=0.01, lam=4.0, alpha=1.0)
+    command("variance-mc", cmd_variance_mc, "Chebyshev deviation bound, many seeds",
             ("out", "seed", "steps", "lam", "eta", "alpha", "sigma", "delta", "mc_seeds"))
-    command("sandwich", "entry-wise bracket for a general loss",
+    command("sandwich", cmd_sandwich, "entry-wise bracket for a general loss",
             ("out", "seed", "steps", "eta", "gamma"), eta=0.4)
-    command("l1-hull", "l1 solutions vs the descent-path hull",
+    command("l1-hull", cmd_l1_hull, "l1 solutions vs the descent-path hull",
             ("out", "steps", "lams", "eta"), lams=[0.01, 0.03, 0.1, 0.3, 1.0, 3.0])
-    command("sweep", "many lambdas from one stored path",
-            ("out", "steps", "lams", "eta", "path"), lams=[0.01, 0.1, 1.0, 10.0])
+    command("sweep", cmd_sweep, "many lambdas from one stored path",
+            ("out", "steps", "lams", "eta", "path"), lams=[0.01, 0.1, 1.0, 10.0],
+            modes=((("path",), ("steps", "eta")),))  # the stored path fixes both
     return parser
 
 
-# Flags a command does not read in a mode, one that all its mode flags set, a
-# (key, value) flag to that value: command -> ((mode flags, unread flags), ...).
-_MNIST_MODES = ((("deterministic",), ("batch",)),  # draws no batches
-                (("deterministic", "images", "labels"), ("seed",)),  # nor a stand-in
-                *(((("optimizer", name),), ("alpha",)) for name in ("gd", "pgd")))  # no momentum
-_UNREAD_IN_MODE = {"sweep": ((("path",), ("steps", "eta")),),  # the stored path fixes both
-                   "mnist-linear": _MNIST_MODES, "mnist-logistic": _MNIST_MODES}
-
-
 def _check_mode_flags(args) -> None:
-    for mode, unread in _UNREAD_IN_MODE.get(args.command, ()):
+    for mode, unread in args.modes:
         flags = [(m, None) if isinstance(m, str) else m for m in mode]
         for key in unread:
             if key in args.given and all(getattr(args, m) == v if v else getattr(args, m)
@@ -654,18 +650,6 @@ def _check_mode_flags(args) -> None:
                 mode_flags = " ".join(f"{_FLAGS[m][0]} {v}" if v else _FLAGS[m][0]
                                       for m, v in flags)
                 raise ConfigError(f"{args.command} {mode_flags} does not read {_FLAGS[key][0]}")
-
-
-_COMMANDS = {
-    "demo2d": cmd_demo2d,
-    "kernel-demo": cmd_kernel_demo,
-    "mnist-linear": cmd_mnist_linear,
-    "mnist-logistic": cmd_mnist_logistic,
-    "variance-mc": cmd_variance_mc,
-    "sandwich": cmd_sandwich,
-    "l1-hull": cmd_l1_hull,
-    "sweep": cmd_sweep,
-}
 
 
 def _apply_config_file(argv):
@@ -711,7 +695,7 @@ def main(argv=None) -> int:
             os.makedirs(args.out)
             created = args.out
         checks = Checks()
-        _COMMANDS[args.command](args, checks, args.out)
+        args.run(args, checks, args.out)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ValueError as exc:  # ConfigError included

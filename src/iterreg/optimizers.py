@@ -26,7 +26,6 @@ from .problems import (
     KernelProblem,
     QuadraticProblem,
     Regularizer,
-    _check_symmetric,
     _objective_grad,
 )
 
@@ -311,9 +310,10 @@ def psgd_run(
 ) -> Union[PathRecord, list[PathRecord]]:
     """Preconditioned (stochastic) gradient descent.
 
-    The preconditioner is applied through a cached Cholesky factorization.
-    Regularized runs expect a generalized-l2 penalty whose matrix matches
-    Q; the unregularized companion run passes Q explicitly.  Injected
+    The preconditioner is the penalty's Q, applied through a cached Cholesky
+    factorization: a plain run carries it as ``Regularizer(0.0, Q)``, a
+    regularized one as the generalized-l2 penalty.  An explicit ``Q`` is
+    folded into the penalty, and must match a Q it already has.  Injected
     noise is subtracted from the preconditioned direction, matching the
     bounded-variance assumption placed on Q^{-1}(grad estimate - grad).
     """
@@ -323,16 +323,14 @@ def psgd_run(
 
     if reg.lam > 0 and reg.Q is None:
         raise ValueError("regularized preconditioned runs need a generalized_l2 penalty, a Q")
-    if Q is None:
-        if reg.Q is None:
-            raise ValueError("Q required (explicitly or through the regularizer)")
-        Q = reg.Q
-    elif reg.Q is not None and not np.array_equal(Q, reg.Q):
-        raise ValueError("explicit Q disagrees with the regularizer's Q")
-    Q = np.asarray(Q, dtype=np.float64)
-    _check_symmetric(Q, "Q")  # cho_factor reads one triangle; it refuses what is not definite
+    if Q is not None:
+        if reg.Q is not None and not np.array_equal(Q, reg.Q):
+            raise ValueError("explicit Q disagrees with the regularizer's Q")
+        reg = Regularizer(reg.lam, Q)  # checks Q as it checks every penalty's
+    elif reg.Q is None:
+        raise ValueError("Q required (explicitly or through the regularizer)")
     try:
-        factor, lower = cho_factor(Q)
+        factor, lower = cho_factor(reg.Q)
     except np.linalg.LinAlgError as exc:
         raise ValueError("Q must be positive definite") from exc
     def solve(g):  # LAPACK on the factor: cho_solve re-checks its arguments every step
@@ -512,6 +510,8 @@ def load_path(path: str) -> PathRecord:
     if header.get("version") != _PATH_VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
     steps, dim, tag, seed, extras = _checked(path, header, _HEADER_KEYS)
+    if "lam" in extras:  # the run's penalty: NaN, infinity and a bool are no strength
+        _checked(path, extras, {"lam": lambda v: type(v) in (int, float) and 0 <= v < np.inf})
     expected = (steps + 1, dim)
     if iterates.dtype != np.float64 or iterates.shape != expected:
         raise ValueError(f"{path}: expected float64 iterates of shape {expected}, "

@@ -11,10 +11,10 @@ from iterreg import cli, oracles
 from iterreg.averaging import (WeightScheme, averaged_path, weights_kernel, weights_nsgd,
                                weights_sgd_adaptive)
 from iterreg.cli import main
-from iterreg.data_io import read_report
+from iterreg.data_io import one_hot, read_report
 from iterreg.optimizers import (load_path, make_schedule, nsgd_run, psgd_run, save_path,
                                 sgd_run)
-from iterreg.problems import Regularizer, make_rotated_quadratic, toy_problem
+from iterreg.problems import LogisticProblem, Regularizer, make_rotated_quadratic, toy_problem
 
 
 def run(tmp_path, *argv):
@@ -419,6 +419,24 @@ def test_stored_plain_path_of_a_pair_reweights_at_any_lambda(tmp_path, lam):
     assert oracles.identity_check(rec, reg, scheme) <= 1e-10
 
 
+def test_pgd_preconditioner_is_chosen_once_in_its_penalty():
+    # _optimizer picks Q per problem family and binds it only in the penalty;
+    # the plain run of a pair carries it as penalty(0.0).
+    quad = toy_problem()
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=(40, 4))
+    soft = LogisticProblem(X=x, Y=one_hot(rng.integers(0, 3, size=40), 3), base_ridge=0.5)
+    soft_q = x.T @ x / 40 + (0.5 + 1e-8) * np.eye(4)
+    sched = make_schedule(0.1)
+    for prob, q in ((quad, quad.sigma), (soft, soft_q)):
+        run_, penalty, _ = cli._optimizer(prob, "pgd", None)
+        assert run_ is psgd_run
+        assert penalty(0.0).lam == 0.0 and penalty(0.0).Q.tobytes() == q.tobytes()
+        plain, _, _ = cli._run_pair(prob, "pgd", sched, 0.5, 30, None)
+        ref = psgd_run(prob, Regularizer.none(), sched, 30, Q=q)
+        assert plain.iterates.tobytes() == ref.iterates.tobytes()
+
+
 def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
     rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500)
     stored = tmp_path / "path.npz"
@@ -427,7 +445,11 @@ def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
         header = json.loads(archive["header"].tobytes())
     bare = {"format": header["format"], "version": 3}
     only_lam = dict(header, schedule={"lam": 0.0})
-    for label, bad, key in (("bare", bare, "steps"), ("only-lam", only_lam, "etas")):
+    cases = [("bare", bare, "steps"), ("only-lam", only_lam, "etas")]
+    # A stored lambda that is no finite strength >= 0 is refused, never read as 0.
+    for i, lam in enumerate((None, [0.5], "x", float("nan"), -1, float("inf"), True)):
+        cases.append((f"lam-{i}", dict(header, extras={"lam": lam}), "lam"))
+    for label, bad, key in cases:
         path = tmp_path / f"{label}.npz"
         with open(path, "wb") as fh:
             np.savez(fh, header=np.bytes_(json.dumps(bad)), iterates=rec.iterates)
@@ -460,7 +482,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
     def fail(args, checks, out_dir):
         raise RuntimeError("x")
 
-    monkeypatch.setitem(cli._COMMANDS, "demo2d", fail)
+    monkeypatch.setattr(cli, "cmd_demo2d", fail)
     code, out, checks = run(tmp_path, "demo2d")
     assert code == 3 and checks is None and not out.exists()
     assert capsys.readouterr().err == "numerical failure: x\n"
@@ -511,6 +533,11 @@ def test_reports_are_deterministic(tmp_path):
                                               "mnist_linear_stoch.csv", "checks.json"}
     for name in ("mnist_linear_det.csv", "mnist_linear_stoch.csv", "checks.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # sweep keeps its timings in sweep.json, so its checks.json is the same bytes.
+    assert main(["sweep", "--out", str(tmp_path / "s1")]) == 0
+    assert main(["sweep", "--out", str(tmp_path / "s2")]) == 0
+    assert (tmp_path / "s1" / "checks.json").read_bytes() == \
+        (tmp_path / "s2" / "checks.json").read_bytes()
 
 
 def test_config_file_defaults(tmp_path):

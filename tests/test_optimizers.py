@@ -195,7 +195,10 @@ class TestPsgdRun:
                      batch_size=3, seed=11, deterministic=False)
         b = sgd_run(prob, Regularizer.none(), sched, 40, batch_size=3, seed=11,
                     deterministic=False)
-        assert a.iterates.tobytes() == b.iterates.tobytes()
+        # Q carried by the plain run's penalty is the explicit Q, folded in.
+        c = psgd_run(prob, Regularizer(0.0, np.eye(2)), sched, 40,
+                     batch_size=3, seed=11, deterministic=False)
+        assert a.iterates.tobytes() == b.iterates.tobytes() == c.iterates.tobytes()
 
     def test_converges_to_minimizer(self):
         prob = toy_problem()
