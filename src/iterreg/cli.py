@@ -173,7 +173,7 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
     for name in ("gd", "pgd", "ngd"):
         # Runs inside the loop, so each report's wall clock covers its own runs.
         t0 = time.perf_counter()
-        p, r, scheme = _run_pair(prob, name, sched, lam, steps, alpha)
+        p, r, scheme = _run_pair(prob, _optimizer(prob, name, alpha), sched, lam, steps)
         residual = oracles.identity_check(p, r, scheme)
         checks.add(f"demo2d/identity/{name}", residual, 1e-10,
                    {"eta": eta, "lam": lam, "steps": steps})
@@ -291,19 +291,19 @@ def _optimizer(prob, name, alpha):
     if name == "pgd":
         q = prob.sigma if isinstance(prob, QuadraticProblem) else (
             prob.X.T @ prob.X / prob.n_samples + (prob.base_ridge + 1e-8) * np.eye(prob.d))
-        return psgd_run, lambda lam: Regularizer(lam, q), weights_sgd_adaptive
+        return psgd_run, Regularizer(0.0, q).at, weights_sgd_adaptive  # Q checked once
     return (partial(nsgd_run, alpha=alpha), Regularizer.l2,  # ngd, the parser admits no other
             lambda sched, lam, steps: weights_nsgd(sched.eta(0), lam, alpha, steps))
 
 
-def _run_pair(prob, optimizer, sched, lam, steps, alpha, batch=None, seed=None):
-    """Plain and lambda-regularized runs of one optimizer, and their scheme.
+def _run_pair(prob, optimizer, sched, lam, steps, batch=None, seed=None):
+    """Plain and lambda-regularized runs of an ``_optimizer`` triple, and their scheme.
 
     The plain run is penalized at ``penalty(0.0)``, the regularized one at
     ``penalty(lam)`` and steps at ``sched.coupled(lam)``; a ``batch`` of None
     is the full gradient.
     """
-    run, penalty, make_scheme = _optimizer(prob, optimizer, alpha)
+    run, penalty, make_scheme = optimizer
     kwargs = dict(batch_size=batch, seed=seed, deterministic=batch is None)
     plain = run(prob, penalty(0.0), sched, steps, **kwargs)
     regp = run(prob, penalty(lam), sched.coupled(lam), steps, **kwargs)
@@ -332,10 +332,10 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     _stochastic_batch(args, n)
     prob = QuadraticProblem.from_data(data.X, data.Y)
     sched = _eta_schedule(prob, args)
+    optimizer = _optimizer(prob, args.optimizer, args.alpha)
     t0 = time.perf_counter()
 
-    plain, reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
-                                   seed=args.seed)
+    plain, reg, scheme = _run_pair(prob, optimizer, sched, lam, steps, seed=args.seed)
     avg = averaged_path(plain, scheme)
     _, err_avg = _write_report(
         args, out_dir, "mnist_linear_det", "mnist-linear-deterministic", plain, reg,
@@ -354,7 +354,7 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
 
     if not args.deterministic:
         t0 = time.perf_counter()
-        plain, reg, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
+        plain, reg, scheme = _run_pair(prob, optimizer, sched, lam, steps,
                                        batch=args.batch, seed=args.seed)
         err_plain, err_avg = _write_report(
             args, out_dir, "mnist_linear_stoch", "mnist-linear-stochastic", plain, reg,
@@ -372,9 +372,10 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     _stochastic_batch(args, data.n)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
     sched = _eta_schedule(prob, args)
+    optimizer = _optimizer(prob, args.optimizer, args.alpha)
     for batch in (None,) if args.deterministic else (None, args.batch):
         t0 = time.perf_counter()
-        plain, regp, scheme = _run_pair(prob, args.optimizer, sched, lam, steps, args.alpha,
+        plain, regp, scheme = _run_pair(prob, optimizer, sched, lam, steps,
                                         batch=batch, seed=args.seed)
         mode = "deterministic" if batch is None else "stochastic"
         err_plain, err_avg = _write_report(
@@ -705,6 +706,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # DivergenceError included
         kind = "diverged" if isinstance(exc, DivergenceError) else "numerical failure"
         code, message = 3, f"{kind}: {exc}"
+    except AssertionError as exc:  # LRSchedule.coupled's invariant
+        code, message = 3, f"broken invariant: {exc}"
     else:
         checks.dump(args.out)
         return 0 if checks.all_pass else 1

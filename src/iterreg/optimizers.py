@@ -302,7 +302,6 @@ def psgd_run(
     reg: Regularizer,
     schedule: LRSchedule,
     steps: int,
-    Q: Optional[np.ndarray] = None,
     batch_size: Optional[int] = None,
     seed: Union[int, Sequence[int], None] = None,
     deterministic: bool = True,
@@ -310,25 +309,18 @@ def psgd_run(
 ) -> Union[PathRecord, list[PathRecord]]:
     """Preconditioned (stochastic) gradient descent.
 
-    The preconditioner is the penalty's Q, applied through a cached Cholesky
-    factorization: a plain run carries it as ``Regularizer(0.0, Q)``, a
-    regularized one as the generalized-l2 penalty.  An explicit ``Q`` is
-    folded into the penalty, and must match a Q it already has.  Injected
-    noise is subtracted from the preconditioned direction, matching the
-    bounded-variance assumption placed on Q^{-1}(grad estimate - grad).
+    The preconditioner is the penalty's Q, and only that, applied through a
+    cached Cholesky factorization: a plain run carries it as
+    ``Regularizer(0.0, Q)``, a regularized one as the generalized-l2 penalty.
+    Injected noise is subtracted from the preconditioned direction, matching
+    the bounded-variance assumption placed on Q^{-1}(grad estimate - grad).
     """
     # scipy.linalg is a quarter second of import; only preconditioned runs pay it.
     from scipy.linalg import cho_factor
     from scipy.linalg.lapack import dpotrs
 
-    if reg.lam > 0 and reg.Q is None:
-        raise ValueError("regularized preconditioned runs need a generalized_l2 penalty, a Q")
-    if Q is not None:
-        if reg.Q is not None and not np.array_equal(Q, reg.Q):
-            raise ValueError("explicit Q disagrees with the regularizer's Q")
-        reg = Regularizer(reg.lam, Q)  # checks Q as it checks every penalty's
-    elif reg.Q is None:
-        raise ValueError("Q required (explicitly or through the regularizer)")
+    if reg.Q is None:
+        raise ValueError("preconditioned runs need a generalized_l2 penalty, a Q")
     try:
         factor, lower = cho_factor(reg.Q)
     except np.linalg.LinAlgError as exc:
@@ -480,7 +472,7 @@ def save_path(record: PathRecord, path: str) -> None:
 # schedule must also be in LRSchedule's range, which NaN and infinity are not.
 _HEADER_KEYS = {"steps": lambda v: type(v) is int, "dim": lambda v: type(v) is int,
                 "tag": lambda v: isinstance(v, str), "seed": lambda v: v is None or type(v) is int,
-                "extras": lambda v: isinstance(v, dict)}
+                "extras": lambda v: isinstance(v, dict), "problem": lambda v: isinstance(v, str)}
 _SCHEDULE_KEYS = {"etas": lambda v: isinstance(v, list) and v != []
                   and all(type(e) in (int, float) and 0 < e < np.inf for e in v)}
 
@@ -509,7 +501,7 @@ def load_path(path: str) -> PathRecord:
         raise ValueError(f"{path}: not a path record")
     if header.get("version") != _PATH_VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    steps, dim, tag, seed, extras = _checked(path, header, _HEADER_KEYS)
+    steps, dim, tag, seed, extras, problem = _checked(path, header, _HEADER_KEYS)
     if "lam" in extras:  # the run's penalty: NaN, infinity and a bool are no strength
         _checked(path, extras, {"lam": lambda v: type(v) in (int, float) and 0 <= v < np.inf})
     expected = (steps + 1, dim)
@@ -523,7 +515,7 @@ def load_path(path: str) -> PathRecord:
         tag=tag,
         seed=seed,
         schedule=schedule,
-        problem_fingerprint=header.get("problem", ""),
+        problem_fingerprint=problem,
         extras=extras,
     )
 

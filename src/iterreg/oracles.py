@@ -278,8 +278,9 @@ def lambda_pair(eta: float, gamma: float, bounds: ConvexityBounds):
     base = 1.0 / gamma - 1.0 / eta
     lam1 = base + (beta - alpha)
     lam2 = base - (beta - alpha)
-    if not (lam1 >= lam2 > 0):
-        raise AssertionError("admissible (eta, gamma) must give lam1 >= lam2 > 0")
+    if not lam2 > 0:  # a gamma just under its cap can round lam2 to zero; lam1 >= lam2 holds
+        raise ValueError(f"gamma = {gamma!r} gives lam2 = 1/gamma - 1/eta - (beta - alpha) "
+                         f"= {lam2:.6g} <= 0 after rounding; take a smaller gamma")
     return lam1, lam2
 
 

@@ -90,6 +90,12 @@ class Regularizer:
     def generalized_l2(cls, lam: float, Q: np.ndarray) -> "Regularizer":
         return cls(lam, Q)
 
+    def at(self, lam: float) -> "Regularizer":
+        """This penalty at strength lam, sharing its already-checked Q."""
+        reg = Regularizer(lam)
+        object.__setattr__(reg, "Q", self.Q)
+        return reg
+
     def value(self, w: np.ndarray, d: int) -> float:
         """lam * R(w) for a flat parameter vector of row dimension d."""
         if self.lam == 0.0:

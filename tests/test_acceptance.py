@@ -107,7 +107,7 @@ def demo_runs(steps=STEPS, ngd=True):
         weights_sgd_adaptive(sched, LAM, steps),
     )
     out["pgd"] = (
-        psgd_run(prob, Regularizer.none(), sched, steps, Q=prob.sigma),
+        psgd_run(prob, Regularizer(0.0, prob.sigma), sched, steps),
         psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched.coupled(LAM), steps),
         weights_sgd_adaptive(sched, LAM, steps),
     )
@@ -232,7 +232,7 @@ def test_criterion_3_limit_oracle():
         target = ridge_solution(prob, Regularizer.l2(lam))
         results["gd"] = np.abs(averaged_path(plain, scheme)[-1] - target).max()
 
-        pplain = psgd_run(prob, Regularizer.none(), sched, STEPS, Q=prob.sigma)
+        pplain = psgd_run(prob, Regularizer(0.0, prob.sigma), sched, STEPS)
         gen_target = ridge_solution(
             prob, Regularizer.generalized_l2(lam, prob.sigma))
         results["pgd"] = np.abs(averaged_path(pplain, scheme)[-1] - gen_target).max()
@@ -272,7 +272,7 @@ def test_criterion_4_adaptive_rates():
             scheme,
         )
         res_pgd = identity_check(
-            psgd_run(prob, Regularizer.none(), sched, STEPS, Q=prob.sigma),
+            psgd_run(prob, Regularizer(0.0, prob.sigma), sched, STEPS),
             psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched.coupled(LAM), STEPS),
             scheme,
         )
@@ -320,8 +320,8 @@ def test_criterion_5_deviation_bound():
                                  q_norm=float(mu.max())),
                 pgd_mean(),
                 weights_sgd_adaptive(sched, LAM, STEPS),
-                lambda s: psgd_run(prob, Regularizer.none(), sched, STEPS,
-                                   Q=prob.sigma, seed=s, noise_sigma=sigma),
+                lambda s: psgd_run(prob, Regularizer(0.0, prob.sigma), sched, STEPS,
+                                   seed=s, noise_sigma=sigma),
             ),
             "nsgd": (
                 variance_epsilon("nsgd", sigma, delta, gamma, LAM, ALPHA,

@@ -178,7 +178,7 @@ def test_variance_mc_matches_single_seed_runs(tmp_path):
     cases = {
         "sgd": (lambda s: sgd_run(prob, none, sched, steps, seed=s, noise_sigma=args.sigma),
                 oracles.expectation_path(prob, none, sched, steps), adaptive),
-        "psgd": (lambda s: psgd_run(prob, none, sched, steps, Q=prob.sigma, seed=s,
+        "psgd": (lambda s: psgd_run(prob, Regularizer(0.0, prob.sigma), sched, steps, seed=s,
                                     noise_sigma=args.sigma),
                  oracles.expectation_path(prob, Regularizer.generalized_l2(0.0, prob.sigma),
                                           sched, steps, kind="pgd"), adaptive),
@@ -256,7 +256,7 @@ def test_sweep_refuses_records_it_cannot_reweight(tmp_path, capsys):
     # A pgd record lacks its Q; a noisy or mini-batch path meets the identity
     # at K only in mean; an ngd record needs a numeric alpha.
     prob, none, sched = toy_problem(), Regularizer.none(), make_schedule(0.1)
-    cases = {"pgd": psgd_run(prob, none, sched, 500, Q=prob.sigma),
+    cases = {"pgd": psgd_run(prob, Regularizer(0.0, prob.sigma), sched, 500),
              "sgd": sgd_run(prob, none, sched, 500, seed=1, noise_sigma=0.5)}
     for tag, rec in cases.items():
         stored = tmp_path / f"{tag}.npz"
@@ -411,7 +411,8 @@ def test_stored_plain_path_of_a_pair_reweights_at_any_lambda(tmp_path, lam):
     # The plain run of a pair at lambda = 0.5 stores only the rates it stepped
     # at, so one stored path gives the run penalized at any other lambda.
     prob, steps = toy_problem(), 500
-    plain, _, _ = cli._run_pair(prob, "gd", make_schedule(0.1), 0.5, steps, None)
+    plain, _, _ = cli._run_pair(prob, cli._optimizer(prob, "gd", None), make_schedule(0.1),
+                                0.5, steps)
     save_path(plain, str(tmp_path / "plain"))
     rec = load_path(str(tmp_path / "plain"))
     reg = sgd_run(prob, Regularizer.l2(lam), rec.schedule.coupled(lam), steps)
@@ -432,9 +433,23 @@ def test_pgd_preconditioner_is_chosen_once_in_its_penalty():
         run_, penalty, _ = cli._optimizer(prob, "pgd", None)
         assert run_ is psgd_run
         assert penalty(0.0).lam == 0.0 and penalty(0.0).Q.tobytes() == q.tobytes()
-        plain, _, _ = cli._run_pair(prob, "pgd", sched, 0.5, 30, None)
-        ref = psgd_run(prob, Regularizer.none(), sched, 30, Q=q)
+        plain, _, _ = cli._run_pair(prob, cli._optimizer(prob, "pgd", None), sched, 0.5, 30)
+        ref = psgd_run(prob, Regularizer(0.0, q), sched, 30)
         assert plain.iterates.tobytes() == ref.iterates.tobytes()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["mnist-logistic", "--limit", "300", "--batch", "50", "--steps", "20"], 1),
+    (["mnist-linear", "--limit", "800", "--batch", "100", "--steps", "20"], 2),
+])
+def test_pgd_decomposes_its_q_once_per_command(tmp_path, monkeypatch, argv, calls):
+    # Q is checked once, where _optimizer binds it, and every penalty of the
+    # family shares it; mnist-linear's Sigma is also checked once by from_data.
+    eigvalsh, seen = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: seen.append(a[0].shape) or eigvalsh(*a, **k))
+    code, _, _ = run(tmp_path, *argv, "--optimizer", "pgd")
+    assert code in (0, 1) and len(seen) == calls
 
 
 def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
@@ -449,6 +464,9 @@ def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
     # A stored lambda that is no finite strength >= 0 is refused, never read as 0.
     for i, lam in enumerate((None, [0.5], "x", float("nan"), -1, float("inf"), True)):
         cases.append((f"lam-{i}", dict(header, extras={"lam": lam}), "lam"))
+    # The problem fingerprint is a string, or the file is named as malformed.
+    for i, problem in enumerate((5, None, ["x"], {"a": 1})):
+        cases.append((f"problem-{i}", dict(header, problem=problem), "problem"))
     for label, bad, key in cases:
         path = tmp_path / f"{label}.npz"
         with open(path, "wb") as fh:
@@ -456,7 +474,7 @@ def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
         code, out, _ = run(tmp_path / label, "sweep", "--path", str(path))
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert str(path) in err and repr(key) in err
+        assert str(path) in err and f"header key {key!r}" in err
 
 
 def test_unreadable_input_files_exit_two(tmp_path, capsys):
@@ -486,6 +504,27 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
     code, out, checks = run(tmp_path, "demo2d")
     assert code == 3 and checks is None and not out.exists()
     assert capsys.readouterr().err == "numerical failure: x\n"
+
+
+def test_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):
+    # An AssertionError is a broken internal invariant (LRSchedule.coupled's),
+    # not a failed check: exit 3, and no directory of the run's own is left.
+    def fail(args, checks, out_dir):
+        raise AssertionError("learning-rate coupling violated")
+
+    monkeypatch.setattr(cli, "cmd_demo2d", fail)
+    code, out, checks = run(tmp_path, "demo2d")
+    assert code == 3 and checks is None and not out.exists()
+    assert capsys.readouterr().err == "broken invariant: learning-rate coupling violated\n"
+
+
+def test_sandwich_gamma_at_its_cap_is_a_config_error(tmp_path, capsys):
+    # At eta = 0.4, alpha = 1 and beta = 2 this gamma is under its cap, but
+    # lam2 = 1/gamma - 1/eta - (beta - alpha) rounds to 0.
+    code, out, _ = run(tmp_path, "sandwich", "--gamma", "0.2857142857142857")
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "gamma" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -144,8 +144,7 @@ class TestSgdRun:
         prob = toy_problem()
         for rec in (
             sgd_run(prob, Regularizer.none(), make_schedule(0.1), 100),
-            psgd_run(prob, Regularizer.none(), make_schedule(0.1), 100,
-                     Q=prob.sigma),
+            psgd_run(prob, Regularizer(0.0, prob.sigma), make_schedule(0.1), 100),
         ):
             losses = [eval_loss_grad(prob, Regularizer.none(), w)[0]
                       for w in rec.iterates]
@@ -179,7 +178,7 @@ class TestPsgdRun:
         # With Q = Sigma the update is w_{k+1} = (1-eta) w_k + eta w*.
         prob = toy_problem()
         eta = 0.1
-        rec = psgd_run(prob, Regularizer.none(), make_schedule(eta), 50, Q=prob.sigma)
+        rec = psgd_run(prob, Regularizer(0.0, prob.sigma), make_schedule(eta), 50)
         w_star = prob.minimizer()
         w = np.zeros(2)
         for k in range(50):
@@ -191,24 +190,20 @@ class TestPsgdRun:
         x = rng.uniform(0, 1, size=(9, 2))
         prob = QuadraticProblem.from_data(x, rng.standard_normal((9, 1)))
         sched = make_schedule(0.07)
-        a = psgd_run(prob, Regularizer.none(), sched, 40, Q=np.eye(2),
+        a = psgd_run(prob, Regularizer(0.0, np.eye(2)), sched, 40,
                      batch_size=3, seed=11, deterministic=False)
         b = sgd_run(prob, Regularizer.none(), sched, 40, batch_size=3, seed=11,
                     deterministic=False)
-        # Q carried by the plain run's penalty is the explicit Q, folded in.
-        c = psgd_run(prob, Regularizer(0.0, np.eye(2)), sched, 40,
-                     batch_size=3, seed=11, deterministic=False)
-        assert a.iterates.tobytes() == b.iterates.tobytes() == c.iterates.tobytes()
+        assert a.iterates.tobytes() == b.iterates.tobytes()
 
     def test_converges_to_minimizer(self):
         prob = toy_problem()
-        rec = psgd_run(prob, Regularizer.none(), make_schedule(0.1), 500, Q=prob.sigma)
+        rec = psgd_run(prob, Regularizer(0.0, prob.sigma), make_schedule(0.1), 500)
         assert np.abs(rec.iterates[-1] - prob.minimizer()).max() <= 1e-6
 
     def test_regularized_needs_generalized_penalty(self):
         with pytest.raises(ValueError, match="generalized_l2"):
-            psgd_run(toy_problem(), Regularizer.l2(0.1), make_schedule(0.1).coupled(0.1), 3,
-                     Q=np.eye(2))
+            psgd_run(toy_problem(), Regularizer.l2(0.1), make_schedule(0.1).coupled(0.1), 3)
 
     def test_explicit_q_must_be_symmetric_and_definite(self):
         # cho_factor reads only one triangle, so an asymmetric Q would run as
@@ -217,7 +212,7 @@ class TestPsgdRun:
         for q, message in ((asym, "symmetric"), (np.ones((2, 3)), "square"),
                            (np.diag([1.0, -1.0]), "positive definite")):
             with pytest.raises(ValueError, match=message):
-                psgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 5, Q=q)
+                psgd_run(toy_problem(), Regularizer(0.0, q), make_schedule(0.1), 5)
         with pytest.raises(ValueError, match="symmetric"):
             Regularizer.generalized_l2(0.1, asym)
 
@@ -229,7 +224,7 @@ class TestPsgdRun:
                                           rng.standard_normal((30, 3)))
         m = rng.standard_normal((4, 4))
         q = m @ m.T + np.eye(4)
-        rec = psgd_run(prob, Regularizer.none(), make_schedule(0.1), 1, Q=q)
+        rec = psgd_run(prob, Regularizer(0.0, q), make_schedule(0.1), 1)
         step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(q), -prob.a).ravel()
         assert rec.iterates[1].tobytes() == (0.0 - 0.1 * step).tobytes()
 
@@ -316,8 +311,8 @@ class TestNoisePlacement:
     def test_psgd_subtracts_noise_after_the_solve(self):
         prob = toy_problem()
         q = np.array([[2.0, 0.3], [0.3, 1.0]])
-        rec = psgd_run(prob, Regularizer.none(), make_schedule(self.eta), self.steps,
-                       Q=q, seed=self.seed, noise_sigma=self.sigma)
+        rec = psgd_run(prob, Regularizer(0.0, q), make_schedule(self.eta), self.steps,
+                       seed=self.seed, noise_sigma=self.sigma)
         noise = _sphere_noise_matrix(self.seed, self.steps, 2, self.sigma)
         w = np.zeros(2)
         for k in range(self.steps):
@@ -370,7 +365,7 @@ def _noisy_runs(prob):
     return {
         "sgd": lambda seed: sgd_run(prob, Regularizer.none(), sched, 200, seed=seed,
                                     noise_sigma=0.5),
-        "psgd": lambda seed: psgd_run(prob, Regularizer.none(), sched, 200, Q=q, seed=seed,
+        "psgd": lambda seed: psgd_run(prob, Regularizer(0.0, q), sched, 200, seed=seed,
                                       noise_sigma=0.5),
         "nsgd": lambda seed: nsgd_run(prob, Regularizer.l2(0.1), sched.coupled(0.1), 200,
                                       alpha=0.05, seed=seed, noise_sigma=0.5),

@@ -154,7 +154,7 @@ class TestExpectationPath:
         if kind == "gd":
             rec = sgd_run(prob, reg, sched, steps)
         elif kind == "pgd":
-            rec = psgd_run(prob, reg, sched, steps, Q=q)
+            rec = psgd_run(prob, reg, sched, steps)
         else:
             rec = nsgd_run(prob, reg, sched, steps, alpha=0.05)
         mean = expectation_path(prob, reg, sched, steps, kind=kind, alpha=0.05)

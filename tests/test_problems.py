@@ -41,6 +41,16 @@ class TestRegularizer:
         with pytest.raises(ValueError, match="finite"):
             Regularizer.l2(lam)
 
+    def test_at_shares_the_checked_q(self):
+        # A penalty family is one checked Q at many strengths: .at re-checks
+        # lambda, never Q.
+        base = Regularizer(0.0, np.array([[2.0, 0.5], [0.5, 1.0]]))
+        reg = base.at(0.3)
+        assert reg.lam == 0.3 and reg.Q is base.Q
+        for lam in (np.nan, -1.0, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                base.at(lam)
+
     def test_l1_has_no_gradient(self):
         # l1 solutions come from the proximal oracle, never from a gradient: a
         # Regularizer has no kind that could name l1, only (lam, Q).
