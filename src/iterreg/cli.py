@@ -493,17 +493,15 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
     t0 = time.perf_counter()
     if args.path:
         plain = load_path(args.path)
-        if plain.schedule is None:
-            raise ConfigError(f"{args.path}: stored path carries no schedule")
         if plain.problem_fingerprint != problem_fingerprint(prob):
             raise ConfigError(f"{args.path}: stored path is not of the demo problem")
-        if plain.extras.get("lam", 0.0) > 0:
+        if plain.lam > 0:
             raise ConfigError(f"{args.path}: stored path has a penalty, lam > 0")
         # A pgd record lacks its Q; a noisy path meets the identity at K only in mean.
-        name, alpha = plain.tag, plain.extras.get("alpha")
-        if name not in ("gd", "ngd") or name == "ngd" and type(alpha) not in (int, float):
+        name, alpha = plain.tag, plain.alpha
+        if name not in ("gd", "ngd") or name == "ngd" and alpha is None:
             raise ConfigError(f"{args.path}: sweep re-weights gd records and ngd records "
-                              f"with a numeric alpha, not {name!r} (alpha {alpha!r})")
+                              f"with an alpha, not {name!r} (alpha {alpha!r})")
         steps, sched = len(plain) - 1, plain.schedule
     else:
         sched = make_schedule(args.eta)
@@ -524,7 +522,11 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
                                         kind=name, alpha=alpha).iterates[-1]
         p_k, w_k, wavg_k = float(scheme.cumulative[steps]), plain.iterates[-1], avg[-1]
         residual = float(np.abs(p_k * wavg_k - (what - (1.0 - p_k) * w_k)).max())
-        checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual, 1e-10, {"lam": lam})
+        # Round-off budget: (K + 1) eps |w|_inf for the (K+1)-row average and the K-step
+        # recursions, 3 d eps |w|_inf for the oracle's eigenbasis and its two rotations.
+        budget = (steps + 1 + 3 * prob.d) * np.finfo(np.float64).eps * max(
+            np.abs(what).max(), np.abs(w_k).max())
+        checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual, budget, {"lam": lam})
         # By the identity the certificate equals |wavg_K - what_K|, for free.
         ridge = oracles.ridge_solution(prob, reg)
         points.append({"lam": lam, "P_K": p_k, "residual": residual,

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 _PATH_FORMAT = "iterreg-path"
-_PATH_VERSION = 3
+_PATH_VERSION = 4
 
 
 class DivergenceError(RuntimeError):
@@ -108,20 +108,24 @@ def make_schedule(
 
 @dataclass(frozen=True)
 class PathRecord:
-    """An ordered list of iterates plus the metadata needed to replay it.
+    """An ordered list of iterates plus the facts needed to replay it, each once.
 
-    ``iterates`` is a read-only view of the array given, which its owner
-    must not write afterwards: a record keeps its rotation into the last
-    read-only eigenbasis asked for (``in_basis``), so that re-weighting one
-    path for many kernel schemes rotates it once.
+    ``lam`` is the strength the run stepped with (lam_hat for a kernel
+    companion run) and ``alpha`` NGD's momentum curvature, else None; the
+    momentum tau is derived from them.  ``iterates`` is a read-only view of
+    the array given, which its owner must not write afterwards: a record
+    keeps its rotation into the last read-only eigenbasis asked for
+    (``in_basis``), so that re-weighting one path for many kernel schemes
+    rotates it once.
     """
 
     iterates: np.ndarray  # (steps+1, dim), iterates[0] == 0
     tag: str
-    seed: Optional[int] = None
-    schedule: Optional[LRSchedule] = None
+    seed: Optional[int]
+    schedule: LRSchedule
     problem_fingerprint: str = ""
-    extras: dict = field(default_factory=dict)
+    lam: float = 0.0
+    alpha: Optional[float] = None
     _rotation: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -220,17 +224,18 @@ def _validate_run_args(problem, batch_size, seed, deterministic, noisy):
 
 
 def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
-         noise_sigma, name, solve=None, tau=None, extras=None):
+         noise_sigma, name, solve=None, tau=None, alpha=None):
     """The one step loop behind sgd_run, psgd_run and nsgd_run.
 
     Rates, gradient route and noise are fixed before the loop.  Mini-batches
     are drawn uniformly with replacement; batch_size >= n is the full gradient.
     ``solve`` maps a gradient to the step direction (the preconditioned
     solve), and injected noise is subtracted from that direction.  ``tau``
-    turns on Nesterov lookahead from w_0 = w_1 = 0, so w_2 is the first step.
-    A sequence of seeds (full-gradient quadratic runs only) gives one record
-    per seed: seed i's (d, outputs) matrix is column block i of one state, so
-    a step reads Sigma and solves once for all seeds, each with its own noise.
+    turns on Nesterov lookahead from w_0 = w_1 = 0, so w_2 is the first step;
+    ``alpha``, the curvature NGD derived tau from, is only recorded.  A
+    sequence of seeds (full-gradient quadratic runs only) gives one record per
+    seed: seed i's (d, outputs) matrix is column block i of one state, so a
+    step reads Sigma and solves once for all seeds, each with its own noise.
     """
     stacked = np.ndim(seed) == 1
     seeds = list(seed) if stacked else [seed]
@@ -264,15 +269,13 @@ def _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
         w, prev = v - rates[k] * step_dir, w
         _guard(w, limit, k, name, seeds, d)
         path[k + 1] = w
-    records = [PathRecord(
-        iterates=block.reshape(steps + 1, dim),
-        # full-gradient, noise-free runs drop the "s": gd, pgd, ngd
-        tag=name if (not deterministic or noise_sigma) else name.replace("sgd", "gd"),
-        seed=s,
-        schedule=schedule,
-        problem_fingerprint=problem_fingerprint(problem),
-        extras={"lam": reg.lam, **(extras or {})},
-    ) for s, block in zip(seeds, np.moveaxis(path.reshape(steps + 1, d, len(seeds), -1), 2, 0))]
+    # full-gradient, noise-free runs drop the "s": gd, pgd, ngd
+    tag = name if (not deterministic or noise_sigma) else name.replace("sgd", "gd")
+    fingerprint = problem_fingerprint(problem)  # once, not once per seed
+    blocks = np.moveaxis(path.reshape(steps + 1, d, len(seeds), -1), 2, 0)
+    records = [PathRecord(iterates=block.reshape(steps + 1, dim), tag=tag, seed=s,
+                          schedule=schedule, problem_fingerprint=fingerprint, lam=reg.lam,
+                          alpha=alpha) for s, block in zip(seeds, blocks)]
     return records if stacked else records[0]
 
 
@@ -375,7 +378,7 @@ def nsgd_run(
     _accelerated_only(schedule, reg)
     tau = nesterov_momentum(schedule.eta(0), alpha + reg.lam)
     return _run(problem, reg, schedule, steps, batch_size, seed, deterministic,
-                noise_sigma, "nsgd", tau=tau, extras={"alpha": alpha, "tau": tau})
+                noise_sigma, "nsgd", tau=tau, alpha=alpha)
 
 
 def _diagonal_path(m, b, rates, steps, tau=0.0, first=0) -> np.ndarray:
@@ -432,13 +435,8 @@ def kernel_gd_run(
     coeffs = _diagonal_path(mu * mu + strength * mu, mu * (kernel.basis.T @ kernel.y),
                             rates, steps)
     path = coeffs @ kernel.basis.T
-    return PathRecord(
-        iterates=path,
-        tag="kernel-gd",
-        schedule=schedule,
-        problem_fingerprint=problem_fingerprint(kernel),
-        extras={"lam": lam, "lam_hat": lam_hat},
-    )
+    return PathRecord(iterates=path, tag="kernel-gd", seed=None, schedule=schedule,
+                      problem_fingerprint=problem_fingerprint(kernel), lam=strength)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,8 @@ def kernel_gd_run(
 
 
 def save_path(record: PathRecord, path: str) -> None:
-    header = {
+    # Encoded before the file is opened: a value JSON cannot hold leaves no file.
+    header = json.dumps({
         "format": _PATH_FORMAT,
         "version": _PATH_VERSION,
         "tag": record.tag,
@@ -457,24 +456,27 @@ def save_path(record: PathRecord, path: str) -> None:
         "steps": len(record) - 1,
         "dim": int(record.iterates.shape[1]),
         "problem": record.problem_fingerprint,
-        "extras": _jsonable(record.extras),
-        "schedule": None
-        if record.schedule is None
-        else {"etas": record.schedule.etas.tolist()},
-    }
-    # An open handle, not a name: np.savez appends ".npz" to a bare name.
-    with open(path, "wb") as fh:
-        np.savez(fh, allow_pickle=False, header=np.bytes_(json.dumps(header)),
-                 iterates=record.iterates)
+        "lam": record.lam,
+        "alpha": record.alpha,
+        "schedule": {"etas": record.schedule.etas.tolist()},
+    })
+    with open(path, "wb") as fh:  # a handle: np.savez appends ".npz" to a bare name
+        np.savez(fh, allow_pickle=False, header=np.bytes_(header), iterates=record.iterates)
+
+
+def _finite(v) -> bool:  # an int or float, not a bool; NaN fails the comparison
+    return type(v) in (int, float) and abs(v) < np.inf
 
 
 # Header key -> the test its value must pass (``type(v) is int`` refuses a bool); a
-# schedule must also be in LRSchedule's range, which NaN and infinity are not.
+# schedule must also be in LRSchedule's range.
 _HEADER_KEYS = {"steps": lambda v: type(v) is int, "dim": lambda v: type(v) is int,
                 "tag": lambda v: isinstance(v, str), "seed": lambda v: v is None or type(v) is int,
-                "extras": lambda v: isinstance(v, dict), "problem": lambda v: isinstance(v, str)}
+                "problem": lambda v: isinstance(v, str), "lam": lambda v: _finite(v) and v >= 0,
+                "alpha": lambda v: v is None or _finite(v) and v > 0,
+                "schedule": lambda v: isinstance(v, dict)}
 _SCHEDULE_KEYS = {"etas": lambda v: isinstance(v, list) and v != []
-                  and all(type(e) in (int, float) and 0 < e < np.inf for e in v)}
+                  and all(_finite(e) and e > 0 for e in v)}
 
 
 def _checked(path: str, table, tests: dict) -> list:
@@ -501,30 +503,11 @@ def load_path(path: str) -> PathRecord:
         raise ValueError(f"{path}: not a path record")
     if header.get("version") != _PATH_VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    steps, dim, tag, seed, extras, problem = _checked(path, header, _HEADER_KEYS)
-    if "lam" in extras:  # the run's penalty: NaN, infinity and a bool are no strength
-        _checked(path, extras, {"lam": lambda v: type(v) in (int, float) and 0 <= v < np.inf})
+    steps, dim, tag, seed, problem, lam, alpha, sched = _checked(path, header, _HEADER_KEYS)
     expected = (steps + 1, dim)
     if iterates.dtype != np.float64 or iterates.shape != expected:
         raise ValueError(f"{path}: expected float64 iterates of shape {expected}, "
                          f"got {iterates.dtype} {iterates.shape}")
-    sched = header.get("schedule")
-    schedule = None if sched is None else LRSchedule(*_checked(path, sched, _SCHEDULE_KEYS))
-    return PathRecord(
-        iterates=iterates,
-        tag=tag,
-        seed=seed,
-        schedule=schedule,
-        problem_fingerprint=problem,
-        extras=extras,
-    )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+    schedule = LRSchedule(*_checked(path, sched, _SCHEDULE_KEYS))
+    return PathRecord(iterates=iterates, tag=tag, seed=seed, schedule=schedule,
+                      problem_fingerprint=problem, lam=lam, alpha=alpha)

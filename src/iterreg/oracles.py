@@ -25,6 +25,7 @@ from .problems import (
     LogisticProblem,
     QuadraticProblem,
     Regularizer,
+    _check_q,
     convexity_bounds,
     eval_loss_grad,
 )
@@ -52,6 +53,7 @@ __all__ = [
 
 
 def _regularized_system(problem: QuadraticProblem, reg: Regularizer):
+    _check_q(problem, reg)
     if reg.lam == 0.0:
         return problem.sigma
     return problem.sigma + reg.lam * (np.eye(problem.d) if reg.Q is None else reg.Q)
@@ -134,13 +136,9 @@ def expectation_path(
     # One row of eigencoordinates per output, so the rotation back is one GEMM.
     rows = _diagonal_path(mu, problem.a.T @ vecs, rates, steps, tau, first)
     path = (rows.reshape(-1, problem.d) @ vecs.T).reshape(rows.shape).swapaxes(1, 2)
-    return PathRecord(
-        iterates=path.reshape(steps + 1, -1),
-        tag=f"expectation-{kind}",
-        schedule=schedule,
-        problem_fingerprint=problem_fingerprint(problem),
-        extras={"lam": reg.lam, "alpha": alpha} if kind == "ngd" else {"lam": reg.lam},
-    )
+    return PathRecord(iterates=path.reshape(steps + 1, -1), tag=f"expectation-{kind}", seed=None,
+                      schedule=schedule, problem_fingerprint=problem_fingerprint(problem),
+                      lam=reg.lam, alpha=alpha if kind == "ngd" else None)
 
 
 def nsgd_expectation_increment(

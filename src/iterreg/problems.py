@@ -378,12 +378,21 @@ def eval_loss_grad(problem, reg: Regularizer, w: np.ndarray):
     return problem.loss(w) + reg.value(w, problem.d), grad(w)
 
 
+def _check_q(problem, reg: Regularizer) -> None:
+    """Refuse a penalty whose Q is not d x d for the problem it meets, also at lam = 0,
+    where Q is still a PGD run's preconditioner."""
+    if reg.Q is not None and reg.Q.shape[0] != problem.d:
+        raise ValueError(f"Q is {reg.Q.shape[0]}x{reg.Q.shape[0]}, but the problem has "
+                         f"d = {problem.d}: a penalty's Q must be d x d")
+
+
 def _objective_grad(problem, reg: Regularizer):
     """The gradient of L(w) + lam R(w), a function of (w, rows=None), checked once here.
     Step loops skip ``eval_loss_grad``, whose loss costs a second Sigma product."""
     if isinstance(problem, KernelProblem):
         raise ValueError("kernel problems run through optimizers.kernel_gd_run, "
                          "which steps in the Gram eigenbasis")
+    _check_q(problem, reg)
     if reg.lam == 0.0:  # no zero vector to add at every step
         return problem.grad
     return lambda w, rows=None: problem.grad(w, rows) + reg.grad(w, problem.d)

@@ -229,7 +229,7 @@ def _stored_ngd(tmp_path, alpha=0.05, name="ngd.npz"):
     """A 500-step toy NGD record run at alpha = 0.05, stored with ``alpha``."""
     rec = nsgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 500, alpha=0.05)
     stored = tmp_path / name
-    save_path(dataclasses.replace(rec, extras=dict(rec.extras, alpha=alpha)), str(stored))
+    save_path(dataclasses.replace(rec, alpha=alpha), str(stored))
     return stored
 
 
@@ -290,6 +290,22 @@ def test_sweep_check_fails_on_corrupted_average(tmp_path, monkeypatch):
     code, _, checks = run(tmp_path, "sweep", "--lambda", "0.01,0.1")
     assert code == 1
     assert [c["pass"] for c in checks["checks"]] == [False, False]
+
+
+def test_sweep_identity_catches_a_unit_shift_at_small_p_k(tmp_path, monkeypatch):
+    # At lambda = 1e-12, P_K = 5e-11, so shifting every averaged entry by 1.0
+    # moves the residual by 5e-11: below a fixed 1e-10, far above round-off.
+    monkeypatch.setattr(cli, "averaged_path", lambda path, scheme:
+                        averaged_path(path, scheme) + 1.0)
+    code, _, checks = run(tmp_path, "sweep", "--lambda", "1e-12")
+    assert code == 1 and _passes(checks, "sweep/mixing-identity-at-K/") == [False]
+    assert checks["checks"][0]["threshold"] < 1e-12
+
+
+def test_one_step_sweep_passes(tmp_path):
+    # At K = 1 the oracle's eigenbasis, not the K + 1 averaged rows, bounds round-off.
+    code, _, checks = run(tmp_path, "sweep", "--steps", "1", "--lambda", "1e-12,1e-3,1,1e3")
+    assert code == 0 and checks["pass"] and len(checks["checks"]) == 4
 
 
 def _passes(checks, family):
@@ -458,12 +474,12 @@ def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
     save_path(rec, str(stored))
     with np.load(stored) as archive:
         header = json.loads(archive["header"].tobytes())
-    bare = {"format": header["format"], "version": 3}
+    bare = {"format": header["format"], "version": 4}
     only_lam = dict(header, schedule={"lam": 0.0})
     cases = [("bare", bare, "steps"), ("only-lam", only_lam, "etas")]
     # A stored lambda that is no finite strength >= 0 is refused, never read as 0.
     for i, lam in enumerate((None, [0.5], "x", float("nan"), -1, float("inf"), True)):
-        cases.append((f"lam-{i}", dict(header, extras={"lam": lam}), "lam"))
+        cases.append((f"lam-{i}", dict(header, lam=lam), "lam"))
     # The problem fingerprint is a string, or the file is named as malformed.
     for i, problem in enumerate((5, None, ["x"], {"a": 1})):
         cases.append((f"problem-{i}", dict(header, problem=problem), "problem"))
@@ -475,6 +491,22 @@ def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert str(path) in err and f"header key {key!r}" in err
+
+
+def test_sweep_refuses_a_version_3_record(tmp_path, capsys):
+    # Version 3 kept lam and alpha in an "extras" table; it has no second reader.
+    rec = sgd_run(toy_problem(), Regularizer.none(), make_schedule(0.1), 50)
+    stored = tmp_path / "v3.npz"
+    save_path(rec, str(stored))
+    with np.load(stored) as archive:
+        header = json.loads(archive["header"].tobytes())
+    old = {k: v for k, v in header.items() if k not in ("lam", "alpha")}
+    with open(stored, "wb") as fh:
+        np.savez(fh, header=np.bytes_(json.dumps(dict(old, version=3, extras={"lam": 0.0}))),
+                 iterates=rec.iterates)
+    code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
+    assert code == 2 and not out.exists()
+    assert f"{stored}: unsupported version 3" in capsys.readouterr().err
 
 
 def test_unreadable_input_files_exit_two(tmp_path, capsys):

@@ -216,6 +216,14 @@ class TestPsgdRun:
         with pytest.raises(ValueError, match="symmetric"):
             Regularizer.generalized_l2(0.1, asym)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_q_of_another_size_is_refused(self, lam, size):
+        # Refused before the first step, at lam = 0 too, where Q only preconditions.
+        with pytest.raises(ValueError, match=f"Q is {size}x{size}, but the problem has d = 2"):
+            psgd_run(toy_problem(), Regularizer(lam, np.eye(size)),
+                     make_schedule(0.1).coupled(lam), 5)
+
     def test_step_solves_like_cho_solve(self):
         # One step from zero is -eta Q^{-1}(-a): the LAPACK call on the cached
         # factor gives the bits of scipy's checked wrapper.
@@ -457,6 +465,12 @@ class TestKernelRun:
                 alpha = alpha - rate @ grad
                 np.testing.assert_allclose(rec.iterates[k + 1], alpha, atol=1e-12)
 
+    def test_record_stores_the_strength_it_stepped_with(self):
+        kern, sched = self.make_kernel(), make_schedule(0.1)
+        assert kernel_gd_run(kern, sched, 5, lam=0.5).lam == 0.5
+        companion = kernel_gd_run(kern, sched, 5, lam=0.0, lam_hat=2.0)
+        assert companion.lam == 2.0 and companion.alpha is None and companion.seed is None
+
     def test_lam_hat_must_exceed_lam(self):
         with pytest.raises(ValueError, match="lam_hat"):
             kernel_gd_run(self.make_kernel(), make_schedule(0.1), 5, lam=1.0,
@@ -472,7 +486,7 @@ class TestPathRecord:
     def make_record(self):
         rng = np.random.default_rng(8)
         x = np.vstack([np.zeros(6), rng.standard_normal((30, 6))])
-        return PathRecord(iterates=x, tag="test"), rng
+        return PathRecord(iterates=x, tag="test", seed=None, schedule=make_schedule(0.1)), rng
 
     @staticmethod
     def read_only(a):
@@ -535,6 +549,28 @@ class TestSerialization:
         assert back.problem_fingerprint == rec.problem_fingerprint
         np.testing.assert_array_equal(back.schedule.etas, rec.schedule.etas)
 
+    def test_ngd_header_stores_lam_and_alpha_but_not_tau(self, tmp_path):
+        # tau = nesterov_momentum(eta, alpha + lam) is derived, so it is not stored.
+        rec = nsgd_run(toy_problem(), Regularizer.l2(0.2), make_schedule(0.1).coupled(0.2), 30,
+                       alpha=0.05)
+        path = tmp_path / "ngd"
+        save_path(rec, str(path))
+        with np.load(path) as archive:
+            header = json.loads(archive["header"].tobytes())
+        assert header["version"] == 4 and (header["lam"], header["alpha"]) == (0.2, 0.05)
+        assert "tau" not in json.dumps(header) and "extras" not in header
+        back = load_path(str(path))
+        assert (back.lam, back.alpha) == (0.2, 0.05) and back.tag == "ngd"
+        assert back.iterates.tobytes() == rec.iterates.tobytes()
+
+    def test_value_json_cannot_hold_is_refused_and_leaves_no_file(self, tmp_path):
+        # Written as it is, never widened: a float32 lam is a TypeError, not 0.1000000015.
+        rec = sgd_run(toy_problem(), Regularizer(np.float32(0.1)),
+                      make_schedule(0.1).coupled(0.1), 5)
+        with pytest.raises(TypeError, match="float32"):
+            save_path(rec, str(tmp_path / "f32"))
+        assert not (tmp_path / "f32").exists()
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"format": "something-else"}\n')
@@ -572,7 +608,7 @@ class TestSerialization:
         with np.load(path) as archive:
             return rec, json.loads(archive["header"].tobytes())
 
-    @pytest.mark.parametrize("version", [1, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_other_versions_rejected(self, tmp_path, version):
         rec, header = self._header(tmp_path)
         header["version"] = version
@@ -582,13 +618,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("steps", "40"), ("dim", True), ("tag", 3), ("seed", 1.5), ("etas", ["0.1"]),
-        ("etas", 0.1), ("extras", [1]),
+        ("etas", 0.1), ("alpha", [1]),
         # typed, but out of the schedule's range
         ("etas", []), ("etas", [0.0]),
         # JSON's NaN and Infinity, which LRSchedule refuses too
         ("etas", [float("nan")]), ("etas", [float("inf")]),
     ], ids=["steps-40", "dim-True", "tag-3", "seed-1.5", "etas-value4", "etas-0.1",
-            "extras-value7", "etas-value9", "etas-value10", "etas-value11", "etas-value12"])
+            "alpha-value7", "etas-value9", "etas-value10", "etas-value11", "etas-value12"])
     def test_malformed_header_keys_rejected(self, tmp_path, key, value):
         rec, header = self._header(tmp_path)
         (header["schedule"] if key == "etas" else header)[key] = value
@@ -596,6 +632,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"key '{key}' is missing or malformed") as err:
             load_path(str(tmp_path / "m"))
         assert str(tmp_path / "m") in str(err.value)
+
+    @pytest.mark.parametrize("alpha", [0, -1, float("nan"), True, "0.05"])
+    def test_alpha_that_is_no_positive_number_rejected(self, tmp_path, alpha):
+        rec, header = self._header(tmp_path)
+        header["alpha"] = alpha
+        self._write_archive(tmp_path / "a", header, rec.iterates)
+        with pytest.raises(ValueError, match="key 'alpha' is missing or malformed") as err:
+            load_path(str(tmp_path / "a"))
+        assert str(tmp_path / "a") in str(err.value)
 
     def test_dim_mismatch_rejected(self, tmp_path):
         rec, header = self._header(tmp_path)

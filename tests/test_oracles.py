@@ -61,6 +61,12 @@ class TestRidgeSolution:
         sol = ridge_solution(prob, Regularizer.generalized_l2(0.5, prob.sigma))
         np.testing.assert_allclose(sol, prob.minimizer() / 1.5, atol=1e-12)
 
+    def test_q_of_another_size_is_refused(self):
+        # A 1x1 Q once broadcast into Sigma + 0.1 * 11^T and solved that system.
+        for lam in (0.1, 0.0):
+            with pytest.raises(ValueError, match=r"Q is 1x1, but the problem has d = 2"):
+                ridge_solution(toy_problem(), Regularizer(lam, np.eye(1)))
+
     def test_inaccurate_solve_is_a_numerical_failure(self):
         # Eigenvalues 1 down to 1e-13 in a random basis: full rank by the
         # rank rule (floor 2.7e-15), but the solve leaves a residual near
