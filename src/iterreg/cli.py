@@ -160,6 +160,22 @@ def _fit_slope(values: np.ndarray, floor: float, rate: float) -> float:
     return float(np.polyfit(ks, logs, 1)[0])
 
 
+def _identity_budget(steps: int, d: int, *paths) -> float:
+    """The mixing identity's round-off up to step K, m the largest |entry| of ``paths``: (K + 1)
+    eps m for the average and two K-step runs, 3 d eps m for an eigenbasis and two rotations."""
+    return (steps + 1 + 3 * d) * np.finfo(np.float64).eps * max(np.abs(p).max() for p in paths)
+
+
+def _final_gap_check(checks: Checks, name: str, plain, reg, avg, scheme, kappa=1.0) -> None:
+    """The identity pins the end gap at (1 - P_K) ||w_K - wavg_K||; check it to 1e-10, or to
+    kappa eps m, the one-step budget, for steps that solve in a metric of condition kappa."""
+    p_k = scheme.cumulative[len(avg) - 1]
+    predicted = (1.0 - p_k) * np.abs(plain.iterates[-1] - avg[-1]).max()
+    realized = np.abs(avg[-1] - reg.iterates[-1]).max()
+    floor = max(1e-10, kappa * _identity_budget(0, 0, plain.iterates, reg.iterates))
+    checks.add(name, abs(realized - predicted), floor + 1e-6 * predicted)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -175,7 +191,8 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
         t0 = time.perf_counter()
         p, r, scheme = _run_pair(prob, _optimizer(prob, name, alpha), sched, lam, steps)
         residual = oracles.identity_check(p, r, scheme)
-        checks.add(f"demo2d/identity/{name}", residual, 1e-10,
+        checks.add(f"demo2d/identity/{name}", residual,
+                   _identity_budget(steps, prob.d, p.iterates, r.iterates),
                    {"eta": eta, "lam": lam, "steps": steps})
         avg = averaged_path(p, scheme)
         err = np.linalg.norm(avg - r.iterates, axis=1)
@@ -185,13 +202,7 @@ def cmd_demo2d(args, checks: Checks, out_dir: str):
         slope = _fit_slope(err, 1e-13, rate)
         checks.add(f"demo2d/decay-slope/{name}", slope, np.log10(rate) + _SLOPE_SLACK,
                    {"rate": rate})
-        # The mixing identity pins the end gap at (1 - P_K) * ||w_K - wavg_K||;
-        # verify the realized gap agrees with that exact prediction.
-        p_last = scheme.cumulative[steps]
-        predicted = (1.0 - p_last) * np.abs(p.iterates[-1] - avg[-1]).max()
-        realized = np.abs(avg[-1] - r.iterates[-1]).max()
-        checks.add(f"demo2d/final-gap-vs-theory/{name}",
-                   abs(realized - predicted), 1e-10 + 1e-6 * predicted)
+        _final_gap_check(checks, f"demo2d/final-gap-vs-theory/{name}", p, r, avg, scheme)
         _write_report(args, out_dir, f"demo2d_{name}", f"demo2d-{name}", p, r, avg, scheme,
                       {"eta": eta, "lam": lam, "alpha": alpha, "steps": steps}, t0)
         if name == "gd":
@@ -241,11 +252,12 @@ def cmd_kernel_demo(args, checks: Checks, out_dir: str):
         reg = kernel_gd_run(kernel, sched, args.steps, lam=0.0, lam_hat=lam_hat)
         scheme = weights_kernel(kernel, sched, 0.0, lam_hat, args.steps)
         residual = oracles.identity_check(plain, reg, scheme)
-        checks.add(f"kernel/identity/lam_hat={lam_hat}", residual, 1e-9)
+        checks.add(f"kernel/identity/lam_hat={lam_hat}", residual,
+                   _identity_budget(args.steps, kernel.n, plain.iterates, reg.iterates))
         avg = averaged_path(plain, scheme)
         target = oracles.kernel_solution(kernel, lam_hat)
         # Within 1e-6 of the limit, or, where K steps cannot get that close,
-        # within the identity check's 1e-9 of the gap that K steps leave.
+        # within 1e-9 of the gap that K steps leave.
         floor = _kernel_limit_gap(kernel, eta, lam_hat, args.steps)
         checks.add(f"kernel/limit/lam_hat={lam_hat}",
                    np.abs(avg[-1] - target).max(), max(1e-6, floor + 1e-9))
@@ -310,15 +322,12 @@ def _run_pair(prob, optimizer, sched, lam, steps, batch=None, seed=None):
     return plain, regp, make_scheme(sched, lam, steps)
 
 
-def _eta_schedule(prob, args):
-    """The plain run's schedule.  The accelerated scheme assumes eta < 1/beta
-    and --alpha <= alpha, the problem's own curvature; either breach exits 2."""
+def _mnist_optimizer(prob, args):
+    """The plain run's schedule and ``_optimizer`` triple.  NGD takes alpha from the
+    problem, and its accelerated scheme assumes eta < 1/beta; a breach exits 2."""
     bounds = convexity_bounds(prob) if args.optimizer == "ngd" else None
-    sched = make_schedule(args.eta, bounds=bounds)
-    if bounds is not None and args.alpha > bounds.alpha:
-        raise ConfigError(f"--alpha {args.alpha:g} > alpha = {bounds.alpha:.6g}, "
-                          "the problem's strong convexity")
-    return sched
+    return (make_schedule(args.eta, bounds=bounds),
+            _optimizer(prob, args.optimizer, bounds.alpha if bounds else None))
 
 
 def cmd_mnist_linear(args, checks: Checks, out_dir: str):
@@ -331,8 +340,7 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
                           "least squares needs n >= d")
     _stochastic_batch(args, n)
     prob = QuadraticProblem.from_data(data.X, data.Y)
-    sched = _eta_schedule(prob, args)
-    optimizer = _optimizer(prob, args.optimizer, args.alpha)
+    sched, optimizer = _mnist_optimizer(prob, args)
     t0 = time.perf_counter()
 
     plain, reg, scheme = _run_pair(prob, optimizer, sched, lam, steps, seed=args.seed)
@@ -351,6 +359,9 @@ def cmd_mnist_linear(args, checks: Checks, out_dir: str):
     checks.add("mnist-linear/deterministic-final-error",
                float(err_avg[-1]), max(1e-4 * ridge_norm, (1.0 + 1e-6) * floor),
                {"ridge_l1_norm": float(ridge_norm)})
+    mu = prob.eigenvalues  # PGD solves in Q = Sigma, to cond(Sigma) eps relative
+    _final_gap_check(checks, "mnist-linear/deterministic-final-gap-vs-theory", plain, reg, avg,
+                     scheme, mu.max() / mu.min() if args.optimizer == "pgd" else 1.0)
 
     if not args.deterministic:
         t0 = time.perf_counter()
@@ -371,8 +382,7 @@ def cmd_mnist_logistic(args, checks: Checks, out_dir: str):
     data = _mnist_dataset(args)
     _stochastic_batch(args, data.n)
     prob = LogisticProblem(X=data.X, Y=data.Y, base_ridge=args.base_ridge)
-    sched = _eta_schedule(prob, args)
-    optimizer = _optimizer(prob, args.optimizer, args.alpha)
+    sched, optimizer = _mnist_optimizer(prob, args)
     for batch in (None,) if args.deterministic else (None, args.batch):
         t0 = time.perf_counter()
         plain, regp, scheme = _run_pair(prob, optimizer, sched, lam, steps,
@@ -522,11 +532,8 @@ def cmd_sweep(args, checks: Checks, out_dir: str):
                                         kind=name, alpha=alpha).iterates[-1]
         p_k, w_k, wavg_k = float(scheme.cumulative[steps]), plain.iterates[-1], avg[-1]
         residual = float(np.abs(p_k * wavg_k - (what - (1.0 - p_k) * w_k)).max())
-        # Round-off budget: (K + 1) eps |w|_inf for the (K+1)-row average and the K-step
-        # recursions, 3 d eps |w|_inf for the oracle's eigenbasis and its two rotations.
-        budget = (steps + 1 + 3 * prob.d) * np.finfo(np.float64).eps * max(
-            np.abs(what).max(), np.abs(w_k).max())
-        checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual, budget, {"lam": lam})
+        checks.add(f"sweep/mixing-identity-at-K/lam={lam}", residual,
+                   _identity_budget(steps, prob.d, what, w_k), {"lam": lam})
         # By the identity the certificate equals |wavg_K - what_K|, for free.
         ridge = oracles.ridge_solution(prob, reg)
         points.append({"lam": lam, "P_K": p_k, "residual": residual,
@@ -598,11 +605,9 @@ _FLAGS = {
 }
 
 
-# Flags a command does not read in a mode, one that all its mode flags set, a
-# (key, value) flag to that value: ((mode flags, unread flags), ...).
+# ((mode flags, unread flags), ...): the flags a command leaves unread once all mode flags are set.
 _MNIST_MODES = ((("deterministic",), ("batch",)),  # draws no batches
-                (("deterministic", "images", "labels"), ("seed",)),  # nor a stand-in
-                *(((("optimizer", name),), ("alpha",)) for name in ("gd", "pgd")))  # no momentum
+                (("deterministic", "images", "labels"), ("seed",)))  # nor a stand-in
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,8 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(option, **{"action": _Given, **kwargs})
         p.set_defaults(given=frozenset(), run=runner, modes=modes, **defaults)
 
-    mnist = ("out", "seed", "steps", "lam", "eta", "alpha", "batch", "deterministic", "limit",
-             "format", "images", "labels", "optimizer")
+    mnist = ("out", "seed", "steps", "lam", "eta", "batch", "deterministic", "limit", "format",
+             "images", "labels", "optimizer")
     command("demo2d", cmd_demo2d, "2-D quadratic demo (identities, rates)",
             ("out", "steps", "lam", "eta", "alpha", "format"))
     command("kernel-demo", cmd_kernel_demo, "kernel dual paths vs closed form",
@@ -631,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, runner, extra in (("mnist-linear", cmd_mnist_linear, ()),
                                 ("mnist-logistic", cmd_mnist_logistic, ("base_ridge",))):
         command(name, runner, f"{name} experiment (IDX data or stand-in)", mnist + extra,
-                modes=_MNIST_MODES, eta=0.01, lam=4.0, alpha=1.0)
+                modes=_MNIST_MODES, eta=0.01, lam=4.0)
     command("variance-mc", cmd_variance_mc, "Chebyshev deviation bound, many seeds",
             ("out", "seed", "steps", "lam", "eta", "alpha", "sigma", "delta", "mc_seeds"))
     command("sandwich", cmd_sandwich, "entry-wise bracket for a general loss",
@@ -646,12 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_mode_flags(args) -> None:
     for mode, unread in args.modes:
-        flags = [(m, None) if isinstance(m, str) else m for m in mode]
         for key in unread:
-            if key in args.given and all(getattr(args, m) == v if v else getattr(args, m)
-                                         for m, v in flags):
-                mode_flags = " ".join(f"{_FLAGS[m][0]} {v}" if v else _FLAGS[m][0]
-                                      for m, v in flags)
+            if key in args.given and all(getattr(args, m) for m in mode):
+                mode_flags = " ".join(_FLAGS[m][0] for m in mode)
                 raise ConfigError(f"{args.command} {mode_flags} does not read {_FLAGS[key][0]}")
 
 

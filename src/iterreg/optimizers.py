@@ -97,12 +97,8 @@ def make_schedule(
     eta_k < 1/beta; otherwise the caller vouches for stability.
     """
     sched = LRSchedule(kind)
-    if bounds is not None:
-        limit = 1.0 / bounds.beta
-        if sched.etas.max() >= limit:
-            raise ValueError(
-                f"learning rate {sched.etas.max():.6g} >= 1/beta = {limit:.6g}"
-            )
+    if bounds is not None and sched.etas.max() >= 1 / bounds.beta:
+        raise ValueError(f"learning rate {sched.etas.max():.6g} >= 1/beta = {1 / bounds.beta:.6g}")
     return sched
 
 

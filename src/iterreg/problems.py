@@ -73,6 +73,7 @@ class Regularizer:
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:  # NaN fails too
             raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
+        object.__setattr__(self, "lam", float(self.lam))  # a numpy scalar too, for JSON
         if self.Q is not None:
             q = np.asarray(self.Q, dtype=np.float64)
             _check_spd(q, "Q")

@@ -96,13 +96,31 @@ def test_mnist_linear_ngd_above_the_rate_bound_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: learning rate 0.01 >= 1/beta = 0.00627815\n"
 
 
-def test_mnist_linear_ngd_alpha_above_the_problem_exits_two(tmp_path, capsys):
-    # eta = 0.005 is below 1/beta, but the stand-in's alpha is 4.25e-5, not 1.
-    code, out, _ = run(tmp_path, "mnist-linear", "--optimizer", "ngd", "--eta", "0.005",
-                       "--deterministic")
-    assert code == 2 and not out.exists()
-    assert capsys.readouterr().err == \
-        "config error: --alpha 1 > alpha = 4.25377e-05, the problem's strong convexity\n"
+def _nsgd_alphas(monkeypatch):
+    """The alphas that the commands' NGD schemes are built with, in call order."""
+    alphas, build = [], weights_nsgd
+    monkeypatch.setattr(cli, "weights_nsgd", lambda eta, lam, alpha, steps:
+                        alphas.append(alpha) or build(eta, lam, alpha, steps))
+    return alphas
+
+
+def test_mnist_linear_ngd_runs_at_the_problems_alpha(tmp_path, monkeypatch):
+    # eta = 0.005 is below 1/beta, and NGD takes the stand-in's own alpha, 4.25e-5.
+    # Only the monotonicity check fails: "after 10" is a premise of GD, not of NGD.
+    alphas = _nsgd_alphas(monkeypatch)
+    code, _, checks = run(tmp_path, "mnist-linear", "--optimizer", "ngd", "--eta", "0.005",
+                          "--deterministic")
+    assert code == 1 and f"{alphas[0]:.6g}" == "4.25377e-05"
+    assert {c["check"] for c in checks["checks"] if not c["pass"]} == {
+        "mnist-linear/deterministic-monotone-after-10"}
+
+
+def test_mnist_logistic_ngd_takes_alpha_from_the_base_ridge(tmp_path, monkeypatch):
+    # The softmax loss's alpha is its base ridge; a lower one needs no second flag.
+    alphas = _nsgd_alphas(monkeypatch)
+    code, _, checks = run(tmp_path, "mnist-logistic", "--optimizer", "ngd", "--base-ridge",
+                          "0.5", "--limit", "1000")
+    assert code == 0 and checks["pass"] and alphas == [0.5, 0.5]
 
 
 def test_mnist_linear_from_idx_files(tmp_path):
@@ -337,6 +355,25 @@ def test_demo2d_identity_checks_fail_on_shifted_scheme(tmp_path, monkeypatch):
     assert _passes(checks, "demo2d/identity/") == [False, False, False]
 
 
+@pytest.mark.parametrize("argv, family", [
+    (["demo2d", "--lambda", "1e-12"], "demo2d/identity/"),
+    (["kernel-demo", "--lam-hats", "1e-12"], "kernel/identity/"),
+])
+def test_identity_checks_catch_a_unit_shift_at_small_p_k(tmp_path, monkeypatch, argv, family):
+    # At strength 1e-12, P_K is about 5e-11 (demo2d) and 2e-10 (kernel-demo), so
+    # shifting every entry of identity_check's average by 1.0 moves its residual by
+    # that much: below the fixed 1e-10 and 1e-9 these checks had, far above round-off.
+    code, _, checks = run(tmp_path / "ok", *argv)
+    assert code == 0 and checks["pass"]
+    average = oracles._average
+    monkeypatch.setattr(oracles, "_average", lambda *a, **k: average(*a, **k) + 1.0)
+    code, _, checks = run(tmp_path / "fault", *argv)
+    assert code == 1
+    failing = {c["check"] for c in checks["checks"] if not c["pass"]}
+    assert failing and failing == {c["check"] for c in checks["checks"]
+                                   if c["check"].startswith(family)}
+
+
 def test_sandwich_checks_fail_on_shifted_scheme(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "weights_sgd_adaptive", _shifted(weights_sgd_adaptive))
     code, _, checks = run(tmp_path, "sandwich")
@@ -354,6 +391,31 @@ def test_mnist_linear_final_error_check_fails_on_corrupted_average(tmp_path, mon
     code, _, checks = run(tmp_path, "mnist-linear", "--limit", "1000", "--deterministic")
     assert code == 1
     assert _passes(checks, "mnist-linear/deterministic-final-error") == [False]
+
+
+@pytest.mark.parametrize("steps", ["11", "20"])
+def test_mnist_linear_final_gap_fails_on_corrupted_average(tmp_path, monkeypatch, steps):
+    # The halfway blend passes the one-sided final-error check wherever P_K < 2/3
+    # (0.375 at 11 steps, 0.561 at 20); the end gap that the identity pins does not.
+    monkeypatch.setattr(cli, "averaged_path", _blended)
+    code, _, checks = run(tmp_path, "mnist-linear", "--limit", "1000", "--deterministic",
+                          "--steps", steps)
+    assert code == 1
+    assert _passes(checks, "mnist-linear/deterministic-final-gap-vs-theory") == [False]
+
+
+# GD's run passes every check: test_limit_checks_pass_from_the_shortest_run_and_catch_a_fault.
+@pytest.mark.parametrize("argv", [
+    ["--limit", "1000", "--optimizer", "pgd"],
+    ["--limit", "1000", "--optimizer", "ngd", "--eta", "0.005"],
+    # Sigma's condition number is 3.0e9 here; PGD's solves in it leave a gap
+    # residual of 3.2e-9, above 1e-10 and far below cond(Sigma) eps m.
+    ["--limit", "800", "--optimizer", "pgd"],
+])
+def test_mnist_linear_final_gap_holds_for_every_optimizer(tmp_path, argv):
+    code, _, checks = run(tmp_path, "mnist-linear", "--deterministic", *argv)
+    assert code in (0, 1)
+    assert _passes(checks, "mnist-linear/deterministic-final-gap-vs-theory") == [True]
 
 
 def test_kernel_limit_check_fails_on_corrupted_average(tmp_path, monkeypatch):
@@ -672,7 +734,7 @@ def test_images_without_labels_rejected(tmp_path):
 
 
 # The flags each subcommand reads, and so the only ones it accepts.
-_MNIST_FLAGS = {"--out", "--seed", "--steps", "--lambda", "--eta", "--alpha", "--batch",
+_MNIST_FLAGS = {"--out", "--seed", "--steps", "--lambda", "--eta", "--batch",
                 "--deterministic", "--limit", "--format", "--images", "--labels",
                 "--optimizer"}
 ACCEPTED_FLAGS = {
@@ -701,7 +763,7 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     accepted = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
                 for name, sub in _subparsers(parser).items()}
     assert accepted == ACCEPTED_FLAGS
-    assert sum(len(flags) for flags in accepted.values()) == 62
+    assert sum(len(flags) for flags in accepted.values()) == 60
 
 
 def test_command_lists_in_the_docs_match_the_parser():
@@ -842,6 +904,7 @@ def _scheme_at(factor):
 _RIDGE, _EPSILON = oracles.ridge_solution, oracles.variance_epsilon
 _MNIST_LINEAR_CHECKS = {"mnist-linear/deterministic-monotone-after-10",
                         "mnist-linear/deterministic-final-error",
+                        "mnist-linear/deterministic-final-gap-vs-theory",
                         "mnist-linear/stochastic-avg-below-plain"}
 
 
@@ -941,10 +1004,12 @@ def test_config_keys_a_mode_does_not_read_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("via", ["argv", "config"])
-@pytest.mark.parametrize("optimizer", ["gd", "pgd"])
+@pytest.mark.parametrize("optimizer", ["gd", "pgd", "ngd"])
 @pytest.mark.parametrize("command", ["mnist-linear", "mnist-logistic"])
 def test_alpha_is_refused_where_no_momentum_reads_it(tmp_path, capsys, command, optimizer,
                                                       via):
+    # No flag is read for alpha: gd and pgd have no momentum, and ngd's takes the
+    # problem's own strong convexity.
     argv = [command, "--optimizer", optimizer, "--deterministic", "--steps", "20",
             "--limit", "1000"]
     if via == "argv":
@@ -955,14 +1020,4 @@ def test_alpha_is_refused_where_no_momentum_reads_it(tmp_path, capsys, command, 
         argv = ["--config", str(cfg), *argv]
     code, out, _ = run(tmp_path, *argv)
     assert code == 2 and not out.exists()
-    assert f"{command} --optimizer {optimizer} does not read --alpha" \
-        in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["mnist-linear", "mnist-logistic"])
-def test_alpha_is_read_by_ngd_and_the_default_is_not_refused(command):
-    # NGD's momentum reads --alpha; a run that leaves it unset sets nothing to refuse.
-    parse = cli.build_parser().parse_args
-    for argv in ([command, "--optimizer", "ngd", "--alpha", "1e-5"],
-                 [command, "--optimizer", "gd"], [command, "--optimizer", "pgd"], [command]):
-        cli._check_mode_flags(parse(argv))
+    assert "unrecognized arguments: --alpha" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -565,11 +566,20 @@ class TestSerialization:
 
     def test_value_json_cannot_hold_is_refused_and_leaves_no_file(self, tmp_path):
         # Written as it is, never widened: a float32 lam is a TypeError, not 0.1000000015.
+        # Regularizer stores a float, so the record is given the float32 directly.
+        rec = sgd_run(toy_problem(), Regularizer(0.1), make_schedule(0.1).coupled(0.1), 5)
+        with pytest.raises(TypeError, match="float32"):
+            save_path(dataclasses.replace(rec, lam=np.float32(0.1)), str(tmp_path / "f32"))
+        assert not (tmp_path / "f32").exists()
+
+    def test_run_at_a_numpy_scalar_lam_round_trips(self, tmp_path):
+        # Regularizer keeps float(lam), which JSON holds; the record keeps that value.
         rec = sgd_run(toy_problem(), Regularizer(np.float32(0.1)),
                       make_schedule(0.1).coupled(0.1), 5)
-        with pytest.raises(TypeError, match="float32"):
-            save_path(rec, str(tmp_path / "f32"))
-        assert not (tmp_path / "f32").exists()
+        save_path(rec, str(tmp_path / "f32"))
+        back = load_path(str(tmp_path / "f32"))
+        assert type(back.lam) is float and back.lam == float(np.float32(0.1))
+        assert back.iterates.tobytes() == rec.iterates.tobytes()
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.jsonl"
