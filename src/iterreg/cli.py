@@ -417,10 +417,10 @@ def cmd_variance_mc(args, checks: Checks, out_dir: str):
                                             alpha=args.alpha)
         scheme = make_scheme(sched, lam, steps)
         p_last = scheme.cumulative[steps]
-        target = averaged_path(mean_rec, scheme)[-1]
+        target = averaged_path(mean_rec, scheme)[-1].copy()
         runs = run(prob, penalty(0.0), sched, steps,
                    seed=range(args.seed, args.seed + args.mc_seeds), noise_sigma=sigma)
-        finals = [averaged_path(rec, scheme)[-1] for rec in runs]
+        finals = [averaged_path(rec, scheme)[-1].copy() for rec in runs]
         deviations = [float(np.linalg.norm(p_last * f - p_last * target)) for f in finals]
         freq = float(np.mean(np.asarray(deviations) > eps))
         results[kind] = {"epsilon": eps, "frequency": freq,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from iterreg.averaging import (
+    _BLOCK_ROWS,
+    _ROW_LOOP_MIN_WIDTH,
     DegenerateSchemeError,
     RunningAverage,
     WeightScheme,
@@ -293,7 +295,9 @@ class TestRunningAverage:
             w[:] = row
             state.update(w)  # w is written again after every update
         w[:] = np.nan
-        assert _same_bits(state.finalize(), averaged_path(x, scheme)[-1])
+        final = state.finalize()
+        assert _same_bits(final, averaged_path(x, scheme)[-1])
+        assert final.base is None  # not a view pinning the whole averaged path
 
     def test_out_of_order_rejected(self):
         scheme = WeightScheme([0.5, 1.0])
@@ -357,19 +361,26 @@ def _wide_per_eigen_scheme(steps, m=600, seed=5):
 
 
 class TestAveragedPathKernel:
-    """Wide rows take a row-by-row prefix sum, narrow rows np.cumsum; both
+    """Wide rows take one pass over blocks of rows, narrow rows np.cumsum; both
     must equal the direct formula bit for bit, zero-weight entries as +0.0."""
 
     SCHEMES = {
         "sgd-adaptive": lambda steps: weights_sgd_adaptive(0.1, 0.3, steps),
         "nsgd": lambda steps: weights_nsgd(0.1, 0.3, 0.2, steps),
+        "cyclic": lambda steps: weights_sgd_adaptive([0.2, 0.1, 0.05], 0.3, steps),
     }
 
-    @pytest.mark.parametrize("shape", [(301, 1024), (501, 2)])
+    # Beyond the first two: either side of the route switch, whole blocks only,
+    # a partial last block, one row, and the benchmark's MNIST-size path.
+    @pytest.mark.parametrize("shape", [
+        (301, 1024), (501, 2), (301, _ROW_LOOP_MIN_WIDTH - 1),
+        (40 * _BLOCK_ROWS, _ROW_LOOP_MIN_WIDTH), (40 * _BLOCK_ROWS + 3, _ROW_LOOP_MIN_WIDTH),
+        (1, _ROW_LOOP_MIN_WIDTH), (501, 7840)])
     @pytest.mark.parametrize("kind", sorted(SCHEMES))
     def test_bit_identical_to_formula(self, shape, kind):
         scheme = self.SCHEMES[kind](shape[0] - 1)
         x = np.random.default_rng(shape[1]).standard_normal(shape)
+        x[0, ::2] = -0.0  # signed zeros keep their sign where P_0 > 0
         before = x.copy()
         avg = averaged_path(x, scheme)
         assert _same_bits(avg, _averaged_path_reference(x, scheme))
