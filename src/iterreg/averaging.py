@@ -7,7 +7,8 @@ weighted average of a path w_0..w_K is
     wavg_k = P_k^{-1} * sum_{i<=k} p_i w_i ,
 
 and each scheme is built so that this average of an *unregularized*
-path reproduces the *regularized* solution at an adjustable strength.
+path reproduces the *regularized* solution at an adjustable strength;
+``_cumulative`` forms P_k in closed form over one period of the rates.
 Per-eigenvalue schemes in a given basis carry one cumulative sequence
 per basis column and act diagonally in that basis; they are never made
 dense.  ``_average`` is the one averaging kernel: it works on rows in a
@@ -106,28 +107,32 @@ def _require_positive_lam(lam: float) -> None:
     if not lam < np.inf:  # NaN fails too
         raise ValueError(f"lambda must be finite, got {lam}")
     if lam <= 0:
-        raise DegenerateSchemeError(
-            "lambda must be positive: at lambda = 0 every weight vanishes and the "
-            "average is 0/0"
-        )
+        raise DegenerateSchemeError("lambda must be positive: at lambda = 0 every weight "
+                                    "vanishes and the average is 0/0")
 
 
-def _cumulative(log_ratios: np.ndarray) -> np.ndarray:
-    """P_k = 1 - prod_{i<=k} r_i from log r_i, to a relative error near K * eps
-    even for r_i within 1e-13 of one, where 1 - cumprod(r) keeps few digits.
-    ``0.0 -`` makes P_k = +0.0, not -0.0, where the product is exactly one.
-    Overwrites ``log_ratios`` with P and returns it."""
-    np.cumsum(log_ratios, axis=0, out=log_ratios)
-    np.expm1(log_ratios, out=log_ratios)
-    return np.subtract(0.0, log_ratios, out=log_ratios)
-
-
-def _per_step(schedule, per_rate, steps: int) -> np.ndarray:
-    """Rows 0..steps-1 of ``per_rate(etas)``, taken once per distinct rate of the
-    schedule and repeated cyclically, as LRSchedule.etas_upto repeats the rates."""
-    etas = (schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule)).etas
-    rows = per_rate(etas)
-    return rows[np.arange(steps) % len(rows)]
+def _cumulative(period: np.ndarray, K: int, head: Sequence[float] = ()) -> np.ndarray:
+    """P_0..P_K = 1 - exp(L_k), L_k the sum of the log ratios of steps 0..k: NGD's first
+    sums ``head``, then ``period``'s T rows repeated as etas_upto repeats rates.  Step qT + j
+    past the head has L = L_head + q S_T + S_{j+1}, S the running sum over one period: no
+    (K+1)-row prefix sum, one multiply per entry for a constant rate, and P_k within a few
+    eps relative, also for r within 1e-13 of one.  ``0.0 -`` gives +0.0, not -0.0, at L = 0."""
+    h = min(len(head), K + 1)
+    out = np.empty((K + 1,) + period.shape[1:])
+    body, T = out[h:], min(len(period), K + 1)
+    if T == 1:
+        np.multiply.outer(np.arange(1.0, len(body) + 1), period[0], out=body)
+    else:  # a schedule with no repeat within the horizon has q = 1 and T = K + 1
+        sums = np.cumsum(period[:T], axis=0)  # S_1..S_T
+        q, rem = divmod(len(body), T)
+        np.add(np.multiply.outer(np.arange(q), sums[-1])[:, None], sums,
+               out=body[:q * T].reshape((q,) + sums.shape))
+        np.add(q * sums[-1], sums[:rem], out=body[q * T:])
+    if h:
+        out[:h].T[...] = head[:h]  # the same sums in every column
+        body += out[h - 1]
+    np.expm1(out, out=out)
+    return np.subtract(0.0, out, out=out)
 
 
 def _check_horizon(K) -> None:
@@ -159,9 +164,9 @@ def weights_sgd_adaptive(schedule: Union[LRSchedule, Sequence[float], float],
         lam = np.asarray(lam, dtype=np.float64)
         if lam.ndim != 1 or not np.all((lam >= 0) & (lam < np.inf)):  # NaN fails
             raise ValueError("per-eigenvalue strengths must be finite and >= 0, one per column")
-    # gamma_i / eta_i = 1 / (1 + lam * eta_i), one row per rate
-    p_cum = _cumulative(_per_step(
-        schedule, lambda etas: -np.log1p(np.multiply.outer(etas, lam)), K + 1))
+    etas = (schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule)).etas
+    # gamma_i / eta_i = 1 / (1 + lam * eta_i), one row per rate the horizon reaches
+    p_cum = _cumulative(-np.log1p(np.multiply.outer(etas[:K + 1], lam)), K)
     return WeightScheme(p_cum, basis=basis, params={"lam": lam})
 
 
@@ -181,10 +186,8 @@ def weights_nsgd(eta: float, lam: float, alpha: float, K: int) -> WeightScheme:
     decay = (1.0 - np.sqrt(gamma * (alpha + lam))) / (1.0 - np.sqrt(eta * alpha))
     if not (0.0 < decay < 1.0):
         raise ValueError(f"decay ratio {decay:.6g} outside (0, 1); scheme undefined")
-    log_ratios = np.full(K + 1, np.log(decay))
-    # r = 1 (w_0 = w_1 = 0), gamma / eta, decay, decay, ...
-    log_ratios[:2] = [0.0, -np.log1p(lam * eta)][: K + 1]
-    p_cum = _cumulative(log_ratios)
+    # r = 1 (w_0 = w_1 = 0), gamma / eta, then decay at every step
+    p_cum = _cumulative(np.log([decay]), K, head=(0.0, -np.log1p(lam * eta)))
     return WeightScheme(p_cum, params={"eta": eta, "lam": lam, "alpha": alpha, "decay": decay})
 
 
@@ -254,12 +257,11 @@ def _average(rows: np.ndarray, scheme: WeightScheme,
     # Columns: (K+1, 1) for scalar schemes, (K+1, m) per eigenvalue.
     p_cum = scheme.cumulative[: steps + 1].reshape(steps + 1, -1)
     p_inc = _increments(p_cum, out=out)
-    live = None if p_cum.min() > 0 else p_cum > 0
-    denom = p_cum if live is None else np.where(live, p_cum, 1.0)
+    live = True if p_cum.min() > 0 else p_cum > 0  # where to divide; the rest is zeroed
     if rows.shape[1] < _ROW_LOOP_MIN_WIDTH:
         avg = np.multiply(p_inc, rows, out=p_inc if p_inc.shape == rows.shape else None)
         np.cumsum(avg, axis=0, out=avg)
-        avg /= denom
+        np.divide(avg, p_cum, out=avg, where=live)
     else:
         # Each block of rows is weighted into ``sums`` below row 0, the sum so far (-0.0 + x
         # is x), added up in np.cumsum's order and divided into ``avg`` while in cache; its
@@ -273,11 +275,12 @@ def _average(rows: np.ndarray, scheme: WeightScheme,
             np.multiply(p_inc[lo:lo + n], rows[lo:lo + n], out=sums[1:n + 1])
             for prev, row in adds[:n]:
                 np.add(prev, row, out=row)
-            np.divide(sums[1:n + 1], denom[lo:lo + n], out=avg[lo:lo + n])
+            np.divide(sums[1:n + 1], p_cum[lo:lo + n], out=avg[lo:lo + n],
+                      where=live if live is True else live[lo:lo + n])
             sums[0] = sums[n]
-    if live is not None:
-        dead = ~live.all(axis=1)  # only these rows: a full pass adds 10-30% on a wide path
-        avg[dead] = np.where(live[dead], avg[dead], 0.0)
+    if live is not True:  # only the rows and columns holding a P_k = 0, not the whole array
+        dead = np.ix_(~live.all(axis=1), np.broadcast_to(~live.all(axis=0), avg.shape[1:]))
+        avg[dead] = np.where(np.broadcast_to(live, avg.shape)[dead], avg[dead], 0.0)
     return avg
 
 
@@ -304,18 +307,10 @@ def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> 
 
 
 def scheme_to_csv(scheme: WeightScheme, path: str) -> None:
-    """Audit export: (k, p_k, P_k) rows; kernel schemes in long format."""
+    """Audit export: (k, p_k, P_k) rows; kernel schemes in long format, by eig_index."""
+    incr = scheme.increments
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        incr = scheme.increments
-        if scheme.basis is not None:
-            writer.writerow(["k", "eig_index", "p_k", "P_k"])
-            for k in range(scheme.horizon + 1):
-                for j in range(scheme.cumulative.shape[1]):
-                    writer.writerow(
-                        [k, j, repr(float(incr[k, j])), repr(float(scheme.cumulative[k, j]))]
-                    )
-        else:
-            writer.writerow(["k", "p_k", "P_k"])
-            for k in range(scheme.horizon + 1):
-                writer.writerow([k, repr(float(incr[k])), repr(float(scheme.cumulative[k]))])
+        writer.writerow(["k", "eig_index"][: incr.ndim] + ["p_k", "P_k"])
+        for at in np.ndindex(incr.shape):  # (k,) or (k, j), k major
+            writer.writerow([*at, repr(float(incr[at])), repr(float(scheme.cumulative[at]))])

@@ -56,6 +56,7 @@ from .problems import (
     LogisticProblem,
     QuadraticProblem,
     Regularizer,
+    _sharing_q,
     convexity_bounds,
     toy_problem,
 )
@@ -215,11 +216,8 @@ _KERNEL_MAX_N = 1000  # kernel-demo's largest Gram matrix
 def _random_kernel(n: int, seed: int):
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    mu = rng.uniform(0.5, 2.0, size=n)
-    gram = basis @ np.diag(mu) @ basis.T
-    gram = 0.5 * (gram + gram.T)
-    y = rng.standard_normal(n)
-    return KernelProblem(K=gram, y=y)
+    gram = basis @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ basis.T
+    return KernelProblem(K=0.5 * (gram + gram.T), y=rng.standard_normal(n))
 
 
 def _kernel_limit_gap(kernel, eta: float, lam_hat: float, steps: int) -> float:
@@ -300,10 +298,11 @@ def _optimizer(prob, name, alpha):
     (at most Sigma/2 + base_ridge I), with a 1e-8 floor for base_ridge 0."""
     if name == "gd":
         return sgd_run, Regularizer.l2, weights_sgd_adaptive
-    if name == "pgd":
-        q = prob.sigma if isinstance(prob, QuadraticProblem) else (
-            prob.X.T @ prob.X / prob.n_samples + (prob.base_ridge + 1e-8) * np.eye(prob.d))
-        return psgd_run, Regularizer(0.0, q).at, weights_sgd_adaptive  # Q checked once
+    if name == "pgd":  # Q is checked once: a quadratic's Sigma by the problem, else here
+        if isinstance(prob, QuadraticProblem):
+            return psgd_run, partial(_sharing_q, Q=prob.sigma), weights_sgd_adaptive
+        q = prob.X.T @ prob.X / prob.n_samples + (prob.base_ridge + 1e-8) * np.eye(prob.d)
+        return psgd_run, Regularizer(0.0, q).at, weights_sgd_adaptive
     return (partial(nsgd_run, alpha=alpha), Regularizer.l2,  # ngd, the parser admits no other
             lambda sched, lam, steps: weights_nsgd(sched.eta(0), lam, alpha, steps))
 

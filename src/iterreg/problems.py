@@ -93,9 +93,7 @@ class Regularizer:
 
     def at(self, lam: float) -> "Regularizer":
         """This penalty at strength lam, sharing its already-checked Q."""
-        reg = Regularizer(lam)
-        object.__setattr__(reg, "Q", self.Q)
-        return reg
+        return _sharing_q(lam, self.Q)
 
     def value(self, w: np.ndarray, d: int) -> float:
         """lam * R(w) for a flat parameter vector of row dimension d."""
@@ -113,6 +111,13 @@ class Regularizer:
         if self.Q is None:
             return self.lam * w
         return self.lam * (w.reshape(d, -1).T @ self.Q).T.ravel()
+
+
+def _sharing_q(lam: float, Q: Optional[np.ndarray]) -> Regularizer:
+    """Regularizer(lam, Q) for a Q checked before (a penalty's, or a quadratic's Sigma)."""
+    reg = Regularizer(lam)
+    object.__setattr__(reg, "Q", Q)
+    return reg
 
 
 # ---------------------------------------------------------------------------

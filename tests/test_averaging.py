@@ -65,24 +65,37 @@ def test_horizon_must_be_a_nonnegative_integer(build, bad):
 def test_cumulative_relative_accuracy():
     """P_K against 60-digit decimal arithmetic on the same float inputs.
 
-    A cumsum of K + 1 logs carries an error of about K * eps / 4, which
-    puts the bound at 1e-13 for K = 2000."""
+    Each log sum is formed in closed form, (K + 1) log r for a constant rate and
+    q S_T + S_{j+1} over a period of T rates, so it is rounded a few times, not
+    K times as a cumulative sum is; with log1p and expm1 each within an ulp, P_K
+    keeps a relative error of a few eps, for lambda from 1e-12 to 1e3 and K up
+    to 2000."""
     D = decimal.Decimal
+    cyclic, alpha = [0.2, 0.1, 0.05], 0.05
     worst = {}
     with decimal.localcontext(decimal.Context(prec=60)):
         for lam in np.logspace(-12, 3, 16):
             for eta in (0.1, 0.01):
                 gamma = eta / (1 + lam * eta)
                 for K in (1, 500, 2000):
-                    cases = {"lambda": (weights_sgd_adaptive(eta, lam, K),
-                                        1 / (1 + D(lam) * D(eta))),
-                             "gamma/eta": (_general(eta, gamma, K), D(gamma) / D(eta))}
-                    for form, (scheme, ratio) in cases.items():
-                        expected = float(1 - ratio ** (K + 1))
+                    ratios = [1 / (1 + D(lam) * D(e)) for e in cyclic]
+                    nsgd = weights_nsgd(eta, lam, alpha, K)
+                    cases = {
+                        "lambda": (weights_sgd_adaptive(eta, lam, K),
+                                   (1 / (1 + D(lam) * D(eta))) ** (K + 1)),
+                        "gamma/eta": (_general(eta, gamma, K), (D(gamma) / D(eta)) ** (K + 1)),
+                        "cyclic": (weights_sgd_adaptive(cyclic, lam, K),
+                                   (ratios[0] * ratios[1] * ratios[2]) ** ((K + 1) // 3)
+                                   * [1, ratios[0], ratios[0] * ratios[1]][(K + 1) % 3]),
+                        "nsgd": (nsgd, D(nsgd.params["decay"]) ** (K - 1)
+                                 / (1 + D(lam) * D(eta))),
+                    }
+                    for form, (scheme, product) in cases.items():
+                        expected = float(1 - product)
                         got = scheme.cumulative[K]
                         worst[form] = max(worst.get(form, 0.0), abs(got - expected) / expected)
-    assert set(worst) == {"lambda", "gamma/eta"}
-    assert max(worst.values()) <= 1e-13, worst
+    assert set(worst) == {"lambda", "gamma/eta", "cyclic", "nsgd"}
+    assert max(worst.values()) <= 1e-15, worst
 
 
 class TestNsgdScheme:
@@ -360,6 +373,17 @@ def _wide_per_eigen_scheme(steps, m=600, seed=5):
     return WeightScheme(p_cum, basis=basis)
 
 
+def _staggered_per_eigen_scheme(steps, m=40, seed=6):
+    """Two columns dead over prefixes of different lengths, so the rows and
+    columns that hold a zero weight also hold live entries."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    p_cum = np.sort(rng.uniform(0, 1, size=(steps + 1, m)), axis=0)
+    p_cum[:10, 3] = 0.0
+    p_cum[:4, 5] = 0.0
+    return WeightScheme(p_cum, basis=basis)
+
+
 class TestAveragedPathKernel:
     """Wide rows take one pass over blocks of rows, narrow rows np.cumsum; both
     must equal the direct formula bit for bit, zero-weight entries as +0.0."""
@@ -388,13 +412,15 @@ class TestAveragedPathKernel:
         if kind == "nsgd":  # P_0 = 0 leaves the first average at zero
             assert scheme.cumulative[0] == 0.0 and not avg[0].any()
 
-    @pytest.mark.parametrize("kind", ["kernel", "wide"])
+    @pytest.mark.parametrize("kind", ["kernel", "wide", "staggered"])
     def test_per_eigenvalue_bit_identical_to_formula(self, kind):
         if kind == "kernel":
             scheme = weights_kernel(_null_eigen_kernel(200, 0), 0.1, 0.0, 2.0, 300)
             assert (scheme.cumulative == 0.0).all(axis=0).sum() == 1
-        else:
+        elif kind == "wide":
             scheme = _wide_per_eigen_scheme(300)
+        else:
+            scheme = _staggered_per_eigen_scheme(300)
         width = scheme.basis.shape[0]
         x = np.random.default_rng(width).standard_normal((301, width))
         before = x.copy()
@@ -418,20 +444,28 @@ def _random_kernel(n, seed):
     return KernelProblem(K=0.5 * (gram + gram.T), y=rng.standard_normal(n))
 
 
-def _expanded_log_cumulative(log_ratios_of, schedule, K):
-    """P and p from the log ratios of every step's rate, each row taken apart:
-    the formula the scheme builders evaluate once per distinct rate."""
-    etas = (schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule))
-    p_cum = 0.0 - np.expm1(np.cumsum(log_ratios_of(etas.etas_upto(K + 1)), axis=0))
+def _closed_form_cumulative(log_ratios_of, schedule, K):
+    """P and p built row by row: step k = qT + j of a schedule with period T sums
+    its log ratios as q S_T + S_{j+1}, S the running sum over one period, and a
+    constant rate (T = 1) as (k + 1) log r."""
+    etas = (schedule if isinstance(schedule, LRSchedule) else LRSchedule(schedule)).etas
+    sums = np.cumsum(log_ratios_of(etas), axis=0)
+    period = len(sums)
+    log_sums = []
+    for k in range(K + 1):
+        q, j = divmod(k, period)
+        log_sums.append((k + 1) * sums[0] if period == 1 else q * sums[-1] + sums[j])
+    p_cum = 0.0 - np.expm1(np.array(log_sums))
     return p_cum, np.diff(p_cum, axis=0, prepend=np.zeros_like(p_cum[:1]))
 
 
-SCHEDULES = {"float": 0.2, "constant": make_schedule(0.15), "cyclic": [0.2, 0.1, 0.05]}
+SCHEDULES = {"float": 0.2, "constant": make_schedule(0.15), "cyclic": [0.2, 0.1, 0.05],
+             "no-repeat": 0.2 / (1.0 + np.arange(500) / 50)}
 
 
 class TestSchemeBytes:
-    """Scheme builders take each log ratio once per distinct rate and repeat
-    the rows; P and p keep the bytes of the per-step formula."""
+    """Scheme builders sum the log ratios in closed form over the schedule's
+    period; P and p keep the bytes of that formula evaluated step by step."""
 
     @pytest.mark.parametrize("sched", sorted(SCHEDULES))
     @pytest.mark.parametrize("make", [_random_kernel, _null_eigen_kernel])
@@ -439,7 +473,7 @@ class TestSchemeBytes:
         kern, lam, lam_hat, K = make(60, 4), 0.3, 7.0, 250
         scheme = weights_kernel(kern, SCHEDULES[sched], lam, lam_hat, K)
         strengths = (lam_hat - lam) * kern.eigenvalues
-        p_cum, p_inc = _expanded_log_cumulative(
+        p_cum, p_inc = _closed_form_cumulative(
             lambda etas: -np.log1p(etas[:, None] * strengths[None, :]), SCHEDULES[sched], K)
         assert _same_bits(scheme.cumulative, p_cum)
         assert _same_bits(scheme.increments, p_inc)
@@ -453,8 +487,8 @@ class TestSchemeBytes:
     @pytest.mark.parametrize("lam", [1e-9, 0.3, 1e3])
     def test_sgd_adaptive_matches_per_step_formula(self, sched, lam):
         scheme = weights_sgd_adaptive(SCHEDULES[sched], lam, 400)
-        p_cum, p_inc = _expanded_log_cumulative(lambda etas: -np.log1p(lam * etas),
-                                                SCHEDULES[sched], 400)
+        p_cum, p_inc = _closed_form_cumulative(lambda etas: -np.log1p(lam * etas),
+                                               SCHEDULES[sched], 400)
         assert _same_bits(scheme.cumulative, p_cum)
         assert _same_bits(scheme.increments, p_inc)
 

@@ -518,16 +518,16 @@ def test_pgd_preconditioner_is_chosen_once_in_its_penalty():
 
 @pytest.mark.parametrize("argv, calls", [
     (["mnist-logistic", "--limit", "300", "--batch", "50", "--steps", "20"], 1),
-    (["mnist-linear", "--limit", "800", "--batch", "100", "--steps", "20"], 2),
+    (["mnist-linear", "--limit", "800", "--batch", "100", "--steps", "20"], 1),
 ])
 def test_pgd_decomposes_its_q_once_per_command(tmp_path, monkeypatch, argv, calls):
     # Q is checked once, where _optimizer binds it, and every penalty of the
-    # family shares it; mnist-linear's Sigma is also checked once by from_data.
+    # family shares it; mnist-linear's Q is Sigma, which only from_data checks.
     eigvalsh, seen = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda *a, **k: seen.append(a[0].shape) or eigvalsh(*a, **k))
     code, _, _ = run(tmp_path, *argv, "--optimizer", "pgd")
-    assert code in (0, 1) and len(seen) == calls
+    assert code in (0, 1) and seen == [(784, 784)] * calls
 
 
 def test_sweep_rejects_malformed_path_headers(tmp_path, capsys):
