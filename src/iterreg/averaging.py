@@ -72,6 +72,8 @@ class WeightScheme:
     per-eigenvalue schemes, whose orthonormal (m, m) ``basis`` holds one
     eigenvector per column.
     Only P is stored; the increments p_k are derived from it when read.
+    ``cumulative`` is a read-only view of the array given, checked once,
+    which its owner must not write afterwards.
     """
 
     cumulative: np.ndarray
@@ -92,7 +94,9 @@ class WeightScheme:
             raise ValueError("cumulative weights must lie in [0, 1]")
         if (p_cum[1:] - p_cum[:-1]).min(initial=0.0) < -1e-12:
             raise ValueError("cumulative weights must be nondecreasing")
-        object.__setattr__(self, "cumulative", p_cum)
+        view = p_cum.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "cumulative", view)
 
     @property
     def increments(self) -> np.ndarray:
@@ -301,7 +305,10 @@ def averaged_path(path: Union[PathRecord, np.ndarray], scheme: WeightScheme) -> 
     # (K+1, m) arrays per lambda (this block and the last scheme's P), less
     # than glibc's dynamic trim threshold of twice the largest freed block;
     # freeing four let malloc trim the heap and fault it back in on every
-    # call (about 370 page faults at 501 x 200).
+    # call (about 370 page faults at 501 x 200).  So keep no more: a scheme
+    # that also kept its increments, one (K+1, m) array more per lambda, took
+    # 376 faults per lambda and 2.84-3.04 ms per kernel-mc lambda-hat, against
+    # 2.02-2.16 ms.
     block = np.empty((2,) + rows.shape)
     return np.matmul(_average(rows, scheme, out=block[0]), scheme.basis.T, out=block[1])
 

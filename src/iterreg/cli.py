@@ -297,13 +297,13 @@ def _optimizer(prob, name, alpha):
     loss the feature second moment plus the loss's own ridge, above the Hessian
     (at most Sigma/2 + base_ridge I), with a 1e-8 floor for base_ridge 0."""
     if name == "gd":
-        return sgd_run, Regularizer.l2, weights_sgd_adaptive
+        return sgd_run, Regularizer, weights_sgd_adaptive
     if name == "pgd":  # Q is checked once: a quadratic's Sigma by the problem, else here
         if isinstance(prob, QuadraticProblem):
             return psgd_run, partial(_sharing_q, Q=prob.sigma), weights_sgd_adaptive
         q = prob.X.T @ prob.X / prob.n_samples + (prob.base_ridge + 1e-8) * np.eye(prob.d)
         return psgd_run, Regularizer(0.0, q).at, weights_sgd_adaptive
-    return (partial(nsgd_run, alpha=alpha), Regularizer.l2,  # ngd, the parser admits no other
+    return (partial(nsgd_run, alpha=alpha), Regularizer,  # ngd, the parser admits no other
             lambda sched, lam, steps: weights_nsgd(sched.eta(0), lam, alpha, steps))
 
 
@@ -439,8 +439,8 @@ def cmd_sandwich(args, checks: Checks, out_dir: str):
     sched_eta = make_schedule(eta)
     sched_gamma = make_schedule(gamma)
     plain = sgd_run(prob, Regularizer.none(), sched_eta, steps)
-    reg1 = sgd_run(prob, Regularizer.l2(lam1), sched_gamma, steps)
-    reg2 = sgd_run(prob, Regularizer.l2(lam2), sched_gamma, steps)
+    reg1 = sgd_run(prob, Regularizer(lam1), sched_gamma, steps)
+    reg2 = sgd_run(prob, Regularizer(lam2), sched_gamma, steps)
     scheme = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), steps)
     avg = averaged_path(plain, scheme)
     bseq = oracles.bounding_sequences(prob, bounds, eta, gamma, lam1, lam2, steps)
@@ -485,7 +485,7 @@ def cmd_l1_hull(args, checks: Checks, out_dir: str):
     outside, inside_l2 = [], []
     for lam in args.lams:
         l1_sol = oracles.l1_prox_solution(prob, lam, tol=1e-12)
-        ridge = oracles.ridge_solution(prob, Regularizer.l2(lam))
+        ridge = oracles.ridge_solution(prob, Regularizer(lam))
         outside.append(not oracles.hull_contains(points, l1_sol))
         inside_l2.append(oracles.hull_contains(points, ridge))
     checks.add("l1-hull/some-l1-outside", float(sum(outside)), 1.0,

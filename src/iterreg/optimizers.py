@@ -319,7 +319,7 @@ def psgd_run(
     from scipy.linalg.lapack import dpotrs
 
     if reg.Q is None:
-        raise ValueError("preconditioned runs need a generalized_l2 penalty, a Q")
+        raise ValueError("preconditioned runs need a penalty with a Q, Regularizer(lam, Q)")
     try:
         factor, lower = cho_factor(reg.Q)
     except np.linalg.LinAlgError as exc:

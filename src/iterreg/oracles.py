@@ -382,8 +382,8 @@ def bounding_sequences(
     upper_avg = averaged_path(upper, scheme)
     lower_avg = averaged_path(lower, scheme)
 
-    ridge1 = minimize_objective(problem, Regularizer.l2(lam1))
-    ridge2 = minimize_objective(problem, Regularizer.l2(lam2))
+    ridge1 = minimize_objective(problem, Regularizer(lam1))
+    ridge2 = minimize_objective(problem, Regularizer(lam2))
     center = 0.5 * (ridge2 + ridge1)
     halfgap = 0.5 * (ridge2 - ridge1)
     return BoundingSequences(

@@ -25,11 +25,10 @@ Gradient products are taken outputs-major on that unchanged layout: with
 W = w.reshape(d, -1) the step loop forms (W^T Sigma)^T, (W^T x_b^T)^T and
 (R^T x_b)^T rather than Sigma W, x_b W and x_b^T R.  Each is a skinny GEMM
 against c outputs, and single-thread OpenBLAS runs that order faster.  On
-a 2-CPU Xeon with OpenBLAS 0.3.31 (Haswell kernels), at d = 784 and
-c = 10, Sigma W takes 0.85-1.0 ms against 0.55 ms for W^T Sigma, and a
-step of a 500-step MNIST-size run (full gradient and batch 500, averaged)
-takes 1.03-1.15 ms against 1.26-1.50 ms.  Sigma and Q are read as the
-symmetric matrices their constructors check them to be.
+a 2-CPU Xeon with numpy's OpenBLAS 0.3.31 (core SkylakeX), at d = 784,
+c = 10 and a batch of 500, W^T Sigma takes 0.60 ms against 0.73 ms for
+Sigma W, and R^T x_b 0.36 ms against 0.54 ms for x_b^T R.  Sigma and Q
+are read as the symmetric matrices their constructors check them to be.
 """
 
 from __future__ import annotations
@@ -82,14 +81,6 @@ class Regularizer:
     @classmethod
     def none(cls) -> "Regularizer":
         return cls(0.0)
-
-    @classmethod
-    def l2(cls, lam: float) -> "Regularizer":
-        return cls(lam)
-
-    @classmethod
-    def generalized_l2(cls, lam: float, Q: np.ndarray) -> "Regularizer":
-        return cls(lam, Q)
 
     def at(self, lam: float) -> "Regularizer":
         """This penalty at strength lam, sharing its already-checked Q."""

@@ -103,18 +103,18 @@ def demo_runs(steps=STEPS, ngd=True):
     out = {}
     out["gd"] = (
         sgd_run(prob, Regularizer.none(), sched, steps),
-        sgd_run(prob, Regularizer.l2(LAM), sched.coupled(LAM), steps),
+        sgd_run(prob, Regularizer(LAM), sched.coupled(LAM), steps),
         weights_sgd_adaptive(sched, LAM, steps),
     )
     out["pgd"] = (
         psgd_run(prob, Regularizer(0.0, prob.sigma), sched, steps),
-        psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched.coupled(LAM), steps),
+        psgd_run(prob, Regularizer(LAM, prob.sigma), sched.coupled(LAM), steps),
         weights_sgd_adaptive(sched, LAM, steps),
     )
     if ngd:
         out["ngd"] = (
             nsgd_run(prob, Regularizer.none(), sched, steps, alpha=ALPHA),
-            nsgd_run(prob, Regularizer.l2(LAM), sched.coupled(LAM), steps, alpha=ALPHA),
+            nsgd_run(prob, Regularizer(LAM), sched.coupled(LAM), steps, alpha=ALPHA),
             weights_nsgd(ETA, LAM, ALPHA, steps),
         )
     return prob, sched, out
@@ -229,12 +229,12 @@ def test_criterion_3_limit_oracle():
 
         plain = sgd_run(prob, Regularizer.none(), sched, STEPS)
         scheme = weights_sgd_adaptive(sched, lam, STEPS)
-        target = ridge_solution(prob, Regularizer.l2(lam))
+        target = ridge_solution(prob, Regularizer(lam))
         results["gd"] = np.abs(averaged_path(plain, scheme)[-1] - target).max()
 
         pplain = psgd_run(prob, Regularizer(0.0, prob.sigma), sched, STEPS)
         gen_target = ridge_solution(
-            prob, Regularizer.generalized_l2(lam, prob.sigma))
+            prob, Regularizer(lam, prob.sigma))
         results["pgd"] = np.abs(averaged_path(pplain, scheme)[-1] - gen_target).max()
 
         nplain = nsgd_run(prob, Regularizer.none(), sched, STEPS, alpha=ALPHA)
@@ -268,12 +268,12 @@ def test_criterion_4_adaptive_rates():
         scheme = weights_sgd_adaptive(sched, LAM, STEPS)
         res_gd = identity_check(
             sgd_run(prob, Regularizer.none(), sched, STEPS),
-            sgd_run(prob, Regularizer.l2(LAM), sched.coupled(LAM), STEPS),
+            sgd_run(prob, Regularizer(LAM), sched.coupled(LAM), STEPS),
             scheme,
         )
         res_pgd = identity_check(
             psgd_run(prob, Regularizer(0.0, prob.sigma), sched, STEPS),
-            psgd_run(prob, Regularizer.generalized_l2(LAM, prob.sigma), sched.coupled(LAM), STEPS),
+            psgd_run(prob, Regularizer(LAM, prob.sigma), sched.coupled(LAM), STEPS),
             scheme,
         )
     worst = max(res_gd, res_pgd)
@@ -370,8 +370,8 @@ def test_criterion_6_sandwich():
         eta, gamma = 0.4, 0.25
         lam1, lam2 = lambda_pair(eta, gamma, bounds)
         plain = sgd_run(prob, Regularizer.none(), make_schedule(eta), STEPS)
-        reg1 = sgd_run(prob, Regularizer.l2(lam1), make_schedule(gamma), STEPS)
-        reg2 = sgd_run(prob, Regularizer.l2(lam2), make_schedule(gamma), STEPS)
+        reg1 = sgd_run(prob, Regularizer(lam1), make_schedule(gamma), STEPS)
+        reg2 = sgd_run(prob, Regularizer(lam2), make_schedule(gamma), STEPS)
         scheme = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), STEPS)
         avg = averaged_path(plain, scheme)
         bseq = bounding_sequences(prob, bounds, eta, gamma, lam1, lam2, STEPS)
@@ -409,7 +409,7 @@ def test_criterion_7_mnist_desk_scale(tmp_path):
         scheme = weights_sgd_adaptive(sched, lam, STEPS)
 
         plain = sgd_run(prob, Regularizer.none(), sched, STEPS)
-        reg = sgd_run(prob, Regularizer.l2(lam), sched.coupled(lam), STEPS)
+        reg = sgd_run(prob, Regularizer(lam), sched.coupled(lam), STEPS)
         avg = averaged_path(plain, scheme)
         err_avg = np.abs(avg - reg.iterates).sum(axis=1)
         monotone = float(np.max(np.diff(err_avg[10:])))
@@ -417,7 +417,7 @@ def test_criterion_7_mnist_desk_scale(tmp_path):
 
         st_plain = sgd_run(prob, Regularizer.none(), sched, STEPS,
                            batch_size=500, seed=13, deterministic=False)
-        st_reg = sgd_run(prob, Regularizer.l2(lam), sched.coupled(lam), STEPS,
+        st_reg = sgd_run(prob, Regularizer(lam), sched.coupled(lam), STEPS,
                          batch_size=500, seed=13, deterministic=False)
         st_avg_err = float(
             np.abs(averaged_path(st_plain, scheme)[-1] - st_reg.iterates[-1]).sum())
@@ -443,7 +443,7 @@ def test_criterion_8_l1_hull():
             l1_outside.append(
                 not hull_contains(path, l1_prox_solution(prob, lam, tol=1e-12)))
             l2_inside.append(
-                hull_contains(path, ridge_solution(prob, Regularizer.l2(lam))))
+                hull_contains(path, ridge_solution(prob, Regularizer(lam))))
     ok = any(l1_outside) and all(l2_inside)
     gate(8, "l1-hull", ok,
          f"l1 outside at {sum(l1_outside)}/6 grid points, all ridge inside: "

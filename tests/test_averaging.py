@@ -62,6 +62,15 @@ def test_horizon_must_be_a_nonnegative_integer(build, bad):
     assert build(0).horizon == 0
 
 
+def test_cumulative_is_read_only():
+    # P is checked once for [0, 1] and monotonicity, so no later write may break it.
+    for scheme in (weights_sgd_adaptive(0.1, 0.3, 5),
+                   weights_sgd_adaptive(0.1, [0.0, 0.3], 5, basis=np.eye(2)),
+                   weights_nsgd(0.1, 0.3, 0.2, 5), WeightScheme(np.array([0.5, 1.0]))):
+        with pytest.raises(ValueError, match="read-only"):
+            scheme.cumulative[0] = 2.0
+
+
 def test_cumulative_relative_accuracy():
     """P_K against 60-digit decimal arithmetic on the same float inputs.
 

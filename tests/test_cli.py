@@ -198,7 +198,7 @@ def test_variance_mc_matches_single_seed_runs(tmp_path):
                 oracles.expectation_path(prob, none, sched, steps), adaptive),
         "psgd": (lambda s: psgd_run(prob, Regularizer(0.0, prob.sigma), sched, steps, seed=s,
                                     noise_sigma=args.sigma),
-                 oracles.expectation_path(prob, Regularizer.generalized_l2(0.0, prob.sigma),
+                 oracles.expectation_path(prob, Regularizer(0.0, prob.sigma),
                                           sched, steps, kind="pgd"), adaptive),
         "nsgd": (lambda s: nsgd_run(prob, none, sched, steps, alpha=args.alpha, seed=s,
                                     noise_sigma=args.sigma),
@@ -300,7 +300,7 @@ def test_sweep_check_fails_on_corrupted_average(tmp_path, monkeypatch):
         return weights_sgd_adaptive(etas, lam, steps)
 
     def blended(path, scheme):
-        ridge = oracles.ridge_solution(toy_problem(), Regularizer.l2(seen["lam"]))
+        ridge = oracles.ridge_solution(toy_problem(), Regularizer(seen["lam"]))
         return 0.5 * (averaged_path(path, scheme) + ridge)
 
     monkeypatch.setattr(cli, "weights_sgd_adaptive", scheme)
@@ -475,7 +475,7 @@ def test_sweep_rejects_path_without_fingerprint(tmp_path, capsys):
 
 
 def test_sweep_rejects_penalized_path(tmp_path, capsys):
-    rec = sgd_run(toy_problem(), Regularizer.l2(0.5), make_schedule(0.1).coupled(0.5), 500)
+    rec = sgd_run(toy_problem(), Regularizer(0.5), make_schedule(0.1).coupled(0.5), 500)
     stored = tmp_path / "path.npz"
     save_path(rec, str(stored))
     code, out, _ = run(tmp_path, "sweep", "--path", str(stored))
@@ -493,7 +493,7 @@ def test_stored_plain_path_of_a_pair_reweights_at_any_lambda(tmp_path, lam):
                                 0.5, steps)
     save_path(plain, str(tmp_path / "plain"))
     rec = load_path(str(tmp_path / "plain"))
-    reg = sgd_run(prob, Regularizer.l2(lam), rec.schedule.coupled(lam), steps)
+    reg = sgd_run(prob, Regularizer(lam), rec.schedule.coupled(lam), steps)
     scheme = weights_sgd_adaptive(rec.schedule, lam, steps)
     assert oracles.identity_check(rec, reg, scheme) <= 1e-10
 
@@ -916,7 +916,7 @@ _MNIST_LINEAR_CHECKS = {"mnist-linear/deterministic-monotone-after-10",
                   "mnist-logistic/stochastic-avg-below-plain"},
                  id="mnist-logistic-scheme-at-10-lambda"),
     pytest.param(["l1-hull"], (oracles, "l1_prox_solution",
-                               lambda prob, lam, tol: _RIDGE(prob, Regularizer.l2(lam))),
+                               lambda prob, lam, tol: _RIDGE(prob, Regularizer(lam))),
                  {"l1-hull/some-l1-outside"}, id="l1-hull-ridge-as-l1"),
     pytest.param(["l1-hull"], (oracles, "ridge_solution", lambda *a: 1.5 * _RIDGE(*a)),
                  {"l1-hull/all-l2-inside"}, id="l1-hull-ridge-scaled"),

@@ -187,7 +187,7 @@ class TestReport:
         prob = toy_problem()
         sched = make_schedule(0.1)
         plain = sgd_run(prob, Regularizer.none(), sched, 500)
-        reg = sgd_run(prob, Regularizer.l2(0.1), sched.coupled(0.1), 500)
+        reg = sgd_run(prob, Regularizer(0.1), sched.coupled(0.1), 500)
         scheme = weights_sgd_adaptive(sched, 0.1, 500)
         avg = averaged_path(plain, scheme)
         report = Report(

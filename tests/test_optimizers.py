@@ -122,7 +122,7 @@ class TestSgdRun:
         assert st.iterates.tobytes() == det.iterates.tobytes()
 
     @pytest.mark.parametrize("cls", [QuadraticProblem, LogisticProblem])
-    @pytest.mark.parametrize("reg", [Regularizer.none(), Regularizer.l2(0.1)])
+    @pytest.mark.parametrize("reg", [Regularizer.none(), Regularizer(0.1)])
     def test_minibatch_steps_take_the_problem_gradient_at_the_drawn_rows(self, monkeypatch,
                                                                          cls, reg):
         rng = np.random.default_rng(4)
@@ -157,7 +157,7 @@ class TestSgdRun:
         prob = toy_problem()
         lam = 0.1
         sched = make_schedule(0.1).coupled(lam)
-        rec = sgd_run(prob, Regularizer.l2(lam), sched, 300)
+        rec = sgd_run(prob, Regularizer(lam), sched, 300)
         target = np.linalg.solve(prob.sigma + lam * np.eye(2), prob.a).ravel()
         bounds = convexity_bounds(prob)
         rate = 1.0 - sched.eta(0) * (bounds.alpha + lam)
@@ -203,8 +203,8 @@ class TestPsgdRun:
         assert np.abs(rec.iterates[-1] - prob.minimizer()).max() <= 1e-6
 
     def test_regularized_needs_generalized_penalty(self):
-        with pytest.raises(ValueError, match="generalized_l2"):
-            psgd_run(toy_problem(), Regularizer.l2(0.1), make_schedule(0.1).coupled(0.1), 3)
+        with pytest.raises(ValueError, match=r"Regularizer\(lam, Q\)"):
+            psgd_run(toy_problem(), Regularizer(0.1), make_schedule(0.1).coupled(0.1), 3)
 
     def test_explicit_q_must_be_symmetric_and_definite(self):
         # cho_factor reads only one triangle, so an asymmetric Q would run as
@@ -215,7 +215,7 @@ class TestPsgdRun:
             with pytest.raises(ValueError, match=message):
                 psgd_run(toy_problem(), Regularizer(0.0, q), make_schedule(0.1), 5)
         with pytest.raises(ValueError, match="symmetric"):
-            Regularizer.generalized_l2(0.1, asym)
+            Regularizer(0.1, asym)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     @pytest.mark.parametrize("size", [1, 3])
@@ -282,7 +282,7 @@ class TestNsgdRun:
 
     def test_generalized_penalty_rejected(self):
         with pytest.raises(ValueError, match="none/l2"):
-            nsgd_run(toy_problem(), Regularizer.generalized_l2(0.1, np.eye(2)),
+            nsgd_run(toy_problem(), Regularizer(0.1, np.eye(2)),
                      make_schedule(0.1).coupled(0.1), 10, alpha=0.05)
 
 
@@ -376,7 +376,7 @@ def _noisy_runs(prob):
                                     noise_sigma=0.5),
         "psgd": lambda seed: psgd_run(prob, Regularizer(0.0, q), sched, 200, seed=seed,
                                       noise_sigma=0.5),
-        "nsgd": lambda seed: nsgd_run(prob, Regularizer.l2(0.1), sched.coupled(0.1), 200,
+        "nsgd": lambda seed: nsgd_run(prob, Regularizer(0.1), sched.coupled(0.1), 200,
                                       alpha=0.05, seed=seed, noise_sigma=0.5),
     }
 
@@ -552,7 +552,7 @@ class TestSerialization:
 
     def test_ngd_header_stores_lam_and_alpha_but_not_tau(self, tmp_path):
         # tau = nesterov_momentum(eta, alpha + lam) is derived, so it is not stored.
-        rec = nsgd_run(toy_problem(), Regularizer.l2(0.2), make_schedule(0.1).coupled(0.2), 30,
+        rec = nsgd_run(toy_problem(), Regularizer(0.2), make_schedule(0.1).coupled(0.2), 30,
                        alpha=0.05)
         path = tmp_path / "ngd"
         save_path(rec, str(path))

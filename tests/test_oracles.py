@@ -45,7 +45,7 @@ def diag_problem():
 
 class TestRidgeSolution:
     def test_hand_solved_diagonal(self):
-        sol = ridge_solution(diag_problem(), Regularizer.l2(0.1))
+        sol = ridge_solution(diag_problem(), Regularizer(0.1))
         np.testing.assert_allclose(sol, [0.1 / 0.2, 1.0 / 1.1], atol=1e-15)
 
     def test_zero_penalty_recovers_minimizer(self):
@@ -53,12 +53,12 @@ class TestRidgeSolution:
         np.testing.assert_allclose(sol, [1.0, 1.0], atol=1e-14)
 
     def test_huge_penalty_shrinks_to_zero(self):
-        sol = ridge_solution(diag_problem(), Regularizer.l2(1e12))
+        sol = ridge_solution(diag_problem(), Regularizer(1e12))
         assert np.abs(sol).max() <= 1e-11
 
     def test_generalized_penalty(self):
         prob = toy_problem()
-        sol = ridge_solution(prob, Regularizer.generalized_l2(0.5, prob.sigma))
+        sol = ridge_solution(prob, Regularizer(0.5, prob.sigma))
         np.testing.assert_allclose(sol, prob.minimizer() / 1.5, atol=1e-12)
 
     def test_q_of_another_size_is_refused(self):
@@ -75,7 +75,7 @@ class TestRidgeSolution:
         sigma = basis @ np.diag(np.logspace(0, -13, 12)) @ basis.T
         prob = QuadraticProblem(sigma=0.5 * (sigma + sigma.T), a=np.ones(12))
         with pytest.raises(RuntimeError, match="residual too large"):
-            ridge_solution(prob, Regularizer.l2(1e-300))
+            ridge_solution(prob, Regularizer(1e-300))
 
 
 class TestKernelSolution:
@@ -123,15 +123,15 @@ class TestExpectationPath:
     def test_matches_regularized_gd(self):
         prob = toy_problem()
         sched = make_schedule(0.1).coupled(0.3)
-        rec = sgd_run(prob, Regularizer.l2(0.3), sched, 200)
-        mean = expectation_path(prob, Regularizer.l2(0.3), sched, 200)
+        rec = sgd_run(prob, Regularizer(0.3), sched, 200)
+        mean = expectation_path(prob, Regularizer(0.3), sched, 200)
         assert np.abs(rec.iterates - mean.iterates).max() <= 1e-12
 
     def test_matches_accelerated_run(self):
         prob = toy_problem()
         sched = make_schedule(0.1).coupled(0.1)
-        rec = nsgd_run(prob, Regularizer.l2(0.1), sched, 150, alpha=0.05)
-        mean = expectation_path(prob, Regularizer.l2(0.1), sched, 150,
+        rec = nsgd_run(prob, Regularizer(0.1), sched, 150, alpha=0.05)
+        mean = expectation_path(prob, Regularizer(0.1), sched, 150,
                                 kind="ngd", alpha=0.05)
         assert np.abs(rec.iterates - mean.iterates).max() <= 1e-11
 
@@ -153,8 +153,8 @@ class TestExpectationPath:
             prob = toy_problem()
         m = rng.standard_normal((prob.d, prob.d))
         q = m @ m.T / prob.d + np.eye(prob.d)
-        reg = Regularizer.generalized_l2(lam, q) if kind == "pgd" \
-            else Regularizer.l2(lam) if lam > 0 else Regularizer.none()
+        reg = Regularizer(lam, q) if kind == "pgd" \
+            else Regularizer(lam) if lam > 0 else Regularizer.none()
         sched = make_schedule(etas).coupled(lam)
         steps = 300
         if kind == "gd":
@@ -169,7 +169,7 @@ class TestExpectationPath:
 
     @pytest.mark.parametrize("sched, reg, message", [
         (make_schedule([0.1, 0.5]), Regularizer.none(), "constant learning rates only"),
-        (make_schedule(0.1).coupled(0.2), Regularizer.generalized_l2(0.2, np.diag([2.0, 1.0])),
+        (make_schedule(0.1).coupled(0.2), Regularizer(0.2, np.diag([2.0, 1.0])),
          "none/l2 regularizers only"),
     ])
     def test_accelerated_refuses_what_nsgd_run_refuses(self, sched, reg, message):
@@ -189,8 +189,8 @@ class TestExpectationPath:
             monkeypatch.setattr(module, name, refuse)
         prob = toy_problem()
         sched = make_schedule(0.1).coupled(0.2)
-        for kind, reg in (("gd", Regularizer.l2(0.2)), ("ngd", Regularizer.l2(0.2)),
-                          ("pgd", Regularizer.generalized_l2(0.2, prob.sigma))):
+        for kind, reg in (("gd", Regularizer(0.2)), ("ngd", Regularizer(0.2)),
+                          ("pgd", Regularizer(0.2, prob.sigma))):
             mean = expectation_path(prob, reg, sched, 50, kind=kind, alpha=0.05)
             assert np.all(np.isfinite(mean.iterates)) and np.abs(mean.iterates[-1]).max() > 0
 
@@ -210,15 +210,15 @@ class TestExpectationPath:
             return mu, vecs
 
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
-        expectation_path(prob, Regularizer.l2(1e-4), make_schedule(0.01).coupled(1e-4), 2)
+        expectation_path(prob, Regularizer(1e-4), make_schedule(0.01).coupled(1e-4), 2)
         [vecs] = bases
         assert np.abs(vecs.T @ vecs - np.eye(prob.d)).max() <= 1e-13
 
     def test_long_run_reaches_ridge_limit(self):
         prob = toy_problem()
         sched = make_schedule(0.1).coupled(0.5)
-        mean = expectation_path(prob, Regularizer.l2(0.5), sched, 4000)
-        target = ridge_solution(prob, Regularizer.l2(0.5))
+        mean = expectation_path(prob, Regularizer(0.5), sched, 4000)
+        target = ridge_solution(prob, Regularizer(0.5))
         assert np.abs(mean.iterates[-1] - target).max() <= 1e-12
 
     def test_zero_steps(self):
@@ -399,7 +399,7 @@ def _gd_pair():
     prob = toy_problem()
     sched = make_schedule(0.1)
     plain = sgd_run(prob, Regularizer.none(), sched, 500)
-    reg = sgd_run(prob, Regularizer.l2(0.1), sched.coupled(0.1), 500)
+    reg = sgd_run(prob, Regularizer(0.1), sched.coupled(0.1), 500)
     return plain, reg, weights_sgd_adaptive(sched, 0.1, 500), 1e-10
 
 
@@ -472,7 +472,7 @@ class TestGeneralizedRidgeFromPlainPath:
         q = 1.0 / mu
         gen_q = basis @ np.diag(q) @ basis.T
         gen_q = 0.5 * (gen_q + gen_q.T)
-        target = ridge_solution(prob, Regularizer.generalized_l2(self.LAM, gen_q))
+        target = ridge_solution(prob, Regularizer(self.LAM, gen_q))
         plain = sgd_run(prob, Regularizer.none(), make_schedule(self.ETA), self.STEPS)
         # The companion steps direction j at eta / (1 + lam eta q_j).
         rates = basis @ np.diag(self.ETA / (1.0 + self.LAM * self.ETA * q)) @ basis.T
@@ -507,8 +507,8 @@ class TestSandwich:
         eta, gamma, steps = 1.0, 0.5, 120
         lam1, lam2 = lambda_pair(eta, gamma, bounds)
         plain = sgd_run(prob, Regularizer.none(), make_schedule(eta), steps)
-        reg1 = sgd_run(prob, Regularizer.l2(lam1), make_schedule(gamma), steps)
-        reg2 = sgd_run(prob, Regularizer.l2(lam2), make_schedule(gamma), steps)
+        reg1 = sgd_run(prob, Regularizer(lam1), make_schedule(gamma), steps)
+        reg2 = sgd_run(prob, Regularizer(lam2), make_schedule(gamma), steps)
         scheme = weights_sgd_adaptive(eta, (eta - gamma) / (eta * gamma), steps)
         avg = averaged_path(plain, scheme)
         seq = bounding_sequences(prob, bounds, eta, gamma, lam1, lam2, steps)
@@ -671,9 +671,9 @@ class TestHullAroundPaths:
 class TestMinimizeObjective:
     def test_quadratic_closed_form(self):
         prob = toy_problem()
-        w = minimize_objective(prob, Regularizer.l2(0.4))
+        w = minimize_objective(prob, Regularizer(0.4))
         np.testing.assert_allclose(
-            w, ridge_solution(prob, Regularizer.l2(0.4)), atol=1e-14)
+            w, ridge_solution(prob, Regularizer(0.4)), atol=1e-14)
 
     def test_logistic_newton_reaches_stationarity(self):
         rng = np.random.default_rng(9)
@@ -683,7 +683,7 @@ class TestMinimizeObjective:
             base_ridge=1.0,
         )
         for lam in (0.0, 0.8):
-            reg = Regularizer.l2(lam) if lam else Regularizer.none()
+            reg = Regularizer(lam) if lam else Regularizer.none()
             w = minimize_objective(prob, reg)
             _, g = eval_loss_grad(prob, reg, w)
             assert np.abs(g).max() <= 1e-12

@@ -29,17 +29,17 @@ class TestRegularizer:
         # A penalty is (lam, Q) and nothing else: a given Q is the generalized
         # penalty, so no third field can disagree with it.
         assert [f.name for f in dataclasses.fields(Regularizer)] == ["lam", "Q"]
-        reg = Regularizer.generalized_l2(0.1, np.eye(2))
+        reg = Regularizer(0.1, np.eye(2))
         assert (reg.lam, reg.Q.tolist()) == (0.1, np.eye(2).tolist())
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            Regularizer.l2(-0.5)
+            Regularizer(-0.5)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="finite"):
-            Regularizer.l2(lam)
+            Regularizer(lam)
 
     def test_at_shares_the_checked_q(self):
         # A penalty family is one checked Q at many strengths: .at re-checks
@@ -84,7 +84,7 @@ class TestQuadratic:
     def test_gradient_at_origin_with_ridge(self):
         # Sigma w - a + lam w at w = 0 is -a.
         prob = diag_problem()
-        _, g = eval_loss_grad(prob, Regularizer.l2(0.1), np.zeros(2))
+        _, g = eval_loss_grad(prob, Regularizer(0.1), np.zeros(2))
         np.testing.assert_allclose(g, [-0.1, -1.0], atol=1e-15)
 
     def test_gradient_vanishes_at_ridge_solution(self):
@@ -92,7 +92,7 @@ class TestQuadratic:
         w_hat = np.linalg.solve(prob.sigma + 0.1 * np.eye(2), prob.a).ravel()
         # The rounded value from a hand solve stays within 1e-6.
         np.testing.assert_allclose(w_hat, [0.5, 0.909091], atol=5e-7)
-        _, g = eval_loss_grad(prob, Regularizer.l2(0.1), np.array([0.5, 0.909091]))
+        _, g = eval_loss_grad(prob, Regularizer(0.1), np.array([0.5, 0.909091]))
         assert np.abs(g).max() <= 1e-6
 
     def test_dimension_mismatch(self):
@@ -164,13 +164,13 @@ def test_finite_difference_gradients():
     wide_q = wide_quad.sigma + np.eye(wide_quad.d)
     cases = [
         (quad, Regularizer.none()),
-        (quad, Regularizer.l2(0.3)),
-        (quad, Regularizer.generalized_l2(0.2, q)),
+        (quad, Regularizer(0.3)),
+        (quad, Regularizer(0.2, q)),
         (logi, Regularizer.none()),
-        (logi, Regularizer.l2(0.5)),
+        (logi, Regularizer(0.5)),
         (wide_quad, Regularizer.none()),
-        (wide_quad, Regularizer.generalized_l2(0.2, wide_q)),
-        (wide_logi, Regularizer.l2(0.5)),
+        (wide_quad, Regularizer(0.2, wide_q)),
+        (wide_logi, Regularizer(0.5)),
     ]
     h = 1e-5
     for prob, reg in cases:
@@ -204,7 +204,7 @@ def test_finite_difference_gradients():
     mat = w.reshape(d, c)
     want = sigma @ mat - a + 0.2 * (wide_q @ mat)
     scale = ((np.abs(sigma) + 0.2 * np.abs(wide_q)) @ np.abs(mat)).max() + np.abs(a).max()
-    assert_within_ulps(eval_loss_grad(wide_quad, Regularizer.generalized_l2(0.2, wide_q),
+    assert_within_ulps(eval_loss_grad(wide_quad, Regularizer(0.2, wide_q),
                                       w)[1], want.ravel(), scale)
     # With rows, the quadratic's gradient is x_b^T (x_b W - Y_b) / b over those rows.
     rows = rng.integers(0, x.shape[0], size=500)
@@ -238,7 +238,7 @@ class TestStochasticGrad:
         y = rng.standard_normal((8, 2))
         prob = QuadraticProblem.from_data(x, y)
         w = rng.standard_normal(prob.param_dim)
-        reg = Regularizer.l2(0.2)
+        reg = Regularizer(0.2)
         g_full = eval_loss_grad(prob, reg, w)[1]
         g_batch = stochastic_grad(prob, reg, w, np.arange(8))
         np.testing.assert_array_equal(g_batch, g_full)
