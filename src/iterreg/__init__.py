@@ -10,7 +10,6 @@ from .problems import (
     Regularizer,
     convexity_bounds,
     eval_loss_grad,
-    stochastic_grad,
     toy_problem,
 )
 from .optimizers import (
@@ -55,7 +54,6 @@ from .data_io import (
     Report,
     load_idx,
     one_hot,
-    read_report,
     synthetic_mnist,
     write_idx_images,
     write_idx_labels,

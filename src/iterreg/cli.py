@@ -4,9 +4,9 @@ Each subcommand wires problems -> optimizers -> averaging -> oracles,
 writes report files plus a ``checks.json`` with one entry per verified
 claim, and exits 0 only if every check passed: 1 on a failed check, 2 on
 an invalid configuration or an input file that cannot be read, and 3 when
-a run diverges or a numerical step fails (a linear solve or
+a run diverges, a numerical step fails (a linear solve or
 eigendecomposition that misses its accuracy bound, a solver that does not
-converge).
+converge) or memory runs out.
 
 Subcommands:
     demo2d          2-D quadratic demo: identities, decay rates, limits
@@ -101,6 +101,11 @@ def _write_report(args, out_dir, stem, experiment, plain, reg, avg, scheme, conf
     return err_plain, err_avg
 
 
+def _json_number(x) -> float | str:
+    """float(x), or "inf", "-inf" or "nan": strict JSON (RFC 8259) has no such numbers."""
+    return float(x) if np.isfinite(x) else str(float(x))
+
+
 class Checks:
     def __init__(self):
         self.entries = []
@@ -110,8 +115,8 @@ class Checks:
         self.entries.append({
             "check": name,
             "params": params or {},
-            "residual": float(residual),
-            "threshold": float(threshold),
+            "residual": _json_number(residual),
+            "threshold": _json_number(threshold),
             "pass": bool({"<=": operator.le, ">=": operator.ge}[direction](residual, threshold)),
         })
 
@@ -123,8 +128,8 @@ class Checks:
         _write_json(out_dir, "checks.json", {"pass": self.all_pass, "checks": self.entries})
         for e in self.entries:
             status = "PASS" if e["pass"] else "FAIL"
-            print(f"[{status}] {e['check']}: residual={e['residual']:.6g} "
-                  f"threshold={e['threshold']:.6g}")
+            print(f"[{status}] {e['check']}: residual={float(e['residual']):.6g} "
+                  f"threshold={float(e['threshold']):.6g}")
 
 
 def _need_steps(steps: int, least: int, what: str) -> None:
@@ -711,6 +716,8 @@ def main(argv=None) -> int:
         code, message = 3, f"{kind}: {exc}"
     except AssertionError as exc:  # LRSchedule.coupled's invariant
         code, message = 3, f"broken invariant: {exc}"
+    except MemoryError as exc:
+        code, message = 3, f"out of memory: {exc}"
     else:
         checks.dump(args.out)
         return 0 if checks.all_pass else 1

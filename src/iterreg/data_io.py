@@ -27,7 +27,6 @@ __all__ = [
     "one_hot",
     "synthetic_mnist",
     "write_report",
-    "read_report",
 ]
 
 _IMAGE_MAGIC = 0x00000803
@@ -234,32 +233,3 @@ def write_report(report: Report, path: str, format: str = "csv") -> None:
     else:
         raise ValueError(f"unknown report format {format!r}")
 
-
-def read_report(path: str, format: str = "csv") -> Report:
-    if format == "csv":
-        with open(path, "r", newline="", encoding="ascii") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != _CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected columns {header}")
-            report = Report(experiment="")
-            for row in reader:
-                report.iters.append(int(row[0]))
-                report.err_plain.append(float(row[1]))
-                report.err_avg.append(float(row[2]))
-                report.p_cumulative.append(float(row[3]))
-            return report
-    if format == "json":
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        cols = payload["columns"]
-        return Report(
-            experiment=payload["experiment"],
-            iters=cols["iter"],
-            err_plain=cols["err_plain_vs_reg_l1"],
-            err_avg=cols["err_avg_vs_reg_l1"],
-            p_cumulative=cols["P_k"],
-            config=payload.get("config", {}),
-            wall_clock_s=payload.get("wall_clock_s", 0.0),
-        )
-    raise ValueError(f"unknown report format {format!r}")

@@ -126,9 +126,9 @@ class PathRecord:
 
     def __post_init__(self):
         arr = np.asarray(self.iterates, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("iterates must be a (steps+1, dim) array")
-        if arr.shape[0] >= 1 and np.any(arr[0] != 0.0):
+        if arr.ndim != 2 or arr.shape[0] == 0:
+            raise ValueError("iterates must be a (steps+1, dim) array, w_0 included")
+        if np.any(arr[0] != 0.0):
             raise ValueError("paths must start at zero")
         view = arr.view()
         view.flags.writeable = False
@@ -466,7 +466,8 @@ def _finite(v) -> bool:  # an int or float, not a bool; NaN fails the comparison
 
 # Header key -> the test its value must pass (``type(v) is int`` refuses a bool); a
 # schedule must also be in LRSchedule's range.
-_HEADER_KEYS = {"steps": lambda v: type(v) is int, "dim": lambda v: type(v) is int,
+_HEADER_KEYS = {"steps": lambda v: type(v) is int and v >= 0,
+                "dim": lambda v: type(v) is int and v >= 1,
                 "tag": lambda v: isinstance(v, str), "seed": lambda v: v is None or type(v) is int,
                 "problem": lambda v: isinstance(v, str), "lam": lambda v: _finite(v) and v >= 0,
                 "alpha": lambda v: v is None or _finite(v) and v > 0,

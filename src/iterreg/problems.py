@@ -47,7 +47,6 @@ __all__ = [
     "KernelProblem",
     "ConvexityBounds",
     "eval_loss_grad",
-    "stochastic_grad",
     "convexity_bounds",
     "toy_problem",
 ]
@@ -393,28 +392,6 @@ def _objective_grad(problem, reg: Regularizer):
     if reg.lam == 0.0:  # no zero vector to add at every step
         return problem.grad
     return lambda w, rows=None: problem.grad(w, rows) + reg.grad(w, problem.d)
-
-
-def stochastic_grad(problem, reg: Regularizer, w: np.ndarray, batch) -> np.ndarray:
-    """Mini-batch gradient estimate over explicit sample indices.
-
-    Averaged over all equally likely batches this equals the full
-    gradient, so the estimator is unbiased under uniform sampling.
-    """
-    if getattr(problem, "X", None) is None:
-        raise ValueError("problem carries no raw data; stochastic gradients unavailable")
-    grad = _objective_grad(problem, reg)
-    batch = np.asarray(batch, dtype=np.intp)
-    n = problem.n_samples
-    if batch.size == 0 or batch.min() < 0 or batch.max() >= n:
-        raise ValueError(f"batch indices must be a nonempty subset of [0, {n})")
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (problem.param_dim,):
-        raise ValueError(f"w has shape {w.shape}, expected ({problem.param_dim},)")
-    # A batch covering every sample once is the full gradient; route it
-    # through the moment form so the two are bit-identical.
-    full = batch.size == n and np.array_equal(np.sort(batch), np.arange(n))
-    return grad(w, None if full else batch)
 
 
 def convexity_bounds(problem) -> ConvexityBounds:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ from iterreg import cli, oracles
 from iterreg.averaging import (WeightScheme, averaged_path, weights_kernel, weights_nsgd,
                                weights_sgd_adaptive)
 from iterreg.cli import main
-from iterreg.data_io import one_hot, read_report
+from iterreg.data_io import one_hot
 from iterreg.optimizers import (load_path, make_schedule, nsgd_run, psgd_run, save_path,
                                 sgd_run)
 from iterreg.problems import LogisticProblem, Regularizer, make_rotated_quadratic, toy_problem
@@ -30,6 +31,14 @@ def written(out):
     return {p.name for p in out.iterdir()}
 
 
+def csv_columns(path):
+    """A CSV report as {column: values}, the iters as ints and the rest as floats."""
+    with open(path, newline="", encoding="ascii") as fh:
+        header, *rows = csv.reader(fh)
+    return {key: [(int if key == "iter" else float)(v) for v in col]
+            for key, col in zip(header, zip(*rows))}
+
+
 DEMO2D_FILES = {"demo2d_gd.csv", "demo2d_pgd.csv", "demo2d_ngd.csv",
                 "demo2d_gd_scheme.csv", "checks.json"}
 
@@ -44,11 +53,10 @@ def test_demo2d_all_checks_pass(tmp_path):
     assert written(out_json) == {"demo2d_gd.json", "demo2d_pgd.json", "demo2d_ngd.json",
                                  "demo2d_gd_scheme.csv", "checks.json"}
     for name in ("gd", "pgd", "ngd"):
-        a = read_report(str(out / f"demo2d_{name}.csv"), "csv")
-        b = read_report(str(out_json / f"demo2d_{name}.json"), "json")
-        assert (a.iters, a.err_plain, a.err_avg, a.p_cumulative) == \
-            (b.iters, b.err_plain, b.err_avg, b.p_cumulative)
-        assert b.experiment == f"demo2d-{name}" and len(b.iters) == 501
+        with open(out_json / f"demo2d_{name}.json", encoding="ascii") as fh:
+            report = json.load(fh)
+        assert csv_columns(out / f"demo2d_{name}.csv") == report["columns"]
+        assert report["experiment"] == f"demo2d-{name}" and len(report["columns"]["iter"]) == 501
 
 
 def test_kernel_demo(tmp_path):
@@ -160,8 +168,8 @@ def test_mnist_logistic_ngd_averages_with_its_own_scheme(tmp_path):
     assert code == 0 and checks["pass"]
     expected = weights_nsgd(0.01, 4.0, 1.0, 150).cumulative.tolist()
     for mode in ("deterministic", "stochastic"):
-        report = read_report(str(out / f"mnist_logistic_{mode}.csv"), "csv")
-        assert report.p_cumulative == expected and report.p_cumulative[0] == 0.0
+        p_cumulative = csv_columns(out / f"mnist_logistic_{mode}.csv")["P_k"]
+        assert p_cumulative == expected and p_cumulative[0] == 0.0
 
 
 def test_variance_mc_small(tmp_path):
@@ -610,6 +618,32 @@ def test_broken_invariant_exits_three(tmp_path, capsys, monkeypatch):
     code, out, checks = run(tmp_path, "demo2d")
     assert code == 3 and checks is None and not out.exists()
     assert capsys.readouterr().err == "broken invariant: learning-rate coupling violated\n"
+
+
+def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
+    # Running out of memory is no failed check: exit 3, and no directory of
+    # the run's own is left.  A real oversized run would take the machine's memory.
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.0 GiB")
+
+    monkeypatch.setattr(cli, "sgd_run", fail)
+    code, out, checks = run(tmp_path, "demo2d")
+    assert code == 3 and checks is None and not out.exists()
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 8.0 GiB\n"
+
+
+def test_checks_json_is_strict_json_with_infinite_residuals(tmp_path):
+    # At lambda = 1000 three decay slopes outrun their fit window and read -inf;
+    # strict JSON (RFC 8259) has no Infinity token, so they are written as strings.
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out, checks = run(tmp_path, "demo2d", "--lambda", "1000")
+    assert code == 0 and checks["pass"]
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=refuse)
+    slopes = [c["residual"] for c in checks["checks"] if "/decay-slope/" in c["check"]]
+    assert slopes.count("-inf") == 3
 
 
 def test_sandwich_gamma_at_its_cap_is_a_config_error(tmp_path, capsys):

@@ -27,7 +27,6 @@ from iterreg.problems import (
     Regularizer,
     convexity_bounds,
     eval_loss_grad,
-    stochastic_grad,
     toy_problem,
 )
 
@@ -337,7 +336,7 @@ class TestNoisePlacement:
 
     def batch_grad(self, prob, w, k):
         batch = _step_rng(self.seed, k).integers(0, self.n, size=self.batch)
-        return stochastic_grad(prob, Regularizer.none(), w, batch)
+        return prob.grad(w, batch)
 
     def batch_runs(self, run, steps, **kwargs):
         """A mini-batch run with noise and the same run without it."""
@@ -502,6 +501,12 @@ class TestPathRecord:
         with pytest.raises(ValueError, match="read-only"):
             rec.iterates[-1] = 0.0
 
+    def test_record_without_w0_rejected(self):
+        # A path starts at w_0 = 0, so it has at least one row.
+        with pytest.raises(ValueError, match="w_0 included"):
+            PathRecord(iterates=np.zeros((0, 6)), tag="test", seed=None,
+                       schedule=make_schedule(0.1))
+
     def test_rotation_kept_for_the_last_read_only_basis(self):
         rec, rng = self.make_record()
         first = self.read_only(np.linalg.qr(rng.standard_normal((6, 6)))[0])
@@ -633,8 +638,11 @@ class TestSerialization:
         ("etas", []), ("etas", [0.0]),
         # JSON's NaN and Infinity, which LRSchedule refuses too
         ("etas", [float("nan")]), ("etas", [float("inf")]),
+        # typed, but no path has them
+        ("steps", -1), ("dim", 0),
     ], ids=["steps-40", "dim-True", "tag-3", "seed-1.5", "etas-value4", "etas-0.1",
-            "alpha-value7", "etas-value9", "etas-value10", "etas-value11", "etas-value12"])
+            "alpha-value7", "etas-value9", "etas-value10", "etas-value11", "etas-value12",
+            "steps-negative", "dim-0"])
     def test_malformed_header_keys_rejected(self, tmp_path, key, value):
         rec, header = self._header(tmp_path)
         (header["schedule"] if key == "etas" else header)[key] = value
@@ -642,6 +650,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"key '{key}' is missing or malformed") as err:
             load_path(str(tmp_path / "m"))
         assert str(tmp_path / "m") in str(err.value)
+
+    @pytest.mark.parametrize("key, value, shape", [("steps", -1, (0, 2)), ("dim", 0, (41, 0))])
+    def test_empty_path_matching_its_header_rejected(self, tmp_path, key, value, shape):
+        # Iterates of the shape the header names still need a w_0 and a coordinate.
+        rec, header = self._header(tmp_path)
+        header[key] = value
+        self._write_archive(tmp_path / "e", header, np.zeros(shape))
+        with pytest.raises(ValueError, match=f"key '{key}' is missing or malformed"):
+            load_path(str(tmp_path / "e"))
 
     @pytest.mark.parametrize("alpha", [0, -1, float("nan"), True, "0.05"])
     def test_alpha_that_is_no_positive_number_rejected(self, tmp_path, alpha):

@@ -15,7 +15,6 @@ from iterreg.problems import (
     convexity_bounds,
     eval_loss_grad,
     make_rotated_quadratic,
-    stochastic_grad,
     toy_problem,
 )
 
@@ -232,35 +231,24 @@ def test_logistic_hessian_matches_gradient_differences():
 
 
 class TestStochasticGrad:
+    """Mini-batch gradients, ``grad(w, rows)`` over the data rows ``rows``."""
+
     def test_full_batch_equals_gradient(self):
+        # MNIST width, c = 10.  The softmax gradient is one formula: rows naming
+        # every sample give its bytes.  A mini-batch meets x_b^T (x_b W - Y_b) / b
+        # and x_b^T (P_b - Y_b) / b + ridge W.
         rng = np.random.default_rng(1)
-        x = rng.uniform(0, 1, size=(8, 3))
-        y = rng.standard_normal((8, 2))
-        prob = QuadraticProblem.from_data(x, y)
-        w = rng.standard_normal(prob.param_dim)
-        reg = Regularizer(0.2)
-        g_full = eval_loss_grad(prob, reg, w)[1]
-        g_batch = stochastic_grad(prob, reg, w, np.arange(8))
-        np.testing.assert_array_equal(g_batch, g_full)
-        # MNIST width, c = 10: the full batch is still the full gradient, and a
-        # mini-batch meets x_b^T (x_b W - Y_b) / b and x_b^T (P_b - Y_b) / b + ridge W.
         x, y = mnist_width_data(rng)
         quad = QuadraticProblem.from_data(x, y)
         logi = LogisticProblem(X=x, Y=y, base_ridge=0.5)
         w = rng.standard_normal(quad.param_dim)
         mat = w.reshape(quad.d, quad.n_outputs)
-        for prob in (quad, logi):
-            np.testing.assert_array_equal(stochastic_grad(prob, reg, w, np.arange(600)),
-                                          eval_loss_grad(prob, reg, w)[1])
-        # The softmax gradient is one formula: rows naming every sample give its bytes.
         np.testing.assert_array_equal(logi.grad(w, np.arange(600)), logi.grad(w))
         batch = rng.integers(0, 600, size=500)
         xb, yb = x[batch], y[batch]
         scale = (np.abs(xb.T) @ (np.abs(xb) @ np.abs(mat) + yb)).max() / 500
-        assert_within_ulps(stochastic_grad(quad, Regularizer.none(), w, batch),
-                           (xb.T @ (xb @ mat - yb) / 500).ravel(), scale)
-        assert_within_ulps(stochastic_grad(logi, Regularizer.none(), w, batch),
-                           softmax_grad_written_out(xb, yb, mat, 0.5).ravel(),
+        assert_within_ulps(quad.grad(w, batch), (xb.T @ (xb @ mat - yb) / 500).ravel(), scale)
+        assert_within_ulps(logi.grad(w, batch), softmax_grad_written_out(xb, yb, mat, 0.5).ravel(),
                            1.0 + 0.5 * np.abs(mat).max())
 
     def test_identical_samples_have_zero_variance(self):
@@ -269,13 +257,11 @@ class TestStochasticGrad:
         y = np.tile([[1.0]], (2, 1))
         prob = QuadraticProblem.from_data(x, y)
         w = np.array([0.3])
-        g_full = eval_loss_grad(prob, Regularizer.none(), w)[1]
+        g_full = prob.grad(w)
         for batch in ([0], [1], [0, 1]):
             # zero-variance data: any batch agrees with the full gradient
             # (up to reassociated float arithmetic on the moment path)
-            np.testing.assert_allclose(
-                stochastic_grad(prob, Regularizer.none(), w, batch), g_full,
-                rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(prob.grad(w, batch), g_full, rtol=1e-13, atol=1e-15)
 
     def test_enumerated_batches_average_to_full_gradient(self):
         rng = np.random.default_rng(2)
@@ -283,33 +269,23 @@ class TestStochasticGrad:
         y = rng.standard_normal((4, 1))
         prob = QuadraticProblem.from_data(x, y)
         w = rng.standard_normal(2)
-        g_full = eval_loss_grad(prob, Regularizer.none(), w)[1]
-        singles = np.mean(
-            [stochastic_grad(prob, Regularizer.none(), w, [i]) for i in range(4)],
-            axis=0)
+        g_full = prob.grad(w)
+        singles = np.mean([prob.grad(w, [i]) for i in range(4)], axis=0)
         np.testing.assert_allclose(singles, g_full, atol=1e-12)
         # exhaustive size-2 batches as well
-        pairs = np.mean(
-            [stochastic_grad(prob, Regularizer.none(), w, list(b))
-             for b in itertools.product(range(4), repeat=2)], axis=0)
+        pairs = np.mean([prob.grad(w, list(b)) for b in itertools.product(range(4), repeat=2)],
+                        axis=0)
         np.testing.assert_allclose(pairs, g_full, atol=1e-12)
 
-    def test_kernel_and_momentless_problems_rejected(self):
-        kern = KernelProblem(K=np.eye(3), y=np.zeros(3))
-        with pytest.raises(ValueError):
-            stochastic_grad(kern, Regularizer.none(), np.zeros(3), [0])
-        with pytest.raises(ValueError, match="raw data"):
-            stochastic_grad(diag_problem(), Regularizer.none(), np.zeros(2), [0])
+    def test_momentless_problems_rejected(self):
         with pytest.raises(ValueError, match="raw data"):
             diag_problem().grad(np.zeros(2), [0])
 
     def test_bad_indices_rejected(self):
+        # An empty mini-batch is refused by name, not averaged into 0/0 = NaN.
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, size=(4, 2))
         prob = QuadraticProblem.from_data(x, rng.standard_normal((4, 1)))
-        with pytest.raises(ValueError):
-            stochastic_grad(prob, Regularizer.none(), np.zeros(2), [4])
-        # An empty mini-batch is refused by name, not averaged into 0/0 = NaN.
         logi = LogisticProblem(X=x, Y=np.eye(2)[[0, 1, 1, 0]], base_ridge=1.0)
         for problem in (prob, logi):
             with pytest.raises(ValueError, match="rows"):
